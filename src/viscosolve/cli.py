@@ -136,12 +136,13 @@ def _cmd_implicit(args) -> int:
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
     d = problem.dim
-    header = "t," + ",".join(f"x{i + 1}" for i in range(d)) + ",residual,iterations,dist_to_reference"
+    header = "t," + ",".join(f"x{i + 1}" for i in range(d)) + ",residual,iterations,dist_to_reference,dist_bound"
     lines = [header]
     for pt in points:
         cells = [repr(float(pt.t))] + [repr(float(v)) for v in pt.x]
         cells += [repr(float(pt.residual)), str(pt.iterations)]
         cells.append(repr(float(pt.dist_to_reference)) if pt.dist_to_reference is not None else "")
+        cells.append(repr(float(pt.dist_bound)))
         lines.append(",".join(cells))
     (out / "implicit_path.csv").write_text("\n".join(lines) + "\n")
     _write_resolved(out, resolved, defaulted)

@@ -218,7 +218,9 @@ def perturbation_at(p: Perturbation, k: int, dim: int) -> np.ndarray:
         raise IndexError(f"perturbation index starts at 1, got {k}")
     if isinstance(p, NoPerturbation):
         return np.zeros(dim)
-    return perturbation_stream(p, k, dim)[-1]
+    # row k of the stream starts (k - 1) * dim draws in: O(1) in k
+    u = np.random.Generator(np.random.PCG64(p.seed).advance((k - 1) * dim)).random(dim)
+    return (2.0 * u - 1.0) / (float(k) ** 2)
 
 
 # --------------------------------------------------------------------------

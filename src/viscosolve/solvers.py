@@ -11,9 +11,9 @@ contraction, u a fixed anchor in Q):
 * yao_inner:           x+ = b x + (1 - b) S P(a u + (1 - a)(x - l A x))
 
 plus the implicit path x_t = t f(x_t) + (1 - t) S P(x_t - l(t) A x_t) solved
-by Banach iteration, the reference solver for the limit point (the fixed
-point of P_Omega . f), and the scalar comparison recursion used as a test
-oracle for convergence diagnostics.
+by safeguarded Anderson acceleration, the reference solver for the limit
+point (the fixed point of P_Omega . f), and the scalar comparison recursion
+used as a test oracle for convergence diagnostics.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import dataclasses
 import hashlib
 import json
 import warnings
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -84,6 +85,7 @@ ALGORITHMS = (
 )
 
 _X1_TOL = 1e-10
+_AA_DEPTH = 5  # Anderson memory of the implicit solve
 
 
 class ConfigurationError(ValueError):
@@ -385,11 +387,12 @@ class ImplicitConfig:
     """Settings for the implicit curve t -> x_t.
 
     ``lambda_of_t`` maps t to the relaxation step (a float means a constant
-    map); values are expected in (0, 2*nu). Each solve runs Banach iteration
-    on the viscosity map and stops once either the contraction a-posteriori
-    bound certifies ||x - x_t|| <= inner_tol or the fixed-point residual
-    itself drops below inner_tol (the bound alone would demand sub-ulp step
-    sizes for very small t).
+    map); values are expected in (0, 2*nu). Each solve runs safeguarded
+    Anderson acceleration on the viscosity map and stops once either the
+    contraction a-posteriori bound certifies ||x - x_t|| <= inner_tol or the
+    fixed-point residual itself drops below inner_tol (for very small t the
+    bound alone would demand residuals below the float64 rounding floor).
+    ``inner_max_iter`` caps the viscosity_map evaluations of one solve.
     """
 
     t_values: tuple[float, ...]
@@ -417,44 +420,80 @@ class ImplicitConfig:
 
 @dataclass(frozen=True, eq=False)
 class PathPoint:
+    """x_t; iterations counts viscosity_map calls, dist_bound = residual / (sigma t) >= ||x - x_t||."""
+
     t: float
     x: np.ndarray
     residual: float
     iterations: int
     dist_to_reference: float | None
+    dist_bound: float
 
 
-def _banach_solve(t, lam, problem, x0, tol, max_iter):
-    sigma_t = problem.sigma * t
-    post_factor = (1.0 - sigma_t) / sigma_t  # a-posteriori multiplier
-    x = x0
-    delta = np.inf
-    for i in range(1, max_iter + 1):
-        x_next = viscosity_map(x, problem, t, lam)
-        delta = norm(x_next - x)
-        x = x_next
-        if delta * post_factor <= tol or delta <= tol:
-            return x, i
+def _anderson_solve(t, lam, problem, x0, tol, max_iter):
+    """Safeguarded Anderson acceleration of T = viscosity_map(., problem, t, lam).
+
+    The candidate fits g = T(x) - x by least squares over the last
+    ``_AA_DEPTH`` differences dx of accepted iterates and dg of their g, and
+    moves T(x) by the fitted combination of dx + dg (Walker & Ni 2011). It is
+    kept only if it cuts ||g|| by the contraction factor q = 1 - sigma t;
+    else the Banach step T(x) is taken and the history cleared (Zhang,
+    O'Donoghue & Boyd 2020). Returns (T(x), viscosity_map evaluations) once
+    r = ||g(x)|| has r q / (1 - q) <= tol or r <= tol.
+    """
+    q = 1.0 - problem.sigma * t
+    post_factor = q / (1.0 - q)  # a-posteriori multiplier
+    history = deque(maxlen=_AA_DEPTH)  # (dx, dg) pairs
+    x = fx = g = None
+    r = np.inf
+    y, accelerated, evals = x0, False, 0
+    while evals < max_iter:
+        fy = viscosity_map(y, problem, t, lam)
+        evals += 1
+        gy = fy - y
+        ry = norm(gy)
+        if accelerated and not ry <= q * r:
+            history.clear()
+            y, accelerated = fx, False
+            continue
+        if x is not None:
+            history.append((y - x, gy - g))
+        x, fx, g, r = y, fy, gy, ry
+        if r * post_factor <= tol or r <= tol:
+            return fx, evals
+        # least squares by modified Gram-Schmidt over the dg, newest first; dropping
+        # a dg nearly dependent on newer ones takes fewer evaluations than lstsq
+        y, basis = fx, []
+        for dx, dg in reversed(history):
+            u, w = dx + dg, dg
+            for ui, wi in basis:
+                c = (wi @ w) / (wi @ wi)
+                u, w = u - c * ui, w - c * wi
+            if norm(w) > 1e-8 * norm(dg):
+                basis.append((u, w))
+                y = y - ((w @ g) / (w @ w)) * u
+        accelerated = bool(basis)
     raise NonConvergenceError(
         f"implicit solve at t={t} did not converge in {max_iter} iterations "
-        f"(last step size {delta:.3e})",
-        residual=delta,
-        iterations=max_iter,
+        f"(last residual {r:.3e})",
+        residual=r,
+        iterations=evals,
     )
 
 
 def implicit_solve(t: float, cfg: ImplicitConfig, problem: ProblemSpec, x0=None) -> np.ndarray:
     """The unique x_t with x_t = t f(x_t) + (1 - t) S P_Q(x_t - lambda(t) A x_t).
 
-    Banach iteration on the viscosity map (contraction factor <= 1 - sigma t);
-    the returned point has fixed-point residual <= cfg.inner_tol.
+    Safeguarded Anderson acceleration on the viscosity map (contraction
+    factor <= 1 - sigma t); the returned point has fixed-point residual
+    <= cfg.inner_tol.
     """
     if not (0 < t <= 1):
         raise ParameterError(f"t must be in (0, 1], got {t}")
     x0 = as_vector(x0, dim=problem.dim, name="x0") if x0 is not None else project(
         problem.set_Q, np.zeros(problem.dim)
     )
-    x, _ = _banach_solve(t, cfg.lam_at(t), problem, x0, cfg.inner_tol, cfg.inner_max_iter)
+    x, _ = _anderson_solve(t, cfg.lam_at(t), problem, x0, cfg.inner_tol, cfg.inner_max_iter)
     return x
 
 
@@ -472,10 +511,11 @@ def implicit_path(cfg: ImplicitConfig, problem: ProblemSpec, x1=None) -> list[Pa
     )
     points = []
     for t in cfg.t_values:
-        x, iters = _banach_solve(t, cfg.lam_at(t), problem, x, cfg.inner_tol, cfg.inner_max_iter)
+        x, iters = _anderson_solve(t, cfg.lam_at(t), problem, x, cfg.inner_tol, cfg.inner_max_iter)
         residual = norm(x - viscosity_map(x, problem, t, cfg.lam_at(t)))
         dist = norm(x - ref) if ref is not None else None
-        points.append(PathPoint(t=t, x=x, residual=residual, iterations=iters, dist_to_reference=dist))
+        bound = residual / (problem.sigma * t)
+        points.append(PathPoint(t, x, residual, iterations=iters, dist_to_reference=dist, dist_bound=bound))
     return points
 
 
@@ -495,6 +535,7 @@ def reference_solution(problem: ProblemSpec, tol: float = 1e-12, max_iter: int =
         raise ConfigurationError("tol must be > 0")
     rho = problem.rho
     x = project(omega, np.zeros(problem.dim))
+    step = np.inf
     for _ in range(max_iter):
         x_next = project(omega, np.asarray(problem.map_f(x), dtype=float))
         step = norm(x_next - x)

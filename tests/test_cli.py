@@ -161,7 +161,7 @@ def test_implicit_command(tmp_path):
     out = tmp_path / "out"
     assert run_cli("implicit", "--config", cfg_path, "--out", out) == EXIT_OK
     lines = (out / "implicit_path.csv").read_text().strip().split("\n")
-    assert lines[0] == "t,x1,x2,residual,iterations,dist_to_reference"
+    assert lines[0] == "t,x1,x2,residual,iterations,dist_to_reference,dist_bound"
     assert len(lines) == 3
 
 

@@ -92,6 +92,62 @@ def test_simplex_matches_qp_oracle(rng):
             assert norm(np.asarray(y.value) - project(cset, x)) <= 1e-6
 
 
+def kkt_certificate(cset, x, y):
+    """Multipliers of y = P(x) from stationarity x - y = sum_i mu_i grad h_i(y).
+
+    Returns (stationarity residual, multipliers that must be >= 0,
+    multiplier * slack products that must vanish).
+    """
+    v = x - y
+    if isinstance(cset, NonnegOrthant):  # h_i = -y_i
+        return 0.0, -v, v * y
+    if isinstance(cset, Box):  # h = lo - y and y - hi
+        up, down = np.maximum(v, 0.0), np.maximum(-v, 0.0)
+        return 0.0, np.concatenate([up, down]), np.concatenate([up * (cset.hi - y), down * (y - cset.lo)])
+    if isinstance(cset, Simplex):  # h_i = -y_i, sum y = total
+        nu = float(np.mean(v[y > 0]))  # mu_i = 0 on the support
+        mu = nu - v
+        return 0.0, mu, mu * y
+    if isinstance(cset, Ball):  # h = ||y - c||^2 - r^2
+        grad, slack = 2.0 * (y - cset.center), norm(y - cset.center) ** 2 - cset.radius**2
+    else:  # halfspace <n, y> <= c, hyperplane <n, y> = c
+        grad, slack = cset.normal, inner(cset.normal, y) - cset.offset
+    gg = inner(grad, grad)
+    mu = inner(v, grad) / gg if gg > 0 else 0.0
+    sign = np.array([mu]) if not isinstance(cset, Hyperplane) else np.zeros(1)
+    return norm(v - mu * grad), sign, np.array([mu * slack])
+
+
+@settings(max_examples=300)
+@given(
+    kind=st.sampled_from(["orthant", "box", "ball", "halfspace", "hyperplane", "simplex"]),
+    dim=st.integers(min_value=1, max_value=8),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    scale=st.sampled_from([0.1, 1.0, 10.0]),
+)
+def test_projection_kkt_certificate(kind, dim, seed, scale):
+    rng = np.random.default_rng(seed)
+    normal = rng.uniform(0.5, 2.0, size=dim) * rng.choice([-1.0, 1.0], size=dim)
+    lo = rng.normal(size=dim)
+    cset = {
+        "orthant": lambda: NonnegOrthant(dim),
+        "box": lambda: Box(lo=lo, hi=lo + rng.uniform(0.0, 2.0, size=dim)),
+        "ball": lambda: Ball(center=rng.normal(size=dim), radius=rng.uniform(0.1, 3.0)),
+        "halfspace": lambda: Halfspace(normal=normal, offset=rng.normal()),
+        "hyperplane": lambda: Hyperplane(normal=normal, offset=rng.normal()),
+        "simplex": lambda: Simplex(total=rng.uniform(0.1, 5.0), dim=dim),
+    }[kind]()
+    x = rng.normal(scale=scale, size=dim)
+    y = project(cset, x)
+    size = 1.0 + scale + norm(x)
+    tol = 1e-12 * size
+    assert contains(cset, y, tol)
+    stationarity, signs, products = kkt_certificate(cset, x, y)
+    assert stationarity <= tol
+    assert np.all(signs >= -tol)
+    assert np.all(np.abs(products) <= tol * size)
+
+
 def test_contains_examples():
     assert contains(NonnegOrthant(2), [0.0, 0.0], 0.0)
     assert contains(Simplex(2.6, 2), [0.8, 1.8], 1e-12)

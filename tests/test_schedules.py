@@ -104,6 +104,15 @@ def test_perturbation_determinism():
     assert not np.array_equal(a, perturbation_at(UniformSquarePerturbation(seed=43), 7, 2))
 
 
+@pytest.mark.parametrize("dim", [1, 2, 5])
+def test_perturbation_at_matches_stream_rows(dim):
+    p = UniformSquarePerturbation(seed=2024)
+    n = 100_000
+    stream = perturbation_stream(p, n, dim)
+    for k in (1, 2, 7, 5000, n - 1, n):
+        assert np.array_equal(perturbation_at(p, k, dim), stream[k - 1]), k
+
+
 def test_perturbation_partial_sum_bound():
     # sum_k ||e_k|| <= sqrt(2) * pi^2 / 6 in dimension 2, for every horizon
     p = UniformSquarePerturbation(seed=9)

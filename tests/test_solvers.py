@@ -7,6 +7,8 @@ import pytest
 
 import viscosolve.solvers as solvers
 from viscosolve import (
+    Ball,
+    Box,
     ConfigurationError,
     ConstantAnchor,
     ConstantLambda,
@@ -45,6 +47,7 @@ from viscosolve import (
     reference_solution,
     run,
     sample,
+    viscosity_map,
     xu_recursion,
 )
 
@@ -331,6 +334,115 @@ def test_implicit_solve_iteration_cap(problem):
     assert exc_info.value.residual > 0
 
 
+def test_implicit_solve_zero_iteration_cap(problem):
+    icfg = ImplicitConfig(t_values=(1.0,), lambda_of_t=0.1, inner_max_iter=0)
+    with pytest.raises(NonConvergenceError) as exc_info:
+        implicit_solve(0.5, icfg, problem, x0=[2.0, 3.0])
+    assert exc_info.value.iterations == 0
+
+
+def counting_viscosity_map(monkeypatch):
+    """Patch the solver's viscosity_map; returns the list of (t, x, T(x)) calls."""
+    calls = []
+    inner_map = solvers.viscosity_map
+
+    def counted(x, problem, t, mu, **kw):
+        tx = inner_map(x, problem, t, mu, **kw)
+        calls.append((t, np.array(x, dtype=float), tx))
+        return tx
+
+    monkeypatch.setattr(solvers, "viscosity_map", counted)
+    return calls
+
+
+def test_implicit_iterations_count_viscosity_map_calls(problem, monkeypatch):
+    calls = counting_viscosity_map(monkeypatch)
+    icfg = ImplicitConfig(t_values=(1.0, 1e-2, 1e-4, 1e-5), lambda_of_t=0.1)
+    pts = implicit_path(icfg, problem, x1=[2.0, 3.0])
+    for p in pts:
+        # the solve's evaluations plus one for the reported residual
+        assert sum(1 for c in calls if c[0] == p.t) == p.iterations + 1
+        assert p.dist_bound == p.residual / (problem.sigma * p.t)
+    calls.clear()
+    capped = ImplicitConfig(t_values=(1.0,), lambda_of_t=0.1, inner_max_iter=3)
+    with pytest.raises(NonConvergenceError) as exc_info:
+        implicit_solve(1e-3, capped, problem, x0=[2.0, 3.0])
+    assert exc_info.value.iterations == 3 == len(calls)
+
+
+def plain_banach(problem, t, lam, x, tol):
+    # the textbook iteration with the a-posteriori stop: ||x - x_t|| <= tol
+    q = 1.0 - problem.sigma * t
+    while True:
+        tx = viscosity_map(x, problem, t, lam)
+        step = norm(tx - x)
+        x = tx
+        if step * q / (1.0 - q) <= tol:
+            return x
+
+
+def replay_safeguard(calls, sigma_t):
+    """Replay one solve's calls; returns its final T(x) and its rejection count.
+
+    A candidate is accepted only if it cuts the accepted residual by the
+    contraction factor 1 - sigma t. A rejected one must be followed by the
+    Banach step from the accepted point, and that step by the Anderson
+    candidate of depth one: the rejection cleared the history.
+    """
+    q = 1.0 - sigma_t
+    x = g = tx = expected = None
+    r, restarted, n_rejected = np.inf, False, 0
+    for _, y, ty in calls:
+        if expected is not None:
+            assert np.allclose(y, expected, rtol=1e-9, atol=1e-15)
+        gy = ty - y
+        if tx is not None and not np.array_equal(y, tx) and not norm(gy) <= q * r:
+            n_rejected += 1
+            expected, restarted = tx, True
+            continue
+        expected = None
+        if restarted:
+            dx, dg = y - x, gy - g
+            expected = ty - (dx + dg) * (inner(dg, gy) / inner(dg, dg))
+            restarted = False
+        x, g, tx, r = y, gy, ty, norm(gy)
+    return tx, n_rejected
+
+
+@pytest.mark.parametrize(
+    "set_Q, anchor, x1, min_rejections",
+    [
+        (Box([0.0, 0.0], [0.5, 3.0]), [0.5, 0.5], [0.0, 3.0], 1),
+        (Ball([0.0, 0.0], 1.0), [0.0, 0.5], [1.0, 0.0], 0),
+    ],
+    ids=["box", "ball"],
+)
+def test_accelerated_solve_on_active_constraint(set_Q, anchor, x1, min_rejections, monkeypatch):
+    problem = ProblemSpec(
+        set_Q=set_Q,
+        map_S=Identity(2),
+        map_A=LeastSquaresGradient(B=[[1.0, 1.0], [2.0, 2.0]], b=[3.0, 5.0]),
+        map_f=ConstantAnchor(anchor),
+    )
+    lam, tol, banach_tol = 0.1, 1e-10, 1e-10
+    calls = counting_viscosity_map(monkeypatch)
+    n_rejected = 0
+    for t in (0.3, 0.05, 0.01, 1e-3):
+        calls.clear()
+        icfg = ImplicitConfig(t_values=(t,), lambda_of_t=lam, inner_tol=tol)
+        (p,) = implicit_path(icfg, problem, x1=x1)
+        assert len(calls) == p.iterations + 1
+        returned, rejections = replay_safeguard(calls[: p.iterations], problem.sigma * t)
+        assert np.array_equal(p.x, returned)
+        n_rejected += rejections
+        z = p.x - lam * problem.map_A(p.x)
+        assert norm(project(set_Q, z) - z) > 1e-3  # P_Q clips at x_t
+        assert norm(p.x - viscosity_map(p.x, problem, t, lam)) <= tol
+        assert p.dist_bound == p.residual / (problem.sigma * t)
+        assert norm(p.x - plain_banach(problem, t, lam, x1, banach_tol)) <= p.dist_bound + banach_tol
+    assert n_rejected >= min_rejections
+
+
 def test_implicit_config_validation():
     with pytest.raises(ConfigurationError):
         ImplicitConfig(t_values=(), lambda_of_t=0.1)
@@ -341,6 +453,12 @@ def test_implicit_config_validation():
 
 
 # -------------------------------------------------------------- reference
+
+
+def test_reference_solution_zero_iteration_cap(problem):
+    with pytest.raises(NonConvergenceError) as exc_info:
+        reference_solution(problem, max_iter=0)
+    assert exc_info.value.iterations == 0
 
 
 def test_reference_solution_values(problem, qstar):
