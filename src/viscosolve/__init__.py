@@ -22,6 +22,7 @@ from .projections import (
     Simplex,
     contains,
     project,
+    project_rows,
     sample,
     simplex_threshold,
 )
@@ -81,6 +82,7 @@ from .solvers import (
     perturbed_step,
     reference_solution,
     run,
+    run_batch,
     xu_recursion,
 )
 from .experiment import (

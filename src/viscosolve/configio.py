@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import copy
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 from .operators import (
@@ -185,9 +186,20 @@ def _need(d: dict, key: str, path: str):
     return d[key]
 
 
+@contextmanager
+def _as_config_error(path: str, errors=(ValueError, TypeError)):
+    """Re-raise ``errors`` from the body as ConfigurationError("<path>: <message>")."""
+    try:
+        yield
+    except ConfigurationError:
+        raise
+    except errors as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
+
+
 def build_set(d: dict, path: str):
     kind = _need(d, "kind", path)
-    try:
+    with _as_config_error(path):
         if kind == "orthant":
             return NonnegOrthant(dim=int(_need(d, "dim", path)))
         if kind == "box":
@@ -200,16 +212,12 @@ def build_set(d: dict, path: str):
             return Hyperplane(normal=_need(d, "normal", path), offset=float(_need(d, "offset", path)))
         if kind == "simplex":
             return Simplex(total=float(_need(d, "total", path)), dim=int(_need(d, "dim", path)))
-    except ConfigurationError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise ConfigurationError(f"{path}: {exc}") from None
     raise ConfigurationError(f"{path}.kind: unknown set kind {kind!r}")
 
 
 def build_mapping(d: dict, dim: int, path: str):
     kind = _need(d, "kind", path)
-    try:
+    with _as_config_error(path, (ValueError, TypeError, KeyError)):
         if kind == "identity":
             return Identity(dim=dim)
         if kind == "trig_contraction":
@@ -222,10 +230,6 @@ def build_mapping(d: dict, dim: int, path: str):
             return AffineMap(M=_need(d, "M", path), c=_need(d, "c", path))
         if kind == "custom":
             return get_mapping(_need(d, "name", path))
-    except ConfigurationError:
-        raise
-    except (ValueError, TypeError, KeyError) as exc:
-        raise ConfigurationError(f"{path}: {exc}") from None
     raise ConfigurationError(f"{path}.kind: unknown mapping kind {kind!r}")
 
 
@@ -233,7 +237,7 @@ def build_problem(resolved: dict) -> ProblemSpec:
     body = resolved["problem"]
     cset = build_set(body["set"], "problem.set")
     omega = build_set(body["omega"], "problem.omega") if body.get("omega") else None
-    try:
+    with _as_config_error("problem", ValueError):
         return ProblemSpec(
             set_Q=cset,
             map_S=build_mapping(body["S"], cset.dim, "problem.S"),
@@ -241,10 +245,6 @@ def build_problem(resolved: dict) -> ProblemSpec:
             map_f=build_mapping(body["f"], cset.dim, "problem.f"),
             reference_set_omega=omega,
         )
-    except ConfigurationError:
-        raise
-    except ValueError as exc:
-        raise ConfigurationError(f"problem: {exc}") from None
 
 
 def build_schedule(resolved: dict) -> ScheduleSpec:
@@ -266,12 +266,8 @@ def build_schedule(resolved: dict) -> ScheduleSpec:
     else:
         raise ConfigurationError("schedule.lambda: need 'constant' or 'table'")
     bounds = tuple(body.get("bounds", default_bounds))
-    try:
+    with _as_config_error("schedule", ValueError):
         return ScheduleSpec(alpha=alpha, lam=lam, bounds=bounds)
-    except ConfigurationError:
-        raise
-    except ValueError as exc:
-        raise ConfigurationError(f"schedule: {exc}") from None
 
 
 def build_perturbation(resolved: dict):
@@ -294,7 +290,7 @@ def build_solver_config(resolved: dict, problem: ProblemSpec | None = None) -> S
             if problem.reference_set_omega is not None
             else None
         )
-    try:
+    with _as_config_error("solver"):
         return SolverConfig(
             problem=problem,
             schedule=build_schedule(resolved),
@@ -308,10 +304,6 @@ def build_solver_config(resolved: dict, problem: ProblemSpec | None = None) -> S
             rel_err_target=body.get("rel_err_target"),
             record_stride=int(body.get("stride", 1)),
         )
-    except ConfigurationError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise ConfigurationError(f"solver: {exc}") from None
 
 
 def build_experiment_config(resolved: dict, problem: ProblemSpec | None = None) -> ExperimentConfig:
@@ -320,7 +312,7 @@ def build_experiment_config(resolved: dict, problem: ProblemSpec | None = None) 
     lam_d = resolved["schedule"]["lambda"]
     if "constant" not in lam_d:
         raise ConfigurationError("experiment: schedule.lambda must be constant for the sweep")
-    try:
+    with _as_config_error("experiment"):
         return ExperimentConfig(
             thetas=tuple(body["thetas"]),
             seeds=tuple(body["seeds"]),
@@ -331,22 +323,14 @@ def build_experiment_config(resolved: dict, problem: ProblemSpec | None = None) 
             lam=float(lam_d["constant"]),
             deterministic=bool(body["deterministic"]),
         )
-    except ConfigurationError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise ConfigurationError(f"experiment: {exc}") from None
 
 
 def build_implicit_config(resolved: dict) -> ImplicitConfig:
     body = resolved["implicit"]
-    try:
+    with _as_config_error("implicit"):
         return ImplicitConfig(
             t_values=tuple(body["t_values"]),
             lambda_of_t=float(body["lambda"]),
             inner_tol=float(body["inner_tol"]),
             inner_max_iter=int(body["inner_max_iter"]),
         )
-    except ConfigurationError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise ConfigurationError(f"implicit: {exc}") from None

@@ -39,7 +39,7 @@ from .schedules import (
     ScheduleSpec,
     UniformSquarePerturbation,
 )
-from .solvers import PERTURBED, RunTrace, SolverConfig, config_digest, reference_solution, run
+from .solvers import PERTURBED, RunTrace, SolverConfig, config_digest, reference_solution, run, run_batch
 from .space import as_vector
 
 __all__ = [
@@ -174,16 +174,18 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
     Each cell starts from cfg.x1, runs n_max iterations and measures
     rel_err against the reference solution computed once at tolerance 1e-12.
-    Per-cell solver failures are recorded without aborting the sweep.
-    Deterministic per (theta, seed).
+    All cells step in lockstep as one batch (:func:`run_batch`); each cell's
+    trace equals its own :func:`run` bit for bit. Per-cell solver failures
+    are recorded without aborting the sweep. Deterministic per (theta, seed).
     """
     qref = reference_solution(cfg.problem, tol=1e-12)
-    cells = []
+    grid, solver_cfgs = [], []
     for theta in cfg.thetas:
         schedule = benchmark_schedule(theta, lam=cfg.lam_value, problem=cfg.problem)
         for seed in cfg.seeds:
             perturbation = NoPerturbation() if cfg.deterministic else UniformSquarePerturbation(seed)
-            solver_cfg = SolverConfig(
+            grid.append((theta, seed))
+            solver_cfgs.append(SolverConfig(
                 problem=cfg.problem,
                 schedule=schedule,
                 x1=cfg.x1,
@@ -191,16 +193,26 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                 algorithm=PERTURBED,
                 perturbation=perturbation,
                 reference=qref,
-            )
+            ))
+    extras = [{"theta": theta, "cell_seed": seed} for theta, seed in grid]
+    try:
+        outcomes = run_batch(solver_cfgs, extras)
+    except Exception:  # a failure not tied to one row: run the cells one by one
+        outcomes = []
+        for solver_cfg, extra in zip(solver_cfgs, extras):
             try:
-                trace = run(solver_cfg, extra_metadata={"theta": theta, "cell_seed": seed})
-            except Exception as exc:  # record the failure, keep sweeping
-                cells.append(
-                    CellResult(theta, seed, float("nan"), {e: None for e in cfg.epsilons}, None, error=str(exc))
-                )
-                continue
-            hits = {eps: trace.first_hit(eps) for eps in cfg.epsilons}
-            cells.append(CellResult(theta, seed, trace.min_rel_err(), hits, trace))
+                outcomes.append(run(solver_cfg, extra_metadata=extra))
+            except Exception as exc:
+                outcomes.append(exc)
+    cells = []
+    for (theta, seed), trace in zip(grid, outcomes):
+        if isinstance(trace, Exception):  # record the failure, keep sweeping
+            cells.append(
+                CellResult(theta, seed, float("nan"), {e: None for e in cfg.epsilons}, None, error=str(trace))
+            )
+            continue
+        hits = {eps: trace.first_hit(eps) for eps in cfg.epsilons}
+        cells.append(CellResult(theta, seed, trace.min_rel_err(), hits, trace))
     return ExperimentReport(config=cfg, reference=qref, cells=tuple(cells))
 
 
@@ -293,12 +305,11 @@ def emit_report(report: ExperimentReport, out_dir) -> Path:
         )
     (out_dir / "report.csv").write_text("\n".join(lines) + "\n")
 
-    pert_kind = "none" if report.config.deterministic else "uniform_square_over_ksq"
-    prng = "none" if report.config.deterministic else "numpy-pcg64"
+    perturbation = NoPerturbation if report.config.deterministic else UniformSquarePerturbation
     meta = {
         "algorithm": PERTURBED,
-        "perturbation": pert_kind,
-        "prng": prng,
+        "perturbation": perturbation.kind,
+        "prng": perturbation.generator,
         "seeds": list(report.config.seeds),
         "thetas": list(report.config.thetas),
         "epsilons": list(report.config.epsilons),

@@ -8,6 +8,11 @@ attributes:
 * ``ism_modulus`` -- nu such that <Fx - Fy, x - y> >= nu * ||Fx - Fy||^2
   (inverse strong monotonicity / cocoercivity; None when not certified).
 
+The built-in mappings also evaluate a (C, d) array row by row through
+``rows``, bit-identical to calling them on each row (a constant map returns
+its one row, which broadcasts against the others); :func:`rows_of` falls
+back to a loop over the rows for any other callable.
+
 :class:`ProblemSpec` bundles a constraint set Q with a nonexpansive S, a
 cocoercive A and a contraction f; the composite operators built here are
 
@@ -43,6 +48,7 @@ __all__ = [
     "get_mapping",
     "ProblemSpec",
     "apply",
+    "rows_of",
     "forward_step",
     "theta_map",
     "viscosity_map",
@@ -67,6 +73,9 @@ class Identity:
     def __call__(self, x):
         return x
 
+    def rows(self, X):
+        return X
+
 
 @dataclass(frozen=True)
 class TrigContraction:
@@ -84,6 +93,11 @@ class TrigContraction:
     def __call__(self, x):
         s = float(x[0]) + float(x[1])
         return np.array([(5.0 + math.cos(s)) / 2.0, (6.0 - math.sin(s)) / 2.0])
+
+    def rows(self, X):
+        # the __call__ formula per row, with math.cos / math.sin (np.cos may round differently)
+        s = (X[:, 0] + X[:, 1]).tolist()
+        return np.array([[(5.0 + math.cos(v)) / 2.0 for v in s], [(6.0 - math.sin(v)) / 2.0 for v in s]]).T
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,6 +118,9 @@ class ConstantAnchor:
 
     def __call__(self, x):
         return self.value
+
+    def rows(self, X):
+        return self.value[None, :]  # one row, broadcast against the others
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,6 +161,10 @@ class LeastSquaresGradient:
     def __call__(self, x):
         return self._gram @ x - self._bt_b
 
+    def rows(self, X):
+        # stacked matrix-vector products: the same BLAS gemv per row as __call__
+        return np.matmul(self._gram, X[:, :, None])[:, :, 0] - self._bt_b
+
     def objective(self, x) -> float:
         """phi(x) = 0.5 ||B x - b||^2."""
         r = self.B @ x - self.b
@@ -178,6 +199,9 @@ class AffineMap:
 
     def __call__(self, x):
         return self.M @ x + self.c
+
+    def rows(self, X):
+        return np.matmul(self.M, X[:, :, None])[:, :, 0] + self.c
 
 
 @dataclass(frozen=True)
@@ -351,6 +375,14 @@ def apply(mapping, x) -> np.ndarray:
     if not np.isfinite(out).all():
         raise NonFiniteError(f"mapping produced a non-finite value at {x!r}")
     return out
+
+
+def rows_of(mapping) -> Callable[[np.ndarray], np.ndarray]:
+    """``mapping`` on (C, d) arrays, row by row: its ``rows`` method, else a loop over the rows."""
+    rows = getattr(mapping, "rows", None)
+    if rows is not None:
+        return rows
+    return lambda X: np.stack([np.asarray(mapping(x), dtype=float) for x in X])
 
 
 def _check_lambda(lam: float, nu: float | None, strict: bool, lo_open: bool = False):

@@ -34,6 +34,7 @@ __all__ = [
     "Perturbation",
     "alpha_at",
     "lambda_at",
+    "tabulate",
     "perturbation_at",
     "perturbation_stream",
     "HypothesisCheck",
@@ -170,6 +171,27 @@ def lambda_at(s: ScheduleSpec, k: int) -> float:
     return value
 
 
+def tabulate(s: ScheduleSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(alpha_1 .. alpha_n, lambda_1 .. lambda_n) as arrays, equal to :func:`alpha_at`
+    and :func:`lambda_at` at every k, without their per-value warnings."""
+    a = s.alpha
+    if isinstance(a, PowerAlpha):
+        power = -a.theta
+        alphas = np.array([float(k) ** power for k in range(1, n + 1)])
+    elif n > a.values.size:
+        raise IndexError(f"alpha table exhausted at k={a.values.size + 1} (length {a.values.size})")
+    else:
+        alphas = a.values[:n].copy()
+    lam = s.lam
+    if isinstance(lam, ConstantLambda):
+        lams = np.full(n, lam.value)
+    elif n > lam.values.size:
+        raise IndexError(f"lambda table exhausted at k={lam.values.size + 1} (length {lam.values.size})")
+    else:
+        lams = lam.values[:n].copy()
+    return alphas, lams
+
+
 # --------------------------------------------------------------------------
 # perturbations
 
@@ -293,10 +315,7 @@ def hypothesis_report(
     """
     if n < 2:
         raise ValueError("need n >= 2 to grade the hypotheses")
-    alphas = np.array([alpha_at(s, k) for k in range(1, n + 1)])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ScheduleViolationWarning)
-        lams = np.array([lambda_at(s, k) for k in range(1, n + 1)])
+    alphas, lams = tabulate(s, n)
     e_norms = np.linalg.norm(perturbation_stream(p, n, dim), axis=1)
 
     half = n // 2

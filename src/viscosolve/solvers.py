@@ -24,13 +24,14 @@ import json
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .__about__ import __version__ as _VERSION
-from .operators import ParameterError, ProblemSpec, viscosity_map
-from .projections import contains, project
+from .operators import ParameterError, ProblemSpec, rows_of, viscosity_map
+from .projections import contains, project, project_rows
 from .schedules import (
     NoPerturbation,
     Perturbation,
@@ -41,8 +42,9 @@ from .schedules import (
     lambda_at,
     perturbation_at,
     perturbation_stream,
+    tabulate,
 )
-from .space import as_vector, norm
+from .space import as_vector, norm, row_norms
 
 __all__ = [
     "EXPLICIT_VISCOSITY",
@@ -62,6 +64,7 @@ __all__ = [
     "explicit_step",
     "perturbed_step",
     "run",
+    "run_batch",
     "implicit_solve",
     "implicit_path",
     "reference_solution",
@@ -159,6 +162,16 @@ class SolverConfig:
             raise ConfigurationError("rel_err_target needs a reference point")
 
 
+_CSV_CHUNK = 1000  # trace rows formatted per write
+
+
+def _csv_cells(col: np.ndarray) -> list[str]:
+    """repr of each entry (str for ints); a column of one repeated value is formatted once."""
+    if col.dtype == np.float64 and (col.view(np.uint64) == col[:1].view(np.uint64)).all():
+        return [repr(float(col[0]))] * col.size
+    return repr(col.tolist())[1:-1].split(", ")
+
+
 @dataclass(frozen=True, eq=False)
 class RunTrace:
     """Per-iteration records of one run, plus run metadata.
@@ -192,17 +205,18 @@ class RunTrace:
         return int(self.k[idx[0]]) if idx.size else None
 
     def write_csv(self, path) -> None:
+        """One row per record, shortest round-trip floats; written column by column in chunks."""
         d = self.x.shape[1]
         header = "k," + ",".join(f"x{i + 1}" for i in range(d)) + ",alpha,lambda,e_norm,rel_err"
-        lines = [header]
-        for j in range(self.k.size):
-            cells = [str(int(self.k[j]))]
-            cells += [repr(float(v)) for v in self.x[j]]
-            cells += [repr(float(self.alpha[j])), repr(float(self.lam[j])), repr(float(self.e_norm[j]))]
-            cells.append(repr(float(self.rel_err[j])) if self.rel_err is not None else "")
-            lines.append(",".join(cells))
         with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(header + "\n")
+            for lo in range(0, self.k.size, _CSV_CHUNK):
+                rows = slice(lo, lo + _CSV_CHUNK)
+                cols = [_csv_cells(self.k[rows])]
+                cols += [_csv_cells(self.x[rows, i]) for i in range(d)]
+                cols += [_csv_cells(v[rows]) for v in (self.alpha, self.lam, self.e_norm)]
+                cols.append(_csv_cells(self.rel_err[rows]) if self.rel_err is not None else [""] * len(cols[0]))
+                fh.write("\n".join(map(",".join, zip(*cols))) + "\n")
 
     def write_meta(self, path) -> None:
         with open(path, "w") as fh:
@@ -211,38 +225,74 @@ class RunTrace:
 
 
 # --------------------------------------------------------------------------
-# step rules (single source for both the step API and the run loop)
+# step rules, written once over the rows of a (C, d) array: o holds the
+# problem's maps and projection on rows, a and lam are the (C, 1) columns of
+# alpha_k and lambda_k, E holds the rows of e_k, U the anchors and B the
+# (C, 1) column of beta. The same code steps one 1-D iterate with scalar
+# coefficients and the problem's own 1-D maps and projection.
+
+
+class _Ops(NamedTuple):
+    """P_Q, A, f and S of a problem, on (C, d) arrays or on one vector."""
+
+    P: Callable
+    A: Callable
+    f: Callable
+    S: Callable
+
+    @classmethod
+    def of(cls, problem: ProblemSpec, rows: bool) -> _Ops:
+        Q, maps = problem.set_Q, (problem.map_A, problem.map_f, problem.map_S)
+        if not rows:
+            return cls(partial(project, Q), *maps)
+        return cls(partial(project_rows.dispatch(type(Q)), Q), *(rows_of(m) for m in maps))
+
+    def forward(self, X, lam):
+        """P_Q(X - lam A X) per row: the forward-backward map of every rule."""
+        return self.P(X - lam * self.A(X))
+
+
+def _explicit(o, X, a, lam, E, U, B):
+    return a * o.f(X) + (1.0 - a) * o.S(o.forward(X, lam))
+
+
+def _perturbed(o, X, a, lam, E, U, B):
+    return o.P(_explicit(o, X, a, lam, E, U, B) + E)
+
+
+def _takahashi_toyoda(o, X, a, lam, E, U, B):
+    return a * X + (1.0 - a) * o.S(o.forward(X, lam))
+
+
+def _halpern(o, X, a, lam, E, U, B):
+    return a * U + (1.0 - a) * o.S(o.forward(X, lam))
+
+
+def _yao_outer(o, X, a, lam, E, U, B):
+    return B * X + (1.0 - B) * o.P(_halpern(o, X, a, lam, E, U, B))
+
+
+def _yao_inner(o, X, a, lam, E, U, B):
+    inner_pt = o.P(a * U + (1.0 - a) * (X - lam * o.A(X)))
+    return B * X + (1.0 - B) * o.S(inner_pt)
+
+
+_RULES = {
+    EXPLICIT_VISCOSITY: _explicit,
+    PERTURBED: _perturbed,
+    TAKAHASHI_TOYODA: _takahashi_toyoda,
+    HALPERN: _halpern,
+    YAO_OUTER: _yao_outer,
+    YAO_INNER: _yao_inner,
+}
 
 
 def _explicit_update(x, a, lam, problem):
-    fx = problem.map_f(x)
-    z = project(problem.set_Q, x - lam * problem.map_A(x))
-    return a * fx + (1.0 - a) * problem.map_S(z)
+    return _explicit(_Ops.of(problem, rows=False), np.asarray(x, dtype=float), a, lam, None, None, None)
 
 
 def _perturbed_update(x, a, lam, e, problem):
-    return project(problem.set_Q, _explicit_update(x, a, lam, problem) + e)
-
-
-def _tt_update(x, a, lam, problem):
-    z = project(problem.set_Q, x - lam * problem.map_A(x))
-    return a * x + (1.0 - a) * problem.map_S(z)
-
-
-def _halpern_update(x, a, lam, u, problem):
-    z = project(problem.set_Q, x - lam * problem.map_A(x))
-    return a * u + (1.0 - a) * problem.map_S(z)
-
-
-def _yao_outer_update(x, a, lam, u, beta, problem):
-    z = project(problem.set_Q, x - lam * problem.map_A(x))
-    inner_pt = project(problem.set_Q, a * u + (1.0 - a) * problem.map_S(z))
-    return beta * x + (1.0 - beta) * inner_pt
-
-
-def _yao_inner_update(x, a, lam, u, beta, problem):
-    inner_pt = project(problem.set_Q, a * u + (1.0 - a) * (x - lam * problem.map_A(x)))
-    return beta * x + (1.0 - beta) * problem.map_S(inner_pt)
+    return _perturbed(_Ops.of(problem, rows=False), np.asarray(x, dtype=float), a, lam, e, None, None)
 
 
 def explicit_step(x, k: int, cfg: SolverConfig) -> np.ndarray:
@@ -251,7 +301,7 @@ def explicit_step(x, k: int, cfg: SolverConfig) -> np.ndarray:
         raise IndexError(f"step index starts at 1, got {k}")
     a = alpha_at(cfg.schedule, k)
     lam = lambda_at(cfg.schedule, k)
-    return _explicit_update(np.asarray(x, dtype=float), a, lam, cfg.problem)
+    return _explicit_update(x, a, lam, cfg.problem)
 
 
 def perturbed_step(x, k: int, cfg: SolverConfig) -> np.ndarray:
@@ -261,23 +311,11 @@ def perturbed_step(x, k: int, cfg: SolverConfig) -> np.ndarray:
     a = alpha_at(cfg.schedule, k)
     lam = lambda_at(cfg.schedule, k)
     e = perturbation_at(cfg.perturbation, k, cfg.problem.dim)
-    return _perturbed_update(np.asarray(x, dtype=float), a, lam, e, cfg.problem)
+    return _perturbed_update(x, a, lam, e, cfg.problem)
 
 
-def _make_step(cfg: SolverConfig, e: np.ndarray) -> Callable:
-    problem = cfg.problem
-    algo = cfg.algorithm
-    if algo == EXPLICIT_VISCOSITY:
-        return lambda x, a, lam, i: _explicit_update(x, a, lam, problem)
-    if algo == PERTURBED:
-        return lambda x, a, lam, i: _perturbed_update(x, a, lam, e[i], problem)
-    if algo == TAKAHASHI_TOYODA:
-        return lambda x, a, lam, i: _tt_update(x, a, lam, problem)
-    if algo == HALPERN:
-        return lambda x, a, lam, i: _halpern_update(x, a, lam, cfg.anchor, problem)
-    if algo == YAO_OUTER:
-        return lambda x, a, lam, i: _yao_outer_update(x, a, lam, cfg.anchor, cfg.beta, problem)
-    return lambda x, a, lam, i: _yao_inner_update(x, a, lam, cfg.anchor, cfg.beta, problem)
+# --------------------------------------------------------------------------
+# the lockstep engine
 
 
 def run(cfg: SolverConfig, extra_metadata: dict | None = None) -> RunTrace:
@@ -286,96 +324,235 @@ def run(cfg: SolverConfig, extra_metadata: dict | None = None) -> RunTrace:
     The trace holds n_max rows (n_max - 1 update steps); row k carries the
     schedule values at index k. Stops early when rel_err_target is reached.
     Deterministic given the perturbation seed. A non-finite iterate raises
-    :class:`DivergenceError` carrying the last finite state.
+    :class:`DivergenceError` carrying the last finite state. This is
+    :func:`run_batch` on a batch of one.
     """
-    problem = cfg.problem
-    n = cfg.n_max
-    alphas = np.array([alpha_at(cfg.schedule, k) for k in range(1, n + 1)])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ScheduleViolationWarning)
-        lams = np.array([lambda_at(cfg.schedule, k) for k in range(1, n + 1)])
+    (out,) = _lockstep([cfg], [extra_metadata])
+    if isinstance(out, Exception):
+        raise out
+    return out
 
+
+def run_batch(cfgs, extra_metadata=None) -> list:
+    """Run configs that share a problem, a rule, n_max and record_stride in lockstep.
+
+    Each config is one row of a (C, d) array that every step updates at
+    once; schedules, perturbation seeds, start points, anchors, beta,
+    references and rel_err targets may differ. Entry i of the result is
+    ``run(cfgs[i], extra_metadata[i])`` bit for bit, or the exception that
+    ended that row instead (a :class:`DivergenceError`, or an error raised
+    before stepping). A row that stops or diverges leaves the batch; the
+    others go on.
+    """
+    cfgs = list(cfgs)
+    extras = [None] * len(cfgs) if extra_metadata is None else list(extra_metadata)
+    if len(extras) != len(cfgs):
+        raise ConfigurationError(f"{len(extras)} metadata entries for {len(cfgs)} configs")
+    return _lockstep(cfgs, extras)
+
+
+def _tables(cfg: SolverConfig, tabulated: dict):
+    """The alpha and lambda tables of one run, and its schedule-violation counts.
+
+    ``tabulated`` keeps the alpha and lambda tables of each schedule object
+    already seen in the batch (sweep cells of one theta share a schedule).
+    """
+    n = cfg.n_max
+    if id(cfg.schedule) not in tabulated:
+        tabulated[id(cfg.schedule)] = tabulate(cfg.schedule, n)
+    alphas, lams = tabulated[id(cfg.schedule)]
     a_lo, a_hi = cfg.schedule.bounds
     n_outside_bounds = int(np.count_nonzero((lams < a_lo) | (lams > a_hi)))
-    n_outside_2nu = int(np.count_nonzero((lams < 0) | (lams > 2 * problem.nu)))
+    n_outside_2nu = int(np.count_nonzero((lams < 0) | (lams > 2 * cfg.problem.nu)))
     if n_outside_2nu:
         msg = (
-            f"{n_outside_2nu} lambda value(s) outside [0, 2*nu = {2 * problem.nu}]; "
+            f"{n_outside_2nu} lambda value(s) outside [0, 2*nu = {2 * cfg.problem.nu}]; "
             "convergence guarantees void"
         )
         if cfg.strict_schedule:
             raise ScheduleViolationError(msg)
-        warnings.warn(msg, ScheduleViolationWarning, stacklevel=2)
+        # _tables <- _lockstep <- run / run_batch <- their caller
+        warnings.warn(msg, ScheduleViolationWarning, stacklevel=4)
+    return alphas, lams, (n_outside_bounds, n_outside_2nu)
 
-    uses_e = cfg.algorithm == PERTURBED
-    e = perturbation_stream(cfg.perturbation, n, problem.dim) if uses_e else np.zeros((n, problem.dim))
-    e_norms = np.linalg.norm(e, axis=1)
-    step = _make_step(cfg, e)
 
-    ref = cfg.reference
-    nref = norm(ref) if ref is not None else None
+def _vector_norm(v):
+    return np.sqrt(np.dot(v, v))
 
-    def rel_to_ref(x):
-        # metric only: may overflow to inf on a diverging run; the iterate
-        # finiteness check below is the divergence detector
-        d = x - ref
-        return float(np.sqrt(np.dot(d, d))) / nref
 
-    ks, xs, rel_errs = [], [], []
+class _Rows:
+    """The rows of a batch still stepping: one array per field, row axis first."""
 
-    def record(k, x, rel):
-        ks.append(k)
-        xs.append(x)
-        if rel is not None:
-            rel_errs.append(rel)
+    def __init__(self, **fields):
+        self.__dict__.update(fields)
 
-    x = cfg.x1.copy()
-    stride = cfg.record_stride
-    stopped_at = None
+    def keep(self, mask) -> None:
+        for name, value in list(vars(self).items()):
+            if value is not None:
+                setattr(self, name, value[mask])
+
+    def views(self, problem: ProblemSpec) -> tuple:
+        """What a step reads: x; the alpha, lambda and e tables indexed by k - 1;
+        u, beta, the reference and its norm; the norm and the maps to use.
+
+        A single row steps as a 1-D vector with scalar coefficients through the
+        problem's own 1-D maps and projection, which cost less than (1, d) kernels.
+        """
+        if self.x.shape[0] > 1:
+            return (self.x, self.alpha.T[:, :, None], self.lam.T[:, :, None],
+                    None if self.e is None else self.e.swapaxes(0, 1), self.u, self.beta,
+                    self.ref, self.nref, row_norms, _Ops.of(problem, rows=True))
+
+        def first(v):
+            return None if v is None else v[0]
+
+        return (self.x[0], self.alpha[0], self.lam[0], first(self.e), first(self.u), self.beta[0, 0],
+                first(self.ref), first(self.nref), _vector_norm, _Ops.of(problem, rows=False))
+
+
+def _lockstep(cfgs: list, extras: list) -> list:
+    results = [None] * len(cfgs)
+    if not cfgs:
+        return results
+    head = cfgs[0]
+    problem, rule, n, stride = head.problem, head.algorithm, head.n_max, head.record_stride
+    with_ref = head.reference is not None
+    for cfg in cfgs[1:]:
+        if (cfg.problem is not problem or cfg.algorithm != rule or cfg.n_max != n
+                or cfg.record_stride != stride or (cfg.reference is not None) != with_ref):
+            raise ConfigurationError(
+                "a batch shares one problem, algorithm, n_max and record_stride, "
+                "and either every config has a reference or none has"
+            )
+    tables, tabulated = {}, {}
+    for i, cfg in enumerate(cfgs):
+        try:
+            tables[i] = _tables(cfg, tabulated)
+        except Exception as exc:  # a row that fails before stepping: its outcome
+            results[i] = exc
+    if not tables:
+        return results
+    ids, live = list(tables), [cfgs[i] for i in tables]
+    alphas, lams, violations = zip(*tables.values())
+    d = problem.dim
+    # e_k rows, filled stream by stream; a batch of one keeps its stream
+    E, e_norms = None, np.zeros((len(ids), n))
+    for j, cfg in enumerate(live if rule == PERTURBED else ()):
+        e = perturbation_stream(cfg.perturbation, n, d)
+        e_norms[j] = np.linalg.norm(e, axis=1)
+        if len(ids) == 1:
+            E = e[None]
+        else:
+            E = np.empty((len(ids), n, d)) if E is None else E
+            E[j] = e
+    targets = [cfg.rel_err_target for cfg in live]
+    rows = _Rows(
+        cfg=np.array(ids),
+        block=np.arange(len(ids)),
+        x=np.array([cfg.x1 for cfg in live]),
+        alpha=np.array(alphas),
+        lam=np.array(lams),
+        e=E,
+        e_norm=e_norms,
+        violations=np.array(violations),
+        u=np.array([cfg.anchor for cfg in live]) if rule in (HALPERN, YAO_OUTER, YAO_INNER) else None,
+        beta=np.array([[cfg.beta] for cfg in live]),
+        ref=np.array([cfg.reference for cfg in live]) if with_ref else None,
+        nref=np.array([norm(cfg.reference) for cfg in live]) if with_ref else None,
+        target=np.array([-np.inf if t is None else t for t in targets]) if with_ref else None,
+    )
+    del tables, alphas, lams, E, e_norms
+    has_target = any(t is not None for t in targets)
+
+    # records: the stride grid k = 1, 1 + stride, ..., n is shared; a row that
+    # stops off the grid writes its stopping row into the next slot. Traces
+    # are views of these blocks.
+    kgrid = np.arange(1, n + 1, stride)
+    if kgrid[-1] != n:
+        kgrid = np.append(kgrid, n)
+    kgrid.setflags(write=False)
+    Xrec = np.empty((len(ids), kgrid.size, d))
+    Rrec = np.empty((len(ids), kgrid.size)) if with_ref else None
+
+    def finish(j, count, stopped_at, off_grid):
+        i, b = rows.cfg[j], rows.block[j]
+        ks = np.append(kgrid[: count - 1], stopped_at) if off_grid else kgrid[:count]
+        take = slice(0, count) if stride == 1 else ks - 1
+        metadata = {
+            "algorithm": rule,
+            "prng": cfgs[i].perturbation.generator,
+            "seed": cfgs[i].perturbation.seed,
+            "n_max": n,
+            "record_stride": stride,
+            "stopped_at": stopped_at,
+            "schedule_violations_bounds": int(rows.violations[j, 0]),
+            "schedule_violations_2nu": int(rows.violations[j, 1]),
+            "config_digest": config_digest(cfgs[i]),
+            "package": f"viscosolve {_VERSION}",
+        }
+        metadata.update(extras[i] or {})
+        results[i] = RunTrace(
+            k=ks,
+            x=Xrec[b, :count],
+            alpha=rows.alpha[j][take],
+            lam=rows.lam[j][take],
+            e_norm=rows.e_norm[j][take],
+            rel_err=Rrec[b, :count] if with_ref else None,
+            metadata=metadata,
+        )
+
+    def leave(x, gone):
+        """Drop the rows flagged in ``gone``; the views of the rest, or None when none is left."""
+        rows.x = x.reshape(-1, d)
+        rows.keep(~gone)
+        return rows.views(problem) if rows.block.size else None
+
+    step = _RULES[rule]
+    x, a_tab, lam_tab, e_tab, u, beta, ref, nref, norms, ops = rows.views(problem)
+    written = slice(None)  # block rows a record writes: all, until one leaves
+    slot = 0
     for k in range(1, n + 1):
-        rel = rel_to_ref(x) if ref is not None else None
-        if (k - 1) % stride == 0 or k == n:
-            record(k, x, rel)
-        if cfg.rel_err_target is not None and rel is not None and rel <= cfg.rel_err_target:
-            if (k - 1) % stride != 0 and k != n:
-                record(k, x, rel)
-            stopped_at = k
-            break
+        on_grid = (k - 1) % stride == 0 or k == n
+        if with_ref:
+            # metric only: may overflow to inf on a diverging run; the iterate
+            # finiteness check below is the divergence detector
+            rel = norms(x - ref) / nref
+        if on_grid:
+            Xrec[written, slot] = x
+            if with_ref:
+                Rrec[written, slot] = rel
+        if has_target and (hit := rel <= rows.target).any():
+            js, rel = np.flatnonzero(hit), np.reshape(rel, -1)
+            if not on_grid:
+                Xrec[rows.block[js], slot] = x.reshape(-1, d)[js]
+                Rrec[rows.block[js], slot] = rel[js]
+            for j in js:
+                finish(j, slot + 1, k, not on_grid)
+            if (views := leave(x, hit)) is None:
+                return results
+            x, a_tab, lam_tab, e_tab, u, beta, ref, nref, norms, ops = views
+            written = rows.block
+        if on_grid:
+            slot += 1
         if k == n:
             break
-        x_next = step(x, alphas[k - 1], lams[k - 1], k - 1)
+        x_next = step(ops, x, a_tab[k - 1], lam_tab[k - 1], None if e_tab is None else e_tab[k - 1], u, beta)
         if not np.isfinite(x_next).all():
-            raise DivergenceError(
-                f"non-finite iterate at step {k} (algorithm {cfg.algorithm!r})",
-                last_state=x,
-                step=k,
-            )
+            bad = ~np.isfinite(x_next.reshape(-1, d)).all(axis=1)
+            for j in np.flatnonzero(bad):
+                results[rows.cfg[j]] = DivergenceError(
+                    f"non-finite iterate at step {k} (algorithm {rule!r})",
+                    last_state=x.reshape(-1, d)[j].copy(),
+                    step=k,
+                )
+            if (views := leave(x_next, bad)) is None:
+                return results
+            x_next, a_tab, lam_tab, e_tab, u, beta, ref, nref, norms, ops = views
+            written = rows.block
         x = x_next
-
-    idx = np.asarray(ks, dtype=int) - 1
-    metadata = {
-        "algorithm": cfg.algorithm,
-        "prng": cfg.perturbation.generator,
-        "seed": cfg.perturbation.seed,
-        "n_max": n,
-        "record_stride": stride,
-        "stopped_at": stopped_at,
-        "schedule_violations_bounds": n_outside_bounds,
-        "schedule_violations_2nu": n_outside_2nu,
-        "config_digest": config_digest(cfg),
-        "package": f"viscosolve {_VERSION}",
-    }
-    if extra_metadata:
-        metadata.update(extra_metadata)
-    return RunTrace(
-        k=np.asarray(ks, dtype=int),
-        x=np.asarray(xs),
-        alpha=alphas[idx],
-        lam=lams[idx],
-        e_norm=e_norms[idx],
-        rel_err=np.asarray(rel_errs) if ref is not None else None,
-        metadata=metadata,
-    )
+    for j in range(rows.block.size):
+        finish(j, slot, None, False)
+    return results
 
 
 # --------------------------------------------------------------------------
