@@ -30,7 +30,7 @@ from typing import Union
 
 import numpy as np
 
-from .space import DimensionMismatchError, as_vector, row_norms
+from .space import DimensionMismatchError, NonFiniteError, as_vector, row_norms
 
 __all__ = [
     "MEMBERSHIP_TOL",
@@ -309,6 +309,8 @@ def _(cset: Hyperplane, X) -> np.ndarray:
 @project_rows.register
 def _(cset: Simplex, X) -> np.ndarray:
     X = _check_rows(cset, X)
+    if not np.isfinite(X).all():  # as simplex_threshold refuses a non-finite row
+        raise NonFiniteError(f"rows contain NaN or Inf: {X!r}")
     # simplex_threshold per row: descending sort, cumulative sums, last active index
     u = np.sort(X, axis=1)[:, ::-1]
     css = np.cumsum(u, axis=1)

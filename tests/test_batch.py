@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from viscosolve import (
     ALGORITHMS,
+    AffineMap,
     Ball,
     Box,
     ConfigurationError,
@@ -19,6 +20,7 @@ from viscosolve import (
     Hyperplane,
     Identity,
     LeastSquaresGradient,
+    NonFiniteError,
     NonnegOrthant,
     PowerAlpha,
     RunTrace,
@@ -27,6 +29,7 @@ from viscosolve import (
     Simplex,
     SolverConfig,
     TableAlpha,
+    TrigContraction,
     UniformSquarePerturbation,
     benchmark_schedule,
     contains,
@@ -37,6 +40,7 @@ from viscosolve import (
     run_batch,
     sample,
 )
+from viscosolve.operators import rows_of
 from viscosolve.solvers import PERTURBED
 
 SET_KINDS = ("orthant", "box", "ball", "halfspace", "hyperplane", "simplex")
@@ -162,6 +166,14 @@ def test_schedule_error_before_stepping_is_the_rows_outcome(problem):
     assert_same_trace(ok, run(cfgs[0]))
 
 
+def test_simplex_rows_refuse_non_finite_rows_like_project():
+    X = np.array([[0.2, 0.3, 0.5], [np.nan, 1.0, 0.0]])
+    with pytest.raises(NonFiniteError):
+        project(Simplex(1.0, 3), X[1])
+    with pytest.raises(NonFiniteError):
+        project_rows(Simplex(1.0, 3), X)
+
+
 def test_batch_needs_shared_problem_and_rule(problem):
     cfg = SolverConfig(problem=problem, schedule=benchmark_schedule(0.9, problem=problem), x1=[2.0, 3.0], n_max=20)
     other = SolverConfig(problem=problem, schedule=cfg.schedule, x1=[2.0, 3.0], n_max=20, algorithm=PERTURBED)
@@ -250,3 +262,20 @@ def test_sweep_falls_back_to_one_cell_at_a_time(monkeypatch):
     for a, b in zip(got.cells, want.cells):
         assert (a.theta, a.seed, a.min_rel_err, a.first_hit, a.error) == (b.theta, b.seed, b.min_rel_err, b.first_hit, b.error)
         assert_same_trace(a.trace, b.trace)
+
+
+def test_map_rows_equal_calls_on_each_row():
+    rng = np.random.default_rng(11)
+    maps = [
+        Identity(3),
+        TrigContraction(),
+        ConstantAnchor(rng.normal(size=3)),
+        LeastSquaresGradient(rng.normal(size=(4, 3)), rng.normal(size=4)),
+        AffineMap(rng.normal(size=(3, 3)), rng.normal(size=3)),
+    ]
+    for m in maps:
+        for cells in (1, 2, 7):
+            X = rng.normal(scale=3.0, size=(cells, m.dim))
+            got = np.broadcast_to(rows_of(m)(X), X.shape)
+            for x, row in zip(X, got):
+                assert same_bits(row, np.asarray(m(x), dtype=float)), type(m).__name__
