@@ -172,23 +172,11 @@ def lambda_at(s: ScheduleSpec, k: int) -> float:
 
 
 def tabulate(s: ScheduleSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(alpha_1 .. alpha_n, lambda_1 .. lambda_n) as arrays, equal to :func:`alpha_at`
-    and :func:`lambda_at` at every k, without their per-value warnings."""
-    a = s.alpha
-    if isinstance(a, PowerAlpha):
-        power = -a.theta
-        alphas = np.array([float(k) ** power for k in range(1, n + 1)])
-    elif n > a.values.size:
-        raise IndexError(f"alpha table exhausted at k={a.values.size + 1} (length {a.values.size})")
-    else:
-        alphas = a.values[:n].copy()
-    lam = s.lam
-    if isinstance(lam, ConstantLambda):
-        lams = np.full(n, lam.value)
-    elif n > lam.values.size:
-        raise IndexError(f"lambda table exhausted at k={lam.values.size + 1} (length {lam.values.size})")
-    else:
-        lams = lam.values[:n].copy()
+    """(alpha_1 .. alpha_n, lambda_1 .. lambda_n) as arrays, without the per-value warnings."""
+    alphas = np.array([alpha_at(s, k) for k in range(1, n + 1)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ScheduleViolationWarning)
+        lams = np.array([lambda_at(s, k) for k in range(1, n + 1)])
     return alphas, lams
 
 

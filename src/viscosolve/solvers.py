@@ -381,7 +381,11 @@ def _vector_norm(v):
 
 
 class _Rows:
-    """The rows of a batch still stepping: one array per field, row axis first."""
+    """The rows of a batch still stepping: one array per field, row axis first.
+
+    ``x`` is the start, then the iterate at which rows last left; the loop
+    steps a local copy.
+    """
 
     def __init__(self, **fields):
         self.__dict__.update(fields)
