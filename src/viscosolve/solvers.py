@@ -165,11 +165,16 @@ class SolverConfig:
 _CSV_CHUNK = 1000  # trace rows formatted per write
 
 
-def _csv_cells(col: np.ndarray) -> list[str]:
-    """repr of each entry (str for ints); a column of one repeated value is formatted once."""
-    if col.dtype == np.float64 and (col.view(np.uint64) == col[:1].view(np.uint64)).all():
+def _csv_cells(values: np.ndarray) -> list[str]:
+    """repr of each entry of a 1-D array (str for ints), in one repr call."""
+    return repr(values.tolist())[1:-1].split(", ")
+
+
+def _schedule_cells(col: np.ndarray) -> list[str]:
+    """:func:`_csv_cells`, formatting a column of one repeated value (such as a constant lambda) once."""
+    if (col.view(np.uint64) == col[:1].view(np.uint64)).all():
         return [repr(float(col[0]))] * col.size
-    return repr(col.tolist())[1:-1].split(", ")
+    return _csv_cells(col)
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,9 +217,9 @@ class RunTrace:
             fh.write(header + "\n")
             for lo in range(0, self.k.size, _CSV_CHUNK):
                 rows = slice(lo, lo + _CSV_CHUNK)
-                cols = [_csv_cells(self.k[rows])]
-                cols += [_csv_cells(self.x[rows, i]) for i in range(d)]
-                cols += [_csv_cells(v[rows]) for v in (self.alpha, self.lam, self.e_norm)]
+                x = _csv_cells(self.x[rows].ravel())
+                cols = [_csv_cells(self.k[rows])] + [x[i::d] for i in range(d)]
+                cols += [_schedule_cells(v[rows]) for v in (self.alpha, self.lam, self.e_norm)]
                 cols.append(_csv_cells(self.rel_err[rows]) if self.rel_err is not None else [""] * len(cols[0]))
                 fh.write("\n".join(map(",".join, zip(*cols))) + "\n")
 
@@ -377,7 +382,7 @@ def _tables(cfg: SolverConfig, tabulated: dict):
 
 
 def _vector_norm(v):
-    return np.sqrt(np.dot(v, v))
+    return float(np.sqrt(np.dot(v, v)))
 
 
 class _Rows:
@@ -397,21 +402,26 @@ class _Rows:
 
     def views(self, problem: ProblemSpec) -> tuple:
         """What a step reads: x; the alpha, lambda and e tables indexed by k - 1;
-        u, beta, the reference and its norm; the norm and the maps to use.
+        u, beta, the reference, its norm and the rel_err target; the norm, the
+        test for any row at its target and the maps to use.
 
         A single row steps as a 1-D vector with scalar coefficients through the
-        problem's own 1-D maps and projection, which cost less than (1, d) kernels.
+        problem's own 1-D maps and projection, which cost less than (1, d)
+        kernels; its rel_err is a Python float, as a numpy comparison costs
+        more than the rest of a 2-D step.
         """
         if self.x.shape[0] > 1:
             return (self.x, self.alpha.T[:, :, None], self.lam.T[:, :, None],
                     None if self.e is None else self.e.swapaxes(0, 1), self.u, self.beta,
-                    self.ref, self.nref, row_norms, _Ops.of(problem, rows=True))
+                    self.ref, self.nref, self.target, row_norms, np.ndarray.any, _Ops.of(problem, rows=True))
 
         def first(v):
             return None if v is None else v[0]
 
         return (self.x[0], self.alpha[0], self.lam[0], first(self.e), first(self.u), self.beta[0, 0],
-                first(self.ref), first(self.nref), _vector_norm, _Ops.of(problem, rows=False))
+                first(self.ref), None if self.nref is None else float(self.nref[0]),
+                None if self.target is None else float(self.target[0]), _vector_norm, bool,
+                _Ops.of(problem, rows=False))
 
 
 def _lockstep(cfgs: list, extras: list) -> list:
@@ -512,7 +522,7 @@ def _lockstep(cfgs: list, extras: list) -> list:
         return rows.views(problem) if rows.block.size else None
 
     step = _RULES[rule]
-    x, a_tab, lam_tab, e_tab, u, beta, ref, nref, norms, ops = rows.views(problem)
+    x, a_tab, lam_tab, e_tab, u, beta, ref, nref, target, norms, any_of, ops = rows.views(problem)
     written = slice(None)  # block rows a record writes: all, until one leaves
     slot = 0
     for k in range(1, n + 1):
@@ -525,8 +535,9 @@ def _lockstep(cfgs: list, extras: list) -> list:
             Xrec[written, slot] = x
             if with_ref:
                 Rrec[written, slot] = rel
-        if has_target and (hit := rel <= rows.target).any():
-            js, rel = np.flatnonzero(hit), np.reshape(rel, -1)
+        if has_target and any_of(hit := rel <= target):
+            hit, rel = np.reshape(hit, -1), np.reshape(rel, -1)
+            js = np.flatnonzero(hit)
             if not on_grid:
                 Xrec[rows.block[js], slot] = x.reshape(-1, d)[js]
                 Rrec[rows.block[js], slot] = rel[js]
@@ -534,7 +545,7 @@ def _lockstep(cfgs: list, extras: list) -> list:
                 finish(j, slot + 1, k, not on_grid)
             if (views := leave(x, hit)) is None:
                 return results
-            x, a_tab, lam_tab, e_tab, u, beta, ref, nref, norms, ops = views
+            x, a_tab, lam_tab, e_tab, u, beta, ref, nref, target, norms, any_of, ops = views
             written = rows.block
         if on_grid:
             slot += 1
@@ -551,7 +562,7 @@ def _lockstep(cfgs: list, extras: list) -> list:
                 )
             if (views := leave(x_next, bad)) is None:
                 return results
-            x_next, a_tab, lam_tab, e_tab, u, beta, ref, nref, norms, ops = views
+            x_next, a_tab, lam_tab, e_tab, u, beta, ref, nref, target, norms, any_of, ops = views
             written = rows.block
         x = x_next
     for j in range(rows.block.size):

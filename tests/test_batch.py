@@ -233,6 +233,8 @@ def test_csv_writer_matches_per_row_repr(tmp_path, with_rel):
     x[:, 2] = 0.0
     x[1500, 2] = -0.0
     lam = np.full(n, 0.1)
+    lam[1000:2000] = 0.0
+    lam[1500] = -0.0
     lam[-1] = 0.2
     alpha = np.concatenate([[0.5, 0.5], rng.random(n - 2)])
     rel = rng.random(n) * 1e-7 if with_rel else None
