@@ -166,6 +166,21 @@ def test_schedule_error_before_stepping_is_the_rows_outcome(problem):
     assert_same_trace(ok, run(cfgs[0]))
 
 
+@pytest.mark.parametrize("kind", SET_KINDS)
+@pytest.mark.parametrize("d", range(1, 9))
+def test_project_rows_equals_project_of_each_row(kind, d):
+    rng = np.random.default_rng(100 * d + SET_KINDS.index(kind))
+    cset = make_set(kind, rng, d)
+    inside = sample(cset, rng, 7)
+    outside = rng.normal(scale=5.0, size=(7, d))
+    boundary = np.stack([project(cset, x) for x in outside])
+    mixed = np.concatenate([inside, outside, boundary])
+    for cells in (1, 2, 7):
+        for X in (inside[:cells], outside[:cells], boundary[:cells], mixed[rng.permutation(21)[:cells]]):
+            want = np.stack([project(cset, x) for x in X])
+            assert same_bits(project_rows(cset, X), want), (kind, d, cells)
+
+
 def test_simplex_rows_refuse_non_finite_rows_like_project():
     X = np.array([[0.2, 0.3, 0.5], [np.nan, 1.0, 0.0]])
     with pytest.raises(NonFiniteError):
