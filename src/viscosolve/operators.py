@@ -8,10 +8,10 @@ attributes:
 * ``ism_modulus`` -- nu such that <Fx - Fy, x - y> >= nu * ||Fx - Fy||^2
   (inverse strong monotonicity / cocoercivity; None when not certified).
 
-The built-in mappings also evaluate a (C, d) array row by row through
-``rows``, bit-identical to calling them on each row (a constant map returns
-its one row, which broadcasts against the others); :func:`rows_of` falls
-back to a loop over the rows for any other callable.
+The maps of the theta sweep (:class:`Identity`, :class:`TrigContraction`
+and :class:`LeastSquaresGradient`) also evaluate a (C, d) array through
+``rows``, bit-identical to calling them on each row; :func:`rows_of` loops
+over the rows for every other callable, since no workload batches it.
 
 :class:`ProblemSpec` bundles a constraint set Q with a nonexpansive S, a
 cocoercive A and a contraction f; the composite operators built here are
@@ -119,9 +119,6 @@ class ConstantAnchor:
     def __call__(self, x):
         return self.value
 
-    def rows(self, X):
-        return self.value[None, :]  # one row, broadcast against the others
-
 
 @dataclass(frozen=True, eq=False)
 class LeastSquaresGradient:
@@ -199,9 +196,6 @@ class AffineMap:
 
     def __call__(self, x):
         return self.M @ x + self.c
-
-    def rows(self, X):
-        return np.matmul(self.M, X[:, :, None])[:, :, 0] + self.c
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,9 @@ Closed forms:
   :func:`simplex_threshold`
 
 Each row of :func:`project_rows` equals :func:`project` of that row bit for
-bit: inner products go through the same BLAS dot per row (a stacked
-``matmul`` of (1, d) by (d, 1) blocks), and the simplex threshold sorts and
-sums each row in the same order (Duchi et al., "Efficient projections onto
-the l1-ball", ICML 2008).
+bit. Only the orthant, the constraint set of the theta sweep, has a row
+kernel (the same clamp on the whole array); every other set steps through a
+loop of :func:`project` over the rows, since no workload batches it.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from typing import Union
 
 import numpy as np
 
-from .space import DimensionMismatchError, NonFiniteError, as_vector, row_norms
+from .space import DimensionMismatchError, as_vector
 
 __all__ = [
     "MEMBERSHIP_TOL",
@@ -250,16 +249,11 @@ def _check_rows(cset, X) -> np.ndarray:
     return X
 
 
-def _normal_dots(normal, X) -> np.ndarray:
-    """<normal, X_i> for each row i, bit-identical to ``np.dot(normal, X_i)``."""
-    return np.matmul(normal, X[:, :, None])[:, 0]
-
-
 @singledispatch
 def project_rows(cset, X) -> np.ndarray:
     """Row i of the result is ``project(cset, X[i])``; X is a (C, d) array.
 
-    Sets without a row kernel fall back to a loop over the rows.
+    Sets without a row kernel (all but the orthant) loop over the rows.
     """
     X = _check_rows(cset, X)
     return np.stack([project(cset, x) for x in X])
@@ -268,57 +262,6 @@ def project_rows(cset, X) -> np.ndarray:
 @project_rows.register
 def _(cset: NonnegOrthant, X) -> np.ndarray:
     return np.maximum(_check_rows(cset, X), 0.0)
-
-
-@project_rows.register
-def _(cset: Box, X) -> np.ndarray:
-    return np.clip(_check_rows(cset, X), cset.lo, cset.hi)
-
-
-@project_rows.register
-def _(cset: Ball, X) -> np.ndarray:
-    X = _check_rows(cset, X)
-    D = X - cset.center
-    dist = row_norms(D)
-    out = X.copy()
-    far = ~(dist <= cset.radius)
-    if far.any():
-        out[far] = cset.center + (cset.radius / dist[far])[:, None] * D[far]
-    return out
-
-
-@project_rows.register
-def _(cset: Halfspace, X) -> np.ndarray:
-    X = _check_rows(cset, X)
-    excess = _normal_dots(cset.normal, X) - cset.offset
-    out = X.copy()
-    over = ~(excess <= 0)
-    if over.any():
-        scale = excess[over] / float(np.dot(cset.normal, cset.normal))
-        out[over] = X[over] - scale[:, None] * cset.normal
-    return out
-
-
-@project_rows.register
-def _(cset: Hyperplane, X) -> np.ndarray:
-    X = _check_rows(cset, X)
-    excess = _normal_dots(cset.normal, X) - cset.offset
-    return X - (excess / float(np.dot(cset.normal, cset.normal)))[:, None] * cset.normal
-
-
-@project_rows.register
-def _(cset: Simplex, X) -> np.ndarray:
-    X = _check_rows(cset, X)
-    if not np.isfinite(X).all():  # as simplex_threshold refuses a non-finite row
-        raise NonFiniteError(f"rows contain NaN or Inf: {X!r}")
-    # simplex_threshold per row: descending sort, cumulative sums, last active index
-    u = np.sort(X, axis=1)[:, ::-1]
-    css = np.cumsum(u, axis=1)
-    js = np.arange(1, X.shape[1] + 1)
-    active = u - (css - cset.total) / js > 0
-    rho = X.shape[1] - 1 - np.argmax(active[:, ::-1], axis=1)
-    alpha = (css[np.arange(X.shape[0]), rho] - cset.total) / (rho + 1)
-    return np.maximum(X - alpha[:, None], 0.0)
 
 
 @singledispatch
