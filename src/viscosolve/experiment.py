@@ -108,6 +108,9 @@ class ExperimentConfig:
         object.__setattr__(self, "thetas", thetas)
         seeds = (0,) if self.deterministic else tuple(int(s) for s in self.seeds)
         object.__setattr__(self, "seeds", seeds)
+        for name, values in (("thetas", thetas), ("seeds", seeds)):
+            if len(set(values)) != len(values):  # a repeat would count one cell twice
+                raise ValueError(f"{name} must be distinct, got {values}")
         object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
         object.__setattr__(self, "x1", as_vector(self.x1, dim=self.problem.dim, name="x1"))
         if self.n_max < 1:

@@ -73,6 +73,18 @@ def test_missing_config_file_is_config_error(tmp_path):
     assert run_cli("solve", "--config", tmp_path / "nope.json", "--out", tmp_path) == EXIT_CONFIG
 
 
+def test_repeated_theta_or_seed_is_config_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = run_cli("experiment", "--nmax", "50", "--theta", "0.9", "--seeds", "1", "1", "--out", out)
+    assert code == EXIT_CONFIG
+    assert "seeds must be distinct" in capsys.readouterr().err
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"experiment": {"thetas": [0.9, 0.9], "seeds": [1], "nmax": 50}}))
+    assert run_cli("experiment", "--config", cfg_path, "--out", out) == EXIT_CONFIG
+    assert "thetas must be distinct" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_lambda_above_two_nu_warns_but_runs(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"schedule": {"lambda": {"constant": 0.25}}}))

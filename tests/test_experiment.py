@@ -171,6 +171,13 @@ def test_experiment_config_validation():
         ExperimentConfig(thetas=(0.9,), n_max=0)
 
 
+@pytest.mark.parametrize("field, values", [("thetas", (0.9, 0.4, 0.9)), ("seeds", (1, 1))])
+def test_experiment_config_refuses_repeated_thetas_and_seeds(field, values):
+    kwargs = {"thetas": (0.9,), field: values}
+    with pytest.raises(ValueError, match=f"{field} must be distinct"):
+        ExperimentConfig(**kwargs)
+
+
 def test_cell_failure_recorded_without_aborting_sweep():
     # an exploding relaxation step on an unbounded set diverges; the sweep
     # keeps going and records the failure in the cell
