@@ -376,7 +376,7 @@ def rows_of(mapping) -> Callable[[np.ndarray], np.ndarray]:
     rows = getattr(mapping, "rows", None)
     if rows is not None:
         return rows
-    return lambda X: np.stack([np.asarray(mapping(x), dtype=float) for x in X])
+    return lambda X: np.array([np.asarray(mapping(x), dtype=float) for x in X]).reshape(np.shape(X))
 
 
 def _check_lambda(lam: float, nu: float | None, strict: bool, lo_open: bool = False):

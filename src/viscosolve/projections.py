@@ -256,7 +256,7 @@ def project_rows(cset, X) -> np.ndarray:
     Sets without a row kernel (all but the orthant) loop over the rows.
     """
     X = _check_rows(cset, X)
-    return np.stack([project(cset, x) for x in X])
+    return np.array([project(cset, x) for x in X]).reshape(X.shape)
 
 
 @project_rows.register

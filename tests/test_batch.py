@@ -181,6 +181,15 @@ def test_project_rows_equals_project_of_each_row(kind, d):
             assert same_bits(project_rows(cset, X), want), (kind, d, cells)
 
 
+def test_empty_rows_give_empty_rows():
+    rng = np.random.default_rng(4)
+    X = np.empty((0, 2))
+    for kind in SET_KINDS:
+        assert project_rows(make_set(kind, rng, 2), X).shape == (0, 2), kind
+    for m in (Identity(2), TrigContraction(), ConstantAnchor([1.0, 2.0]), AffineMap(np.eye(2), [1.0, 0.0])):
+        assert rows_of(m)(X).shape == (0, 2), type(m).__name__
+
+
 def test_simplex_rows_refuse_non_finite_rows_like_project():
     X = np.array([[0.2, 0.3, 0.5], [np.nan, 1.0, 0.0]])
     with pytest.raises(NonFiniteError):
