@@ -1,6 +1,9 @@
 """The lockstep engine: every row of a batch is its own batch-of-one run, bit for bit."""
 
+import subprocess
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,7 +44,7 @@ from viscosolve import (
     sample,
 )
 from viscosolve.operators import rows_of
-from viscosolve.solvers import PERTURBED
+from viscosolve.solvers import PERTURBED, _csv_cells
 
 SET_KINDS = ("orthant", "box", "ball", "halfspace", "hyperplane", "simplex")
 
@@ -271,6 +274,53 @@ def test_csv_writer_matches_per_row_repr(tmp_path, with_rel):
         cells += [repr(float(alpha[j])), repr(float(lam[j])), "0.0", repr(float(rel[j])) if with_rel else ""]
         lines.append(",".join(cells))
     assert path.read_text() == "\n".join(lines) + "\n"
+
+
+def repr_cells(values):
+    return repr(values.tolist())[1:-1].split(", ")
+
+
+@settings(max_examples=300)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), max_size=40))
+def test_csv_cells_equal_repr_for_any_floats(vals):
+    v = np.array(vals, dtype=float)
+    assert _csv_cells(v) == repr_cells(v)
+
+
+def test_csv_cells_equal_repr_cell_for_cell():
+    rng = np.random.default_rng(5)
+    bits = rng.integers(0, 2**64, size=100_000, dtype=np.uint64).view(np.float64)  # nan, inf, subnormals
+    normals = rng.normal(size=20_000) * 10.0 ** rng.uniform(-20, 20, size=20_000)
+    steps = np.arange(1, 6)
+    edges = []
+    for e in (1e-5, 1e-4, 1e16):
+        up = down = e
+        for _ in steps:
+            up, down = np.nextafter(up, np.inf), np.nextafter(down, 0.0)
+            edges += [up, down]
+        edges.append(e)
+    edges = np.array(edges)
+    edges = np.concatenate([edges, -edges, [0.0, -0.0, 5e-324, -5e-324, np.finfo(float).max, -np.finfo(float).max]])
+    for v in (bits, normals, edges):
+        got, want = _csv_cells(v), repr_cells(v)
+        assert len(got) == len(want)
+        bad = [(a, b) for a, b in zip(got, want) if a != b]
+        assert not bad, bad[:5]
+    k = np.arange(1, 2001, dtype=np.int64)
+    assert _csv_cells(k) == [str(i) for i in range(1, 2001)]
+    assert _csv_cells(np.array([-(2**63), 0, 2**63 - 1], dtype=np.int64)) == repr_cells(np.array([-(2**63), 0, 2**63 - 1]))
+    block = rng.normal(size=(300, 4)) * 10.0 ** rng.integers(-8, 18, size=(300, 4))
+    for v in (block.ravel()[::3], block[:, 1], block[[5, 0, 299, 7], 2], block[::-1, 0]):
+        assert _csv_cells(v) == repr_cells(v)
+
+
+def test_import_does_not_load_the_trace_formatter():
+    # orjson is loaded on the first trace write, so import and set-up do not pay for it;
+    # -I ignores PYTHONPATH, so the source tree goes on sys.path inside the child
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = f"import sys; sys.path.insert(0, {src!r}); import viscosolve; print('orjson' in sys.modules)"
+    out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_sweep_falls_back_to_one_cell_at_a_time(monkeypatch):

@@ -92,6 +92,27 @@ def test_simplex_matches_qp_oracle(rng):
             assert norm(np.asarray(y.value) - project(cset, x)) <= 1e-6
 
 
+def test_simplex_matches_scipy_qp_oracle(rng):
+    # the same QP solved by SLSQP: min ||y - x||^2 / 2 subject to y >= 0, sum y = 2.6
+    from scipy.optimize import minimize
+
+    for dim in (2, 3, 5):
+        cset = Simplex(2.6, dim)
+        for _ in range(12):
+            x = rng.normal(scale=3.0, size=dim)
+            res = minimize(
+                lambda y: 0.5 * float(np.sum((y - x) ** 2)),
+                np.full(dim, 2.6 / dim),
+                jac=lambda y: y - x,
+                method="SLSQP",
+                bounds=[(0.0, None)] * dim,
+                constraints=[{"type": "eq", "fun": lambda y: np.sum(y) - 2.6, "jac": lambda y: np.ones(dim)}],
+                options={"ftol": 1e-14, "maxiter": 200},
+            )
+            assert res.success, res.message
+            assert norm(res.x - project(cset, x)) <= 1e-8
+
+
 def kkt_certificate(cset, x, y):
     """Multipliers of y = P(x) from stationarity x - y = sum_i mu_i grad h_i(y).
 
