@@ -166,7 +166,27 @@ _CSV_CHUNK = 1000  # trace rows formatted per write
 
 
 def _csv_cells(values: np.ndarray) -> list[str]:
-    """repr of each entry of a 1-D array (str for ints), in one repr call."""
+    """repr of each entry of a 1-D array (str for ints).
+
+    float64 arrays go through orjson's shortest round-trip formatter, which
+    picks the same digits as repr and lays them out the same way for 0 and
+    for 1e-4 <= |v| < 1e16; the cells outside that band (exponent form, the
+    0.0000d... band, and inf / nan, which orjson writes as null) are
+    replaced by their repr. Other dtypes, and float arrays with no cell in
+    the band, take one repr of the list.
+    """
+    if values.dtype == np.float64:
+        mag = np.abs(values)
+        in_band = ((mag >= 1e-4) & (mag < 1e16)) | (values == 0.0)
+        if in_band.any():
+            import orjson  # loaded on the first trace write, not at ``import viscosolve``
+
+            cells = orjson.dumps(np.ascontiguousarray(values), option=orjson.OPT_SERIALIZE_NUMPY)
+            cells = cells[1:-1].decode().split(",")
+            out = np.flatnonzero(~in_band)
+            for i, cell in zip(out.tolist(), repr(values[out].tolist())[1:-1].split(", ")):
+                cells[i] = cell
+            return cells
     return repr(values.tolist())[1:-1].split(", ")
 
 
