@@ -291,11 +291,10 @@ def test_csv_cells_equal_repr_cell_for_cell():
     rng = np.random.default_rng(5)
     bits = rng.integers(0, 2**64, size=100_000, dtype=np.uint64).view(np.float64)  # nan, inf, subnormals
     normals = rng.normal(size=20_000) * 10.0 ** rng.uniform(-20, 20, size=20_000)
-    steps = np.arange(1, 6)
     edges = []
     for e in (1e-5, 1e-4, 1e16):
         up = down = e
-        for _ in steps:
+        for _ in range(5):
             up, down = np.nextafter(up, np.inf), np.nextafter(down, 0.0)
             edges += [up, down]
         edges.append(e)
