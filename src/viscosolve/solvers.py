@@ -172,22 +172,20 @@ def _csv_cells(values: np.ndarray) -> list[str]:
     picks the same digits as repr and lays them out the same way for 0 and
     for 1e-4 <= |v| < 1e16; the cells outside that band (exponent form, the
     0.0000d... band, and inf / nan, which orjson writes as null) are
-    replaced by their repr. Other dtypes, and float arrays with no cell in
-    the band, take one repr of the list.
+    replaced by their repr. Other dtypes take one repr of the list.
     """
-    if values.dtype == np.float64:
-        mag = np.abs(values)
-        in_band = ((mag >= 1e-4) & (mag < 1e16)) | (values == 0.0)
-        if in_band.any():
-            import orjson  # loaded on the first trace write, not at ``import viscosolve``
+    if values.dtype != np.float64:
+        return repr(values.tolist())[1:-1].split(", ")
+    import orjson  # loaded on the first trace write, not at ``import viscosolve``
 
-            cells = orjson.dumps(np.ascontiguousarray(values), option=orjson.OPT_SERIALIZE_NUMPY)
-            cells = cells[1:-1].decode().split(",")
-            out = np.flatnonzero(~in_band)
-            for i, cell in zip(out.tolist(), repr(values[out].tolist())[1:-1].split(", ")):
-                cells[i] = cell
-            return cells
-    return repr(values.tolist())[1:-1].split(", ")
+    cells = orjson.dumps(np.ascontiguousarray(values), option=orjson.OPT_SERIALIZE_NUMPY)
+    cells = cells[1:-1].decode().split(",")
+    mag = np.abs(values)
+    in_band = ((mag >= 1e-4) & (mag < 1e16)) | (values == 0.0)
+    out = np.flatnonzero(~in_band)
+    for i, cell in zip(out.tolist(), repr(values[out].tolist())[1:-1].split(", ")):
+        cells[i] = cell
+    return cells
 
 
 def _schedule_cells(col: np.ndarray) -> list[str]:
