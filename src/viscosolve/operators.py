@@ -24,14 +24,16 @@ cocoercive A and a contraction f; the composite operators built here are
 
 from __future__ import annotations
 
+import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
+from functools import cached_property
 from typing import Callable, ClassVar
 
 import numpy as np
 
-from .projections import ConvexSet, contains, project, sample
+from .projections import ConvexSet, contains, project, project_rows, sample
 from .schedules import ScheduleViolationError, ScheduleViolationWarning
 from .space import DimensionMismatchError, NonFiniteError, as_vector
 
@@ -361,6 +363,34 @@ class ProblemSpec:
     def nu(self) -> float:
         return float(self.map_A.ism_modulus)
 
+    @cached_property
+    def digest_json(self) -> str:
+        """``json.dumps(_jsonable(self), sort_keys=True)``, this problem's part of
+        :func:`~viscosolve.solvers.config_digest`, kept after first use: the problem
+        is frozen and its arrays read-only (a custom map must keep its fields too).
+        """
+        return json.dumps(_jsonable(self), sort_keys=True)
+
+
+def _jsonable(obj):
+    """``obj`` as JSON-ready data: dataclasses by type name and fields, arrays as lists, callables by name."""
+    if is_dataclass(obj) and not isinstance(obj, type):
+        out = {"type": type(obj).__name__}
+        for f in fields(obj):
+            out[f.name] = _jsonable(getattr(obj, f.name))
+        return out
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, (np.floating, np.integer)):
+        return obj.item()
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, dict):
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    if callable(obj):
+        return getattr(obj, "__qualname__", type(obj).__name__)
+    return obj
+
 
 def apply(mapping, x) -> np.ndarray:
     """Evaluate ``mapping`` at ``x`` with boundary validation."""
@@ -406,11 +436,15 @@ def viscosity_map(x, problem: ProblemSpec, t: float, mu: float, *, strict: bool 
     """t f(x) + (1 - t) S(P_Q(x - mu A(x))).
 
     Lipschitz with factor <= 1 - sigma * t where sigma = 1 - rho, hence a
-    strict contraction for every t in (0, 1].
+    strict contraction for every t in (0, 1]. A (C, d) array ``x`` is mapped
+    row by row through the row kernels, each row bit-identical to its 1-D call.
     """
     if not (0 < t <= 1):
         raise ParameterError(f"t must be in (0, 1], got {t}")
     _check_lambda(mu, problem.nu, strict)
+    if np.ndim(x) == 2:
+        f, A, S = (rows_of(m) for m in (problem.map_f, problem.map_A, problem.map_S))
+        return t * f(x) + (1.0 - t) * S(project_rows(problem.set_Q, x - mu * A(x)))
     fx = problem.map_f(x)
     z = project(problem.set_Q, x - mu * problem.map_A(x))
     return t * fx + (1.0 - t) * problem.map_S(z)

@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .__about__ import __version__ as _VERSION
-from .operators import ParameterError, ProblemSpec, rows_of, viscosity_map
+from .operators import ParameterError, ProblemSpec, _jsonable, rows_of, viscosity_map
 from .projections import contains, project, project_rows
 from .schedules import (
     NoPerturbation,
@@ -790,26 +790,33 @@ def xu_recursion(a1, gamma, r, delta, n: int) -> list:
 # structural digest (stable across processes; no addresses, no timestamps)
 
 
-def _jsonable(obj):
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        out = {"type": type(obj).__name__}
-        for f in dataclasses.fields(obj):
-            out[f.name] = _jsonable(getattr(obj, f.name))
-        return out
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if callable(obj):
-        return getattr(obj, "__qualname__", type(obj).__name__)
-    return obj
+_encode = json.JSONEncoder(sort_keys=True).encode  # json.dumps(..., sort_keys=True)
+
+
+def _json(obj) -> str:
+    """``json.dumps(_jsonable(obj), sort_keys=True)``, splicing in the encoding a problem keeps
+    where ``obj`` or one of its fields is a :class:`ProblemSpec`."""
+    if isinstance(obj, ProblemSpec):
+        return obj.digest_json
+    if not dataclasses.is_dataclass(obj) or isinstance(obj, type):
+        return _encode(_jsonable(obj))
+    items = {"type": type(obj).__name__, **{f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}}
+    members, run = [], {}  # the members of the JSON object; a run of consecutive other fields
+    for k, v in sorted(items.items()):
+        if isinstance(v, ProblemSpec):
+            members += [_encode(run)[1:-1]] if run else []
+            members.append(f"{_encode(k)}: {v.digest_json}")
+            run = {}
+        else:
+            run[k] = _jsonable(v)
+    members += [_encode(run)[1:-1]] if run else []
+    return "{" + ", ".join(members) + "}"
 
 
 def config_digest(cfg) -> str:
-    """Short stable hash of a configuration's structure and numbers."""
-    blob = json.dumps(_jsonable(cfg), sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
+    """Short stable hash of a configuration's structure and numbers.
+
+    A problem is encoded once per problem object (``ProblemSpec.digest_json``),
+    so the runs that share it do not encode it again.
+    """
+    return hashlib.sha256(_json(cfg).encode()).hexdigest()[:16]

@@ -16,6 +16,7 @@ __all__ = [
     "as_vector",
     "inner",
     "norm",
+    "row_inners",
     "row_norms",
 ]
 
@@ -65,10 +66,19 @@ def norm(x: np.ndarray) -> float:
     return out
 
 
-def row_norms(X: np.ndarray) -> np.ndarray:
-    """:func:`norm` of each row of the (C, d) array X, bit for bit, without the finiteness check.
+def row_inners(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """:func:`inner` of each pair of rows of the (C, d) arrays X and Y, bit for bit, without the checks.
 
     The stacked (1, d) by (d, 1) ``matmul`` takes the same BLAS dot per row
-    as ``np.dot`` does on one vector.
+    as ``np.dot`` does on one pair of vectors. ``np.dot`` multiplies vectors
+    of one entry as scalars, which keeps the sign of a zero product, where
+    the BLAS sum would give +0.0.
     """
-    return np.sqrt(np.matmul(X[:, None, :], X[:, :, None])[:, 0, 0])
+    if X.shape[1] == 1:
+        return X[:, 0] * Y[:, 0]
+    return np.matmul(X[:, None, :], Y[:, :, None])[:, 0, 0]
+
+
+def row_norms(X: np.ndarray) -> np.ndarray:
+    """:func:`norm` of each row of the (C, d) array X, bit for bit, without the finiteness check."""
+    return np.sqrt(row_inners(X, X))

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -6,6 +8,9 @@ import numpy as np
 import pytest
 
 import viscosolve.solvers as solvers
+from viscosolve import configio
+from viscosolve.experiment import ExperimentConfig
+from viscosolve.operators import _jsonable
 from viscosolve import (
     Ball,
     Box,
@@ -128,6 +133,48 @@ def test_run_trace_contract(problem, qstar):
     assert tr.metadata["seed"] == 3
     assert tr.metadata["prng"] == "numpy-pcg64"
     assert len(tr.metadata["config_digest"]) == 16
+
+
+def _digest_by_definition(cfg):
+    return hashlib.sha256(json.dumps(_jsonable(cfg), sort_keys=True).encode()).hexdigest()[:16]
+
+
+def test_config_digest_equals_its_definition(problem, qstar):
+    cfgs = [
+        make_cfg(
+            problem, qstar, algorithm=rule, anchor=[1.0, 1.0], rel_err_target=1e-3,
+            perturbation=UniformSquarePerturbation(4), schedule=ScheduleSpec(TableAlpha([1.0, 0.5, 0.25]), ConstantLambda(0.1), (0.1, 0.1)),
+        )
+        for rule in solvers.ALGORITHMS
+    ]
+    cfgs.append(ExperimentConfig(thetas=(0.5, 0.9), seeds=(1, 2), problem=problem))
+    cfgs.append(configio.resolve_config(None)[0])
+    # a problem derived from one whose encoding is already kept encodes afresh
+    other = dataclasses.replace(problem, map_f=ConstantAnchor([1.0, 1.6]))
+    cfgs += [dataclasses.replace(cfgs[0], problem=other), problem, other]
+    digests = [solvers.config_digest(c) for c in cfgs]
+    assert digests == [_digest_by_definition(c) for c in cfgs]
+    assert len(set(digests)) == len(digests)
+    # the kept encoding is reused, not recomputed or changed
+    assert solvers.config_digest(cfgs[0]) == digests[0]
+
+
+def test_config_digest_of_short_lived_problems_never_goes_stale():
+    # problems dropped after use free their ids for the next ones
+    rng = np.random.default_rng(8)
+    seen = set()
+    for _ in range(60):
+        d = int(rng.integers(1, 6))
+        problem = ProblemSpec(
+            NonnegOrthant(d), Identity(d), LeastSquaresGradient(rng.normal(size=(d, d)) + 3 * np.eye(d), rng.normal(size=d)),
+            ConstantAnchor(np.abs(rng.normal(size=d))),
+        )
+        cfg = SolverConfig(problem=problem, schedule=benchmark_schedule(0.9, problem=problem), x1=np.ones(d), n_max=10)
+        digest = solvers.config_digest(cfg)
+        assert digest == _digest_by_definition(cfg)
+        seen.add(digest)
+        del problem, cfg
+    assert len(seen) == 60
 
 
 def test_run_deterministic_given_seed(problem, qstar):

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from viscosolve import DimensionMismatchError, NonFiniteError, as_vector, inner, norm
+from viscosolve.space import row_inners, row_norms
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -87,3 +88,23 @@ def test_sum_square_bound(us, vs_):
     lhs = norm(u + v) ** 2
     rhs = norm(u) ** 2 + 2 * inner(v, u + v)
     assert lhs <= rhs + 1e-9 * (1 + abs(rhs))
+
+
+def _rows_with_zeros(rng, d, n=200):
+    """Gaussian rows of mixed scale, with zero rows and signed zero entries mixed in."""
+    X = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-8, 9, size=(n, 1))
+    X[::7] = 0.0
+    X[3::11] = -0.0
+    X[5::13, 0] = -0.0
+    return X
+
+
+@pytest.mark.parametrize("d", range(1, 71))
+def test_row_kernels_equal_norm_and_inner_bit_for_bit(d):
+    rng = np.random.default_rng(d)
+    X, Y = _rows_with_zeros(rng, d), _rows_with_zeros(rng, d)[::-1]
+    assert row_norms(X).tobytes() == np.array([norm(x) for x in X]).tobytes()
+    assert row_inners(X, Y).tobytes() == np.array([inner(x, y) for x, y in zip(X, Y)]).tobytes()
+    # a row paired with a broadcast one, as for a fixed direction
+    y = Y[1]
+    assert row_inners(np.broadcast_to(y, X.shape), X).tobytes() == np.array([inner(y, x) for x in X]).tobytes()
