@@ -61,8 +61,15 @@ def run_property_checks(
     inequality to the per-pair norms and inner products as Python floats, so
     that ``worst`` is the value a loop over the pairs would find. (``v ** 2``
     on a Python float is libm ``pow``, which rounds differently from
-    ``v * v`` in about 1 of 1000 cases.)
+    ``v * v`` in about 1 of 1000 cases.) A map value that is not finite
+    raises :class:`NonFiniteError` at the first norm or inner product it
+    reaches, without a numpy warning on the way.
     """
+    with np.errstate(invalid="ignore", over="ignore"):
+        return _battery(problem, seed, n_pairs, lambdas)
+
+
+def _battery(problem, seed, n_pairs, lambdas) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     Q = problem.set_Q
     d = problem.dim

@@ -156,6 +156,8 @@ class SolverConfig:
             raise ConfigurationError(f"beta must be in [0, 1), got {self.beta}")
         if self.reference is not None:
             ref = as_vector(self.reference, dim=self.problem.dim, name="reference")
+            if not norm(ref) > 0:
+                raise ConfigurationError("reference must have a nonzero norm: rel_err divides by it")
             ref.setflags(write=False)
             object.__setattr__(self, "reference", ref)
         if self.rel_err_target is not None and self.reference is None:
@@ -169,19 +171,29 @@ def _csv_cells(values: np.ndarray) -> list[str]:
     """repr of each entry of a 1-D array (str for ints).
 
     float64 arrays go through orjson's shortest round-trip formatter, which
-    picks the same digits as repr and lays them out the same way for 0 and
-    for 1e-4 <= |v| < 1e16; the cells outside that band (exponent form, the
-    0.0000d... band, and inf / nan, which orjson writes as null) are
-    replaced by their repr. Other dtypes take one repr of the list.
+    picks the same digits as repr. Its layout is repr's for 0 and for
+    1e-4 <= |v| < 1e16; below 1e-5 and from 1e16 up both write exponent form
+    and differ only in its text, which is rewritten on the joined column:
+    repr pads one-digit exponents, which occur exactly for 1e-9 <= |v| < 1e-5
+    (orjson's ``5e-7`` is ``5e-07``), and signs positive ones (``1e16`` is
+    ``1e+16``). Only the 0.0000d... band (1e-5 <= |v| < 1e-4, repr's
+    ``3.21e-05``) and inf / nan (orjson's null) take their repr. Other
+    dtypes take one repr of the list.
     """
     if values.dtype != np.float64:
         return repr(values.tolist())[1:-1].split(", ")
     import orjson  # loaded on the first trace write, not at ``import viscosolve``
 
-    cells = orjson.dumps(np.ascontiguousarray(values), option=orjson.OPT_SERIALIZE_NUMPY)
-    cells = cells[1:-1].decode().split(",")
+    text = orjson.dumps(np.ascontiguousarray(values), option=orjson.OPT_SERIALIZE_NUMPY)
+    text = text[1:-1].decode() + ","  # each cell ends in a comma, so "e-6," never matches "e-60,"
     mag = np.abs(values)
-    in_band = ((mag >= 1e-4) & (mag < 1e16)) | (values == 0.0)
+    if ((mag >= 1e-9) & (mag < 1e-5)).any():  # a scan of the text costs more than this test
+        for digit in "6789":
+            text = text.replace(f"e-{digit},", f"e-0{digit},")
+    if (mag >= 1e16).any():
+        text = text.replace("e", "e+").replace("e+-", "e-")
+    cells = text.split(",")[:-1]
+    in_band = (mag < 1e-5) | ((mag >= 1e-4) & (mag < np.inf))  # False for inf and nan
     out = np.flatnonzero(~in_band)
     for i, cell in zip(out.tolist(), repr(values[out].tolist())[1:-1].split(", ")):
         cells[i] = cell
@@ -504,7 +516,6 @@ def _lockstep(cfgs: list, extras: list) -> list:
         kgrid = np.append(kgrid, n)
     kgrid.setflags(write=False)
     Xrec = np.empty((len(ids), kgrid.size, d))
-    Rrec = np.empty((len(ids), kgrid.size)) if with_ref else None
 
     def finish(j, count, stopped_at, off_grid):
         i, b = rows.cfg[j], rows.block[j]
@@ -529,7 +540,8 @@ def _lockstep(cfgs: list, extras: list) -> list:
             alpha=rows.alpha[j][take],
             lam=rows.lam[j][take],
             e_norm=rows.e_norm[j][take],
-            rel_err=Rrec[b, :count] if with_ref else None,
+            # one row_norms over the records: the norm(x_k - ref) / norm(ref) of each, bit for bit
+            rel_err=row_norms(Xrec[b, :count] - rows.ref[j]) / rows.nref[j] if with_ref else None,
             metadata=metadata,
         )
 
@@ -545,20 +557,17 @@ def _lockstep(cfgs: list, extras: list) -> list:
     slot = 0
     for k in range(1, n + 1):
         on_grid = (k - 1) % stride == 0 or k == n
-        if with_ref:
-            # metric only: may overflow to inf on a diverging run; the iterate
-            # finiteness check below is the divergence detector
+        if has_target:
+            # only the stop test reads rel_err during the run; it may overflow
+            # to inf on a diverging run, which the finiteness check below detects
             rel = norms(x - ref) / nref
         if on_grid:
             Xrec[written, slot] = x
-            if with_ref:
-                Rrec[written, slot] = rel
         if has_target and any_of(hit := rel <= target):
-            hit, rel = np.reshape(hit, -1), np.reshape(rel, -1)
+            hit = np.reshape(hit, -1)
             js = np.flatnonzero(hit)
             if not on_grid:
                 Xrec[rows.block[js], slot] = x.reshape(-1, d)[js]
-                Rrec[rows.block[js], slot] = rel[js]
             for j in js:
                 finish(j, slot + 1, k, not on_grid)
             if (views := leave(x, hit)) is None:

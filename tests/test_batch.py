@@ -1,5 +1,6 @@
 """The lockstep engine: every row of a batch is its own batch-of-one run, bit for bit."""
 
+import dataclasses
 import subprocess
 import sys
 from dataclasses import dataclass
@@ -36,7 +37,9 @@ from viscosolve import (
     UniformSquarePerturbation,
     benchmark_schedule,
     contains,
+    explicit_step,
     ls_lipschitz,
+    norm,
     project,
     project_rows,
     run,
@@ -158,6 +161,92 @@ def test_diverging_row_fails_alone():
         assert_same_trace(batch[i], run(cfgs[i]))
 
 
+def assert_rel_err_of_records(trace, ref):
+    """Each rel_err cell is norm(x_k - ref) / norm(ref) of its recorded row, bit for bit."""
+    want = [norm(x - ref) / norm(ref) for x in trace.x]
+    assert [v.hex() for v in trace.rel_err.tolist()] == [v.hex() for v in want]
+
+
+def least_squares_batch(d, cells, stride, n, seed, targets=None):
+    """Perturbed runs on a d-dimensional orthant problem (row kernels), each with a reference."""
+    rng = np.random.default_rng(seed)
+    B = rng.normal(size=(d, d)) + np.eye(d)
+    problem = ProblemSpec(
+        set_Q=NonnegOrthant(d),
+        map_S=Identity(d),
+        map_A=LeastSquaresGradient(B, rng.normal(size=d)),
+        map_f=ConstantAnchor(rng.uniform(0.0, 1.0, size=d)),
+    )
+    lam = 1.0 / ls_lipschitz(B)
+    return [
+        SolverConfig(
+            problem=problem,
+            schedule=ScheduleSpec(PowerAlpha(float(rng.uniform(0.3, 1.0))), ConstantLambda(lam), (lam, lam)),
+            x1=rng.uniform(0.0, 2.0, size=d),
+            n_max=n,
+            algorithm=PERTURBED,
+            perturbation=UniformSquarePerturbation(int(rng.integers(1, 10_000))),
+            reference=rng.uniform(0.5, 1.5, size=d),
+            rel_err_target=None if targets is None else targets[i],
+            record_stride=stride,
+        )
+        for i in range(cells)
+    ]
+
+
+@pytest.mark.parametrize("d", (1, 3))
+@pytest.mark.parametrize("cells", (1, 5))
+@pytest.mark.parametrize("stride, n", ((1, 60), (7, 100)))  # 100 is off the stride-7 grid
+def test_rel_err_without_a_target_is_that_of_each_record(d, cells, stride, n):
+    cfgs = least_squares_batch(d, cells, stride, n, seed=10 * d + cells + stride)
+    kgrid = list(range(1, n + 1, stride))
+    kgrid += [] if kgrid[-1] == n else [n]
+    for cfg, got in zip(cfgs, run_batch(cfgs)):
+        assert got.k.tolist() == kgrid
+        assert_rel_err_of_records(got, cfg.reference)
+        assert_same_trace(got, run(cfg))
+
+
+def test_rel_err_without_a_target_stays_exact_beside_a_diverging_row():
+    cfgs = diverging_batch()
+    with pytest.warns(Warning):
+        batch = run_batch(cfgs)
+    for cfg, got in zip(cfgs, batch):
+        # an independent loop of explicit_step, up to the first non-finite iterate
+        xs, k = [cfg.x1], 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            while k < cfg.n_max and np.isfinite(nxt := explicit_step(xs[-1], k, cfg)).all():
+                xs, k = xs + [nxt], k + 1
+        if isinstance(got, DivergenceError):
+            assert (got.step, str(got)) == (k, f"non-finite iterate at step {k} (algorithm 'explicit_viscosity')")
+            assert same_bits(got.last_state, xs[-1])
+        else:
+            assert k == cfg.n_max and same_bits(got.x, np.array(xs))
+            assert_rel_err_of_records(got, cfg.reference)
+    assert [type(r) for r in batch] == [RunTrace, DivergenceError, RunTrace]
+
+
+def test_rel_err_in_a_batch_with_one_target_is_exact_on_every_row():
+    cfgs = least_squares_batch(3, 4, 1, 200, seed=5)
+    # a target the second row reaches by k = 41, stopping it early
+    free = run(cfgs[1]).rel_err
+    target = float(free[40])
+    hit = int(np.flatnonzero(free <= target)[0]) + 1
+    cfgs[1] = dataclasses.replace(cfgs[1], rel_err_target=target)
+    batch = run_batch(cfgs)
+    assert [got.k[-1] for got in batch] == [200, hit, 200, 200]
+    assert batch[1].metadata["stopped_at"] == hit
+    for cfg, got in zip(cfgs, batch):
+        assert_rel_err_of_records(got, cfg.reference)
+        assert_same_trace(got, run(cfg))
+
+
+def test_a_reference_of_norm_zero_is_refused(problem):
+    with pytest.raises(ConfigurationError, match="nonzero norm"):
+        SolverConfig(problem=problem, schedule=benchmark_schedule(0.9, problem=problem), x1=[2.0, 3.0],
+                     n_max=10, reference=[0.0, 0.0])
+
+
 def test_schedule_error_before_stepping_is_the_rows_outcome(problem):
     short = ScheduleSpec(TableAlpha(np.full(10, 0.5)), ConstantLambda(0.1), (0.1, 0.1))
     cfgs = [
@@ -268,16 +357,43 @@ def test_csv_writer_matches_per_row_repr(tmp_path, with_rel):
     tr = RunTrace(k=np.arange(1, n + 1), x=x, alpha=alpha, lam=lam, e_norm=np.zeros(n), rel_err=rel, metadata={})
     path = tmp_path / "trace.csv"
     tr.write_csv(path)
-    lines = ["k,x1,x2,x3,alpha,lambda,e_norm,rel_err"]
-    for j in range(n):
-        cells = [str(j + 1)] + [repr(float(v)) for v in x[j]]
-        cells += [repr(float(alpha[j])), repr(float(lam[j])), "0.0", repr(float(rel[j])) if with_rel else ""]
+    assert path.read_text() == repr_csv(tr)
+
+
+def repr_csv(trace):
+    """The trace CSV written row by row with repr: the oracle of ``RunTrace.write_csv``."""
+    d = trace.x.shape[1]
+    lines = ["k," + ",".join(f"x{i + 1}" for i in range(d)) + ",alpha,lambda,e_norm,rel_err"]
+    for j in range(trace.k.size):
+        cells = [str(int(trace.k[j]))] + [repr(float(v)) for v in trace.x[j]]
+        cells += [repr(float(v[j])) for v in (trace.alpha, trace.lam, trace.e_norm)]
+        cells.append("" if trace.rel_err is None else repr(float(trace.rel_err[j])))
         lines.append(",".join(cells))
-    assert path.read_text() == "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_writer_matches_per_row_repr_on_a_perturbed_run(tmp_path, problem, qstar):
+    # the sweep's trace: 6000 rows whose e_norm column is a uniform_square_over_ksq
+    # stream, nearly all of it in exponent form and some of it in the 0.0000d... band
+    cfg = SolverConfig(problem=problem, schedule=benchmark_schedule(0.6, problem=problem), x1=[2.0, 3.0],
+                       n_max=6000, algorithm=PERTURBED, perturbation=UniformSquarePerturbation(3), reference=qstar)
+    assert cfg.perturbation.kind == "uniform_square_over_ksq"
+    tr = run(cfg)
+    assert (tr.e_norm < 1e-5).mean() > 0.9 and ((tr.e_norm >= 1e-5) & (tr.e_norm < 1e-4)).any()
+    path = tmp_path / "trace.csv"
+    tr.write_csv(path)
+    assert path.read_text() == repr_csv(tr)
 
 
 def repr_cells(values):
     return repr(values.tolist())[1:-1].split(", ")
+
+
+def assert_cells_equal_repr(values):
+    got, want = _csv_cells(values), repr_cells(values)
+    assert len(got) == len(want)
+    bad = [(a, b) for a, b in zip(got, want) if a != b]
+    assert not bad, bad[:5]
 
 
 @settings(max_examples=300)
@@ -301,16 +417,46 @@ def test_csv_cells_equal_repr_cell_for_cell():
     edges = np.array(edges)
     edges = np.concatenate([edges, -edges, [0.0, -0.0, 5e-324, -5e-324, np.finfo(float).max, -np.finfo(float).max]])
     for v in (bits, normals, edges):
-        got, want = _csv_cells(v), repr_cells(v)
-        assert len(got) == len(want)
-        bad = [(a, b) for a, b in zip(got, want) if a != b]
-        assert not bad, bad[:5]
+        assert_cells_equal_repr(v)
     k = np.arange(1, 2001, dtype=np.int64)
     assert _csv_cells(k) == [str(i) for i in range(1, 2001)]
     assert _csv_cells(np.array([-(2**63), 0, 2**63 - 1], dtype=np.int64)) == repr_cells(np.array([-(2**63), 0, 2**63 - 1]))
     block = rng.normal(size=(300, 4)) * 10.0 ** rng.integers(-8, 18, size=(300, 4))
     for v in (block.ravel()[::3], block[:, 1], block[[5, 0, 299, 7], 2], block[::-1, 0]):
         assert _csv_cells(v) == repr_cells(v)
+
+
+def test_csv_cells_rewrite_exponents_of_either_sign():
+    # orjson writes 5e-7 and 1e16 where repr writes 5e-07 and 1e+16
+    rng = np.random.default_rng(13)
+    mantissas = rng.uniform(1.0, 10.0, size=600) * rng.choice([-1.0, 1.0], size=600)
+    negative = mantissas * 10.0 ** rng.integers(-323, -5, size=600)  # every |v| < 1e-5
+    positive = mantissas * 10.0 ** rng.integers(16, 307, size=600)  # every |v| >= 1e16
+    both = rng.permutation(np.concatenate([negative, positive]))
+    for v in (negative, positive, both, negative[:1], positive[:1], np.array([1e16, 5e-7, 0.5, 2e-5])):
+        assert_cells_equal_repr(v)
+
+
+def test_csv_cells_at_every_exponent_edge():
+    exponents = [*range(-9, -4), -10, -99, -100, *range(-324, -307)]
+    values = [float(f"{m}e{e}") for e in exponents for m in ("1", "2.5", "9.999")]
+    for edge in (1e-5, 1e-9, 1e-10, 1e-100, 1e16):
+        up = down = edge
+        for _ in range(4):
+            up, down = np.nextafter(up, np.inf), np.nextafter(down, 0.0)
+            values += [edge, up, down]
+    values = np.array(values)
+    for v in (values, -values, np.concatenate([values, -values])):
+        assert_cells_equal_repr(v)
+    for v in values:  # alone, so that no other cell of the column decides whether it is rewritten
+        assert_cells_equal_repr(np.array([v]))
+        assert_cells_equal_repr(np.array([-v]))
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(st.floats(-330.0, 20.0), st.booleans()), max_size=40))
+def test_csv_cells_equal_repr_mostly_in_exponent_form(draws):
+    assert_cells_equal_repr(np.array([(-1.0 if neg else 1.0) * 10.0 ** e for e, neg in draws]))
 
 
 def test_import_does_not_load_the_trace_formatter():

@@ -228,8 +228,12 @@ class InfBeyondOne:
         return np.full_like(x, np.inf) if x[0] > 1.0 else x
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-@pytest.mark.parametrize("battery", (run_property_checks, per_pair_battery), ids=("rows", "oracle"))
+@pytest.mark.parametrize("battery", (
+    pytest.param(run_property_checks, id="rows"),
+    # the oracle subtracts inf from inf on its way to the norm that raises
+    pytest.param(per_pair_battery, id="oracle",
+                 marks=pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")),
+))
 def test_a_map_returning_inf_raises(battery):
     problem = ProblemSpec(NonnegOrthant(2), Identity(2), InfBeyondOne(), ConstantAnchor([0.5, 0.5]))
     with pytest.raises(NonFiniteError):
