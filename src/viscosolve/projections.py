@@ -23,6 +23,7 @@ loop of :func:`project` over the rows, since no workload batches it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import singledispatch
 from typing import Union
@@ -119,6 +120,7 @@ class Halfspace:
         if not np.any(self.normal != 0):
             raise InvalidDescriptorError("halfspace normal must be nonzero")
         self.normal.setflags(write=False)
+        object.__setattr__(self, "_normal_sq", float(np.dot(self.normal, self.normal)))  # not a field: digests ignore it
 
     @property
     def dim(self) -> int:
@@ -138,6 +140,7 @@ class Hyperplane:
         if not np.any(self.normal != 0):
             raise InvalidDescriptorError("hyperplane normal must be nonzero")
         self.normal.setflags(write=False)
+        object.__setattr__(self, "_normal_sq", float(np.dot(self.normal, self.normal)))  # not a field: digests ignore it
 
     @property
     def dim(self) -> int:
@@ -177,16 +180,26 @@ def simplex_threshold(x, total: float) -> float:
     Sort-based, exact in O(n log n): sort descending, scan cumulative sums for
     the active-support breakpoint. The threshold reproduces the projection
     onto ``Simplex(total, n)`` as max(x - alpha, 0).
+
+    At small n numpy's per-call overhead is the cost, so the ufunc methods
+    stand in for their wrappers (``np.add.accumulate`` for ``np.cumsum``) and
+    the ends of the sorted vector for a finiteness test of all of it: after
+    the reversal a NaN comes first and an infinity sits at an end. On finite
+    floats u - q > 0 exactly when u > q (subnormals keep u - q from rounding
+    to 0), so the active test skips the subtraction.
     """
     if not total > 0:
         raise InvalidDescriptorError(f"simplex total must be > 0, got {total}")
-    x = as_vector(x, name="x")
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or not x.size:
+        as_vector(x, name="x")  # raises
     u = np.sort(x)[::-1]
-    css = np.cumsum(u)
-    js = np.arange(1, x.size + 1)
-    active = u - (css - total) / js > 0
-    rho = int(np.nonzero(active)[0][-1])
-    return float((css[rho] - total) / (rho + 1))
+    if not (math.isfinite(u[0]) and math.isfinite(u[-1])):
+        as_vector(x, name="x")  # raises NonFiniteError
+    excess = np.add.accumulate(u)
+    excess -= total
+    rho = int((u > excess / np.arange(1.0, x.size + 1.0)).nonzero()[0][-1])
+    return excess.item(rho) / (rho + 1)
 
 
 @singledispatch
@@ -211,7 +224,7 @@ def _(cset: Box, x) -> np.ndarray:
 def _(cset: Ball, x) -> np.ndarray:
     x = _check_dim(cset, x)
     d = x - cset.center
-    dist = float(np.sqrt(np.dot(d, d)))
+    dist = math.sqrt(np.dot(d, d))
     if dist <= cset.radius:
         return x.copy()
     return cset.center + (cset.radius / dist) * d
@@ -223,14 +236,14 @@ def _(cset: Halfspace, x) -> np.ndarray:
     excess = float(np.dot(cset.normal, x)) - cset.offset
     if excess <= 0:
         return x.copy()
-    return x - (excess / float(np.dot(cset.normal, cset.normal))) * cset.normal
+    return x - (excess / cset._normal_sq) * cset.normal
 
 
 @project.register
 def _(cset: Hyperplane, x) -> np.ndarray:
     x = _check_dim(cset, x)
     excess = float(np.dot(cset.normal, x)) - cset.offset
-    return x - (excess / float(np.dot(cset.normal, cset.normal))) * cset.normal
+    return x - (excess / cset._normal_sq) * cset.normal
 
 
 @project.register

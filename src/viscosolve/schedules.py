@@ -174,6 +174,8 @@ def lambda_at(s: ScheduleSpec, k: int) -> float:
 def tabulate(s: ScheduleSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(alpha_1 .. alpha_n, lambda_1 .. lambda_n) as arrays, without the per-value warnings."""
     alphas = np.array([alpha_at(s, k) for k in range(1, n + 1)])
+    if isinstance(s.lam, ConstantLambda):
+        return alphas, np.full(n, s.lam.value)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ScheduleViolationWarning)
         lams = np.array([lambda_at(s, k) for k in range(1, n + 1)])

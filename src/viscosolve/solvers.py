@@ -21,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
@@ -188,8 +189,11 @@ def _csv_cells(values: np.ndarray) -> list[str]:
     text = text[1:-1].decode() + ","  # each cell ends in a comma, so "e-6," never matches "e-60,"
     mag = np.abs(values)
     if ((mag >= 1e-9) & (mag < 1e-5)).any():  # a scan of the text costs more than this test
-        for digit in "6789":
-            text = text.replace(f"e-{digit},", f"e-0{digit},")
+        if ((mag > 0) & (mag < 1e-9)).any():  # two- and three-digit exponents stay as they are
+            for digit in "6789":
+                text = text.replace(f"e-{digit},", f"e-0{digit},")
+        else:  # every negative exponent has one digit
+            text = text.replace("e-", "e-0")
     if (mag >= 1e16).any():
         text = text.replace("e", "e+").replace("e+-", "e-")
     cells = text.split(",")[:-1]
@@ -412,7 +416,7 @@ def _tables(cfg: SolverConfig, tabulated: dict):
 
 
 def _vector_norm(v):
-    return float(np.sqrt(np.dot(v, v)))
+    return math.sqrt(np.dot(v, v))
 
 
 class _Rows:
@@ -435,10 +439,10 @@ class _Rows:
         u, beta, the reference, its norm and the rel_err target; the norm, the
         test for any row at its target and the maps to use.
 
-        A single row steps as a 1-D vector with scalar coefficients through the
-        problem's own 1-D maps and projection, which cost less than (1, d)
-        kernels; its rel_err is a Python float, as a numpy comparison costs
-        more than the rest of a 2-D step.
+        A single row steps as a 1-D vector through the problem's own 1-D maps
+        and projection, which cost less than (1, d) kernels. Its coefficients
+        (alpha and lambda as lists, beta) and its rel_err are Python floats,
+        whose arithmetic costs less than numpy scalars' and rounds the same.
         """
         if self.x.shape[0] > 1:
             return (self.x, self.alpha.T[:, :, None], self.lam.T[:, :, None],
@@ -448,8 +452,8 @@ class _Rows:
         def first(v):
             return None if v is None else v[0]
 
-        return (self.x[0], self.alpha[0], self.lam[0], first(self.e), first(self.u), self.beta[0, 0],
-                first(self.ref), None if self.nref is None else float(self.nref[0]),
+        return (self.x[0], self.alpha[0].tolist(), self.lam[0].tolist(), first(self.e), first(self.u),
+                float(self.beta[0, 0]), first(self.ref), None if self.nref is None else float(self.nref[0]),
                 None if self.target is None else float(self.target[0]), _vector_norm, bool,
                 _Ops.of(problem, rows=False))
 
@@ -579,7 +583,8 @@ def _lockstep(cfgs: list, extras: list) -> list:
         if k == n:
             break
         x_next = step(ops, x, a_tab[k - 1], lam_tab[k - 1], None if e_tab is None else e_tab[k - 1], u, beta)
-        if not np.isfinite(x_next).all():
+        # exact and warning-free, unlike a test of a sum or dot product, which may overflow
+        if np.count_nonzero(np.isfinite(x_next)) != x_next.size:
             bad = ~np.isfinite(x_next.reshape(-1, d)).all(axis=1)
             for j in np.flatnonzero(bad):
                 results[rows.cfg[j]] = DivergenceError(

@@ -7,6 +7,8 @@ iterative loops fail fast instead of silently propagating garbage.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -53,15 +55,15 @@ def inner(x: np.ndarray, y: np.ndarray) -> float:
             f"inner product needs equal dimensions, got {np.shape(x)} and {np.shape(y)}"
         )
     out = float(np.dot(x, y))
-    if not np.isfinite(out):
+    if not math.isfinite(out):
         raise NonFiniteError("inner product is not finite (NaN/Inf or overflowing input)")
     return out
 
 
 def norm(x: np.ndarray) -> float:
     """Norm induced by :func:`inner`; zero iff x is the zero vector."""
-    out = float(np.sqrt(np.dot(x, x)))
-    if not np.isfinite(out):
+    out = math.sqrt(np.dot(x, x))
+    if not math.isfinite(out):
         raise NonFiniteError("norm is not finite (NaN/Inf or overflowing input)")
     return out
 

@@ -226,6 +226,77 @@ def test_rel_err_without_a_target_stays_exact_beside_a_diverging_row():
     assert [type(r) for r in batch] == [RunTrace, DivergenceError, RunTrace]
 
 
+
+HUGE = 1e160  # squared, it overflows: the iterates are finite but their sum of squares is not
+
+
+class AnchorUntilEdge:
+    """f(x) = (HUGE, ..., HUGE) while x[0] <= edge, and ``bad`` (inf or nan) in every entry after."""
+
+    lipschitz = 0.0
+    ism_modulus = None
+
+    def __init__(self, d, edge, bad):
+        self.dim, self.edge, self.bad = d, edge, bad
+
+    def __call__(self, x):
+        return np.full(self.dim, self.bad if x[0] > self.edge else HUGE)
+
+
+def huge_batch(cells, edge=np.inf, bad=np.inf, d=3, n=15):
+    """Explicit runs toward (HUGE, ..., HUGE) from below; row i starts at ``starts[i] * HUGE``."""
+    problem = ProblemSpec(
+        set_Q=NonnegOrthant(d),
+        map_S=Identity(d),
+        map_A=LeastSquaresGradient(np.eye(d), np.full(d, HUGE)),
+        map_f=AnchorUntilEdge(d, edge, bad),
+    )
+    sched = ScheduleSpec(TableAlpha(np.full(n, 0.1)), ConstantLambda(0.5), (0.5, 0.5))
+    starts = (0.0, 0.999, 0.99)[:cells]
+    return [SolverConfig(problem=problem, schedule=sched, x1=np.full(d, f * HUGE), n_max=n) for f in starts]
+
+
+def explicit_loop(cfg):
+    """An independent loop of explicit_step: the iterates up to the first non-finite one, and its step."""
+    xs, k = [cfg.x1], 1
+    while k < cfg.n_max and np.isfinite(nxt := explicit_step(xs[-1], k, cfg)).all():
+        xs, k = xs + [nxt], k + 1
+    return np.array(xs), k
+
+
+@pytest.mark.parametrize("cells", (1, 3))
+def test_iterates_whose_sum_of_squares_overflows_are_finite(cells):
+    cfgs = huge_batch(cells)
+    for cfg, got in zip(cfgs, run_batch(cfgs) if cells > 1 else [run(cfgs[0])]):
+        assert isinstance(got, RunTrace) and got.metadata["stopped_at"] is None
+        xs, k = explicit_loop(cfg)
+        assert k == cfg.n_max and same_bits(got.x, xs)
+        with np.errstate(over="ignore"):
+            assert np.sum(np.square(got.x[-1])) == np.inf
+
+
+@pytest.mark.parametrize("bad", (np.inf, np.nan))
+@pytest.mark.parametrize("cells", (1, 2, 3))
+def test_a_row_whose_map_turns_non_finite_stops_where_the_oracle_does(cells, bad):
+    cfgs = huge_batch(cells, edge=HUGE * (1 - 1e-6), bad=bad)
+    if cells > 1:
+        batch = run_batch(cfgs)
+    else:
+        try:
+            batch = [run(cfgs[0])]
+        except DivergenceError as err:
+            batch = [err]
+    for cfg, got in zip(cfgs, batch):
+        xs, k = explicit_loop(cfg)
+        if isinstance(got, DivergenceError):
+            assert (got.step, str(got)) == (k, f"non-finite iterate at step {k} (algorithm 'explicit_viscosity')")
+            assert same_bits(got.last_state, xs[-1])
+        else:
+            assert k == cfg.n_max and same_bits(got.x, xs)
+    assert [type(r) for r in batch] == [RunTrace, DivergenceError, DivergenceError][:cells]
+    assert [getattr(r, "step", None) for r in batch] == [None, 10, 13][:cells]
+
+
 def test_rel_err_in_a_batch_with_one_target_is_exact_on_every_row():
     cfgs = least_squares_batch(3, 4, 1, 200, seed=5)
     # a target the second row reaches by k = 41, stopping it early
@@ -451,6 +522,15 @@ def test_csv_cells_at_every_exponent_edge():
     for v in values:  # alone, so that no other cell of the column decides whether it is rewritten
         assert_cells_equal_repr(np.array([v]))
         assert_cells_equal_repr(np.array([-v]))
+
+
+def test_csv_cells_pad_one_digit_exponents_beside_longer_ones():
+    rng = np.random.default_rng(17)
+    signs = rng.choice([-1.0, 1.0], size=400)
+    one_digit = signs[:200] * rng.uniform(1.0, 10.0, size=200) * 10.0 ** rng.integers(-9, -5, size=200)
+    mixed = rng.permutation(np.concatenate([one_digit[:100], signs[200:300] * 3.7e-7, signs[300:] * 2.5e-12]))
+    for v in (mixed, one_digit, np.array([1e-7, 1e-12]), np.array([5e-7, 0.0, -0.0, 0.5, 2e-5, 1e16])):
+        assert_cells_equal_repr(v)
 
 
 @settings(max_examples=300)

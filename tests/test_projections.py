@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from viscosolve import (
     Halfspace,
     Hyperplane,
     InvalidDescriptorError,
+    NonFiniteError,
     NonnegOrthant,
     Simplex,
     contains,
@@ -75,6 +78,68 @@ def test_simplex_threshold_reproduces_projection(rng):
             x = rng.normal(scale=3.0, size=dim)
             alpha = simplex_threshold(x, 2.6)
             assert np.array_equal(project(cset, x), np.maximum(x - alpha, 0.0))
+
+
+
+def textbook_simplex_threshold(x, total):
+    """The sort-based threshold of Duchi et al. (ICML 2008), written with the plain numpy calls."""
+    u = np.sort(np.asarray(x, dtype=float))[::-1]
+    css = np.cumsum(u)
+    js = np.arange(1, u.size + 1)
+    active = u - (css - total) / js > 0
+    rho = int(np.nonzero(active)[0][-1])
+    return float((css[rho] - total) / (rho + 1))
+
+
+def simplex_points(rng, d, scale):
+    """Points in dimension d at one scale: generic, tied, signed-zero, constant, on and off the simplex."""
+    total = scale * float(rng.uniform(0.5, 3.0))
+    generic = rng.normal(size=d) * scale
+    tied = rng.integers(-3, 4, size=d) * (scale / 2)  # repeated entries, ties in the sort
+    zeros = rng.choice([0.0, -0.0, scale, -scale], size=d)
+    on = project(Simplex(total, d), generic)  # on the simplex, up to rounding
+    exact = np.zeros(d)
+    exact[rng.integers(d)] = total  # a vertex
+    points = [generic, tied, zeros, on, exact, np.full(d, total / d), generic + total]
+    points += [np.full(d, c) for c in (0.0, -0.0, scale, -scale)]  # all entries equal
+    return total, points
+
+
+@pytest.mark.parametrize("d", range(1, 71))
+def test_simplex_threshold_equals_the_textbook_formula_bit_for_bit(d):
+    rng = np.random.default_rng(d)
+    for scale in 10.0 ** np.arange(-6, 7):
+        total, points = simplex_points(rng, d, scale)
+        for x in points:
+            want = textbook_simplex_threshold(x, total)
+            assert simplex_threshold(x, total).hex() == want.hex()
+            assert simplex_threshold(list(x), total).hex() == want.hex()
+            got = project(Simplex(total, d), x)
+            assert got.tobytes() == np.maximum(x - want, 0.0).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 64])
+def test_simplex_refuses_non_finite_points_without_a_warning(d):
+    rng = np.random.default_rng(d)
+    bad = [[np.nan], [np.inf], [-np.inf], [np.inf, -np.inf], [np.nan, np.inf, -np.inf]]
+    for values in bad:
+        if len(values) > d:
+            continue
+        for _ in range(5):
+            x = rng.normal(size=d)
+            x[rng.choice(d, size=len(values), replace=False)] = values
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # a warning before the error fails the test
+                with pytest.raises(NonFiniteError):
+                    simplex_threshold(x, 1.0)
+                with pytest.raises(NonFiniteError):
+                    project(Simplex(1.0, d), x)
+
+
+def test_simplex_threshold_refuses_bad_shapes_as_before():
+    for x in ([], [[1.0, 2.0]], 1.0):
+        with pytest.raises(ValueError, match="x must"):
+            simplex_threshold(x, 1.0)
 
 
 def test_simplex_matches_qp_oracle(rng):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from viscosolve import (
     perturbation_at,
     perturbation_stream,
 )
-from viscosolve.schedules import ANALYTIC, CONSISTENT, VIOLATED
+from viscosolve import schedules
+from viscosolve.schedules import ANALYTIC, CONSISTENT, VIOLATED, tabulate
 
 
 def spec(alpha, lam=None, bounds=(0.1, 0.1)):
@@ -33,6 +35,40 @@ def test_alpha_examples():
     assert alpha_at(s, 1) == 1.0
     assert alpha_at(spec(PowerAlpha(0.5)), 4) == pytest.approx(0.5, abs=1e-15)
     assert alpha_at(spec(PowerAlpha(1.0)), 10) == pytest.approx(0.1, abs=1e-15)
+
+
+
+def counting(monkeypatch, name):
+    """Count the calls of ``schedules.<name>`` that the module itself makes."""
+    calls = []
+    original = getattr(schedules, name)
+    monkeypatch.setattr(schedules, name, lambda s, k: calls.append(k) or original(s, k))
+    return calls
+
+
+@pytest.mark.parametrize("n", (1, 7, 6000))
+@pytest.mark.parametrize("value, bounds", ((0.1, (0.1, 0.1)), (1 / 3, (0.1, 0.5))))
+def test_constant_lambda_table_equals_lambda_at_bit_for_bit(monkeypatch, n, value, bounds):
+    s = spec(PowerAlpha(0.7), ConstantLambda(value), bounds)
+    want = np.array([lambda_at(s, k) for k in range(1, n + 1)])
+    alpha_calls, lambda_calls = counting(monkeypatch, "alpha_at"), counting(monkeypatch, "lambda_at")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alphas, lams = tabulate(s, n)
+    assert lams.dtype == want.dtype and lams.tobytes() == want.tobytes()
+    assert alphas.tolist() == [alpha_at(s, k) for k in range(1, n + 1)]
+    assert alpha_calls == list(range(1, n + 1)) and lambda_calls == []
+
+
+def test_table_lambda_schedule_is_tabulated_through_lambda_at(monkeypatch):
+    values = np.linspace(0.05, 0.5, 40)
+    s = spec(PowerAlpha(0.7), TableLambda(values), (0.05, 0.2))
+    lambda_calls = counting(monkeypatch, "lambda_at")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # values outside the bounds warn in lambda_at, not in the table
+        _, lams = tabulate(s, 40)
+    assert lambda_calls == list(range(1, 41))
+    assert lams.tobytes() == values.tobytes()
 
 
 def test_alpha_table_and_exhaustion():
