@@ -59,6 +59,8 @@ __all__ = [
     "build_implicit_config",
 ]
 
+_JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
+
 DEFAULT_CONFIG = {
     "problem": {
         "set": {"kind": "orthant", "dim": 2},
@@ -104,9 +106,22 @@ def load_config(path) -> dict:
         raw = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
-    if not isinstance(raw, dict):
-        raise ConfigurationError(f"{path}: top level must be a JSON object")
-    return raw
+    return _object(raw, f"{path}: top level")
+
+
+def _copy_json(value):
+    """Rebuild dicts and lists, share immutable scalar leaves, deep-copy any other value."""
+    if type(value) is dict:
+        return {k: v if type(v) in _JSON_SCALARS else _copy_json(v) for k, v in value.items()}
+    if type(value) is list:
+        return [v if type(v) in _JSON_SCALARS else _copy_json(v) for v in value]
+    return value if type(value) in _JSON_SCALARS else copy.deepcopy(value)
+
+
+def _object(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"{path}: must be an object")
+    return value
 
 
 def resolve_config(raw: dict | None) -> tuple[dict, list[str]]:
@@ -114,9 +129,9 @@ def resolve_config(raw: dict | None) -> tuple[dict, list[str]]:
 
     Returns (resolved, defaulted_paths); the second entry lists the dotted
     paths that came from the defaults rather than the user, for the metadata
-    echo.
+    echo. The result shares no dict or list with ``raw`` or DEFAULT_CONFIG.
     """
-    raw = raw or {}
+    raw = {} if raw is None else _object(raw, "top level")
     unknown = set(raw) - set(DEFAULT_CONFIG)
     if unknown:
         raise ConfigurationError(f"unknown config section(s): {sorted(unknown)}")
@@ -125,34 +140,33 @@ def resolve_config(raw: dict | None) -> tuple[dict, list[str]]:
     for section, default_body in DEFAULT_CONFIG.items():
         user_body = raw.get(section)
         if user_body is None:
-            resolved[section] = copy.deepcopy(default_body)
+            resolved[section] = _copy_json(default_body)
             defaulted.append(section)
             continue
-        if not isinstance(user_body, dict):
-            raise ConfigurationError(f"{section}: must be an object")
+        _object(user_body, section)
         body = {}
         for key, default_value in default_body.items():
-            if key in user_body:
-                body[key] = copy.deepcopy(user_body[key])
-            else:
-                body[key] = copy.deepcopy(default_value)
+            if key not in user_body:
                 defaulted.append(f"{section}.{key}")
+            body[key] = _copy_json(user_body.get(key, default_value))
         for key in user_body:
-            if key not in default_body:
-                if section == "schedule" and key == "bounds":
-                    body[key] = copy.deepcopy(user_body[key])
-                else:
+            if key not in body:
+                if section != "schedule" or key != "bounds":
                     raise ConfigurationError(f"{section}.{key}: unknown field")
+                body[key] = _copy_json(user_body[key])
         resolved[section] = body
     return resolved, defaulted
 
 
 def apply_overrides(raw: dict, overrides: dict) -> dict:
-    """Fold CLI overrides into a raw config dict (before default resolution)."""
-    raw = copy.deepcopy(raw)
+    """Fold CLI overrides into a copy of the top level and of each section they write."""
+    raw, copied = dict(_object(raw, "top level")), {}
 
     def section(name):
-        return raw.setdefault(name, {})
+        if name not in copied:
+            body = raw.get(name)
+            copied[name] = raw[name] = {} if body is None else dict(_object(body, name))
+        return copied[name]
 
     if overrides.get("theta") is not None:
         section("experiment")["thetas"] = [overrides["theta"]]

@@ -234,3 +234,30 @@ def test_io_failure_exit_code(tmp_path):
     blocker = tmp_path / "blocked"
     blocker.write_text("a file where the output directory should go")
     assert run_cli("solve", "--nmax", "20", "--seed", "1", "--out", blocker) == EXIT_IO
+
+
+@pytest.mark.parametrize("command, flag", [("solve", ("--algorithm", "halpern")), ("solve", ("--nmax", "5")),
+                                           ("check", ("--nmax", "5"))])
+def test_non_object_section_with_flag_is_config_error(tmp_path, capsys, command, flag):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"solver": 3}))
+    assert run_cli(command, "--config", cfg_path, *flag, "--out", tmp_path / "out") == EXIT_CONFIG
+    assert "config error: solver: must be an object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "check"])
+def test_non_object_top_level_is_config_error(tmp_path, capsys, command):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(["solver"]))
+    assert run_cli(command, "--config", cfg_path, "--nmax", "5", "--out", tmp_path / "out") == EXIT_CONFIG
+    assert "top level: must be an object" in capsys.readouterr().err
+
+
+def test_null_section_with_flag_uses_the_defaults(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"solver": None}))
+    with_null, without = tmp_path / "null", tmp_path / "none"
+    assert run_cli("solve", "--config", cfg_path, "--nmax", "5", "--out", with_null) == EXIT_OK
+    assert run_cli("solve", "--nmax", "5", "--out", without) == EXIT_OK
+    for name in ("trace.csv", "config.json"):
+        assert (with_null / name).read_bytes() == (without / name).read_bytes()

@@ -310,3 +310,19 @@ def test_sample_stays_inside(rng):
             assert pts.shape == (25, dim)
             for p in pts:
                 assert contains(cset, p, 1e-9)
+
+
+@pytest.mark.parametrize("dim", [2, 64])
+def test_box_keeps_numpy_clip_signed_zeros(dim):
+    # Pins np.clip's signed zeros with array bounds: a zero meeting a zero bound takes the bound's sign,
+    # a zero strictly inside keeps its own. np.maximum / np.minimum document no rule for +-0.
+    def signs(lo, hi, x):
+        y = project(Box(lo=np.full(dim, lo), hi=np.full(dim, hi)), np.full(dim, x))
+        return set(np.signbit(y).tolist())
+
+    assert signs(0.0, 1.0, -0.0) == {False}
+    assert signs(-0.0, 1.0, 0.0) == {True}
+    assert signs(-1.0, -0.0, 0.0) == {True}
+    assert signs(-1.0, 0.0, -0.0) == {False}
+    assert signs(-1.0, 1.0, -0.0) == {True}
+    assert signs(-1.0, 1.0, 0.0) == {False}
