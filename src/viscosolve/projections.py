@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import singledispatch
+from functools import cache, singledispatch
 from typing import Union
 
 import numpy as np
@@ -181,25 +181,36 @@ def simplex_threshold(x, total: float) -> float:
     the active-support breakpoint. The threshold reproduces the projection
     onto ``Simplex(total, n)`` as max(x - alpha, 0).
 
-    At small n numpy's per-call overhead is the cost, so the ufunc methods
-    stand in for their wrappers (``np.add.accumulate`` for ``np.cumsum``) and
-    the ends of the sorted vector for a finiteness test of all of it: after
-    the reversal a NaN comes first and an infinity sits at an end. On finite
-    floats u - q > 0 exactly when u > q (subnormals keep u - q from rounding
-    to 0), so the active test skips the subtraction.
+    At small n numpy's per-call overhead is the cost, so the methods stand in
+    for their wrappers (an in-place sort of a copy for ``np.sort``,
+    ``np.add.accumulate`` for ``np.cumsum``), the ranks 1 .. n are cached per
+    n, and the ends of the sorted vector stand in for a finiteness test of
+    all of it: after the reversal a NaN comes first and an infinity sits at
+    an end. On finite floats u - q > 0 exactly when u > q (subnormals keep
+    u - q from rounding to 0), so the active test skips the subtraction.
     """
     if not total > 0:
         raise InvalidDescriptorError(f"simplex total must be > 0, got {total}")
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or not x.size:
         as_vector(x, name="x")  # raises
-    u = np.sort(x)[::-1]
+    u = x.copy()
+    u.sort()
+    u = u[::-1]
     if not (math.isfinite(u[0]) and math.isfinite(u[-1])):
         as_vector(x, name="x")  # raises NonFiniteError
     excess = np.add.accumulate(u)
     excess -= total
-    rho = int((u > excess / np.arange(1.0, x.size + 1.0)).nonzero()[0][-1])
+    rho = int((u > excess / _ranks(x.size)).nonzero()[0][-1])
     return excess.item(rho) / (rho + 1)
+
+
+@cache
+def _ranks(n: int) -> np.ndarray:
+    """1.0, 2.0, ..., n as a read-only array, shared by every threshold of size n."""
+    ranks = np.arange(1.0, n + 1.0)
+    ranks.setflags(write=False)
+    return ranks
 
 
 @singledispatch
@@ -216,8 +227,7 @@ def _(cset: NonnegOrthant, x) -> np.ndarray:
 
 @project.register
 def _(cset: Box, x) -> np.ndarray:
-    x = _check_dim(cset, x)
-    return np.clip(x, cset.lo, cset.hi)
+    return _check_dim(cset, x).clip(cset.lo, cset.hi)  # the method np.clip calls, without its wrappers
 
 
 @project.register
@@ -336,5 +346,4 @@ def sample(cset: ConvexSet, rng: np.random.Generator, n: int = 1) -> np.ndarray:
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         radii = cset.radius * rng.random(n) ** (1.0 / d)
         return cset.center + radii[:, None] * dirs
-    pts = rng.normal(scale=2.0, size=(n, d))
-    return np.stack([project(cset, p) for p in pts])
+    return project_rows(cset, rng.normal(scale=2.0, size=(n, d)))

@@ -23,10 +23,10 @@ import hashlib
 import json
 import math
 import warnings
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -264,56 +264,36 @@ class RunTrace:
 
 
 # --------------------------------------------------------------------------
-# step rules, written once over the rows of a (C, d) array: o holds the
-# problem's maps and projection on rows, a and lam are the (C, 1) columns of
-# alpha_k and lambda_k, E holds the rows of e_k, U the anchors and B the
-# (C, 1) column of beta. The same code steps one 1-D iterate with scalar
-# coefficients and the problem's own 1-D maps and projection.
+# step rules, written once over the rows of a (C, d) array: a builder takes
+# P_Q, A, f and S and returns step(X, a, lam, E, U, B), where a and lam are
+# the (C, 1) columns of alpha_k and lambda_k, E holds the rows of e_k, U the
+# anchors and B the (C, 1) column of beta. Fed the problem's 1-D maps and
+# projection, the same step moves one 1-D iterate with scalar coefficients.
+# Every rule applies the forward-backward map P(X - lam A(X)).
 
 
-class _Ops(NamedTuple):
-    """P_Q, A, f and S of a problem, on (C, d) arrays or on one vector."""
-
-    P: Callable
-    A: Callable
-    f: Callable
-    S: Callable
-
-    @classmethod
-    def of(cls, problem: ProblemSpec, rows: bool) -> _Ops:
-        Q, maps = problem.set_Q, (problem.map_A, problem.map_f, problem.map_S)
-        if not rows:
-            return cls(partial(project, Q), *maps)
-        return cls(partial(project_rows.dispatch(type(Q)), Q), *(rows_of(m) for m in maps))
-
-    def forward(self, X, lam):
-        """P_Q(X - lam A X) per row: the forward-backward map of every rule."""
-        return self.P(X - lam * self.A(X))
+def _explicit(P, A, f, S):
+    return lambda X, a, lam, E, U, B: a * f(X) + (1.0 - a) * S(P(X - lam * A(X)))
 
 
-def _explicit(o, X, a, lam, E, U, B):
-    return a * o.f(X) + (1.0 - a) * o.S(o.forward(X, lam))
+def _perturbed(P, A, f, S):
+    return lambda X, a, lam, E, U, B: P(a * f(X) + (1.0 - a) * S(P(X - lam * A(X))) + E)
 
 
-def _perturbed(o, X, a, lam, E, U, B):
-    return o.P(_explicit(o, X, a, lam, E, U, B) + E)
+def _takahashi_toyoda(P, A, f, S):
+    return lambda X, a, lam, E, U, B: a * X + (1.0 - a) * S(P(X - lam * A(X)))
 
 
-def _takahashi_toyoda(o, X, a, lam, E, U, B):
-    return a * X + (1.0 - a) * o.S(o.forward(X, lam))
+def _halpern(P, A, f, S):
+    return lambda X, a, lam, E, U, B: a * U + (1.0 - a) * S(P(X - lam * A(X)))
 
 
-def _halpern(o, X, a, lam, E, U, B):
-    return a * U + (1.0 - a) * o.S(o.forward(X, lam))
+def _yao_outer(P, A, f, S):
+    return lambda X, a, lam, E, U, B: B * X + (1.0 - B) * P(a * U + (1.0 - a) * S(P(X - lam * A(X))))
 
 
-def _yao_outer(o, X, a, lam, E, U, B):
-    return B * X + (1.0 - B) * o.P(_halpern(o, X, a, lam, E, U, B))
-
-
-def _yao_inner(o, X, a, lam, E, U, B):
-    inner_pt = o.P(a * U + (1.0 - a) * (X - lam * o.A(X)))
-    return B * X + (1.0 - B) * o.S(inner_pt)
+def _yao_inner(P, A, f, S):
+    return lambda X, a, lam, E, U, B: B * X + (1.0 - B) * S(P(a * U + (1.0 - a) * (X - lam * A(X))))
 
 
 _RULES = {
@@ -326,12 +306,14 @@ _RULES = {
 }
 
 
-def _explicit_update(x, a, lam, problem):
-    return _explicit(_Ops.of(problem, rows=False), np.asarray(x, dtype=float), a, lam, None, None, None)
-
-
-def _perturbed_update(x, a, lam, e, problem):
-    return _perturbed(_Ops.of(problem, rows=False), np.asarray(x, dtype=float), a, lam, e, None, None)
+def _build_step(problem: ProblemSpec, rule: str, rows: bool = False) -> Callable:
+    """``rule``'s step on ``problem``: on (C, d) rows through the row kernels, or on one vector
+    through the problem's maps and ``project``, called by its module name at every projection
+    (so a function put in its place, such as a call counter, sees each call)."""
+    Q, maps = problem.set_Q, (problem.map_A, problem.map_f, problem.map_S)
+    if rows:
+        return _RULES[rule](partial(project_rows.dispatch(type(Q)), Q), *(rows_of(m) for m in maps))
+    return _RULES[rule](lambda x: project(Q, x), *maps)
 
 
 def explicit_step(x, k: int, cfg: SolverConfig) -> np.ndarray:
@@ -340,7 +322,7 @@ def explicit_step(x, k: int, cfg: SolverConfig) -> np.ndarray:
         raise IndexError(f"step index starts at 1, got {k}")
     a = alpha_at(cfg.schedule, k)
     lam = lambda_at(cfg.schedule, k)
-    return _explicit_update(x, a, lam, cfg.problem)
+    return _build_step(cfg.problem, EXPLICIT_VISCOSITY)(np.asarray(x, dtype=float), a, lam, None, None, None)
 
 
 def perturbed_step(x, k: int, cfg: SolverConfig) -> np.ndarray:
@@ -350,7 +332,7 @@ def perturbed_step(x, k: int, cfg: SolverConfig) -> np.ndarray:
     a = alpha_at(cfg.schedule, k)
     lam = lambda_at(cfg.schedule, k)
     e = perturbation_at(cfg.perturbation, k, cfg.problem.dim)
-    return _perturbed_update(x, a, lam, e, cfg.problem)
+    return _build_step(cfg.problem, PERTURBED)(np.asarray(x, dtype=float), a, lam, e, None, None)
 
 
 # --------------------------------------------------------------------------
@@ -419,6 +401,11 @@ def _vector_norm(v):
     return math.sqrt(np.dot(v, v))
 
 
+# What a step reads: x; the alpha, lambda and e tables indexed by k - 1; u, beta, the
+# reference, its norm and the rel_err target; the norm, the any-row-at-target test and the step.
+_Views = namedtuple("_Views", "x alpha lam e u beta ref nref target norms any_of step")
+
+
 class _Rows:
     """The rows of a batch still stepping: one array per field, row axis first.
 
@@ -434,10 +421,8 @@ class _Rows:
             if value is not None:
                 setattr(self, name, value[mask])
 
-    def views(self, problem: ProblemSpec) -> tuple:
-        """What a step reads: x; the alpha, lambda and e tables indexed by k - 1;
-        u, beta, the reference, its norm and the rel_err target; the norm, the
-        test for any row at its target and the maps to use.
+    def views(self, problem: ProblemSpec, rule: str) -> _Views:
+        """The views of the rows, with ``rule``'s step built for them.
 
         A single row steps as a 1-D vector through the problem's own 1-D maps
         and projection, which cost less than (1, d) kernels. Its coefficients
@@ -445,17 +430,18 @@ class _Rows:
         whose arithmetic costs less than numpy scalars' and rounds the same.
         """
         if self.x.shape[0] > 1:
-            return (self.x, self.alpha.T[:, :, None], self.lam.T[:, :, None],
-                    None if self.e is None else self.e.swapaxes(0, 1), self.u, self.beta,
-                    self.ref, self.nref, self.target, row_norms, np.ndarray.any, _Ops.of(problem, rows=True))
+            return _Views(self.x, self.alpha.T[:, :, None], self.lam.T[:, :, None],
+                          None if self.e is None else self.e.swapaxes(0, 1), self.u, self.beta,
+                          self.ref, self.nref, self.target, row_norms, np.ndarray.any,
+                          _build_step(problem, rule, rows=True))
 
         def first(v):
             return None if v is None else v[0]
 
-        return (self.x[0], self.alpha[0].tolist(), self.lam[0].tolist(), first(self.e), first(self.u),
-                float(self.beta[0, 0]), first(self.ref), None if self.nref is None else float(self.nref[0]),
-                None if self.target is None else float(self.target[0]), _vector_norm, bool,
-                _Ops.of(problem, rows=False))
+        return _Views(self.x[0], self.alpha[0].tolist(), self.lam[0].tolist(), first(self.e), first(self.u),
+                      float(self.beta[0, 0]), first(self.ref), None if self.nref is None else float(self.nref[0]),
+                      None if self.target is None else float(self.target[0]), _vector_norm, bool,
+                      _build_step(problem, rule))
 
 
 def _lockstep(cfgs: list, extras: list) -> list:
@@ -553,10 +539,10 @@ def _lockstep(cfgs: list, extras: list) -> list:
         """Drop the rows flagged in ``gone``; the views of the rest, or None when none is left."""
         rows.x = x.reshape(-1, d)
         rows.keep(~gone)
-        return rows.views(problem) if rows.block.size else None
+        return rows.views(problem, rule) if rows.block.size else None
 
-    step = _RULES[rule]
-    x, a_tab, lam_tab, e_tab, u, beta, ref, nref, target, norms, any_of, ops = rows.views(problem)
+    v = rows.views(problem, rule)
+    x = v.x
     written = slice(None)  # block rows a record writes: all, until one leaves
     slot = 0
     for k in range(1, n + 1):
@@ -564,25 +550,24 @@ def _lockstep(cfgs: list, extras: list) -> list:
         if has_target:
             # only the stop test reads rel_err during the run; it may overflow
             # to inf on a diverging run, which the finiteness check below detects
-            rel = norms(x - ref) / nref
+            rel = v.norms(x - v.ref) / v.nref
         if on_grid:
             Xrec[written, slot] = x
-        if has_target and any_of(hit := rel <= target):
+        if has_target and v.any_of(hit := rel <= v.target):
             hit = np.reshape(hit, -1)
             js = np.flatnonzero(hit)
             if not on_grid:
                 Xrec[rows.block[js], slot] = x.reshape(-1, d)[js]
             for j in js:
                 finish(j, slot + 1, k, not on_grid)
-            if (views := leave(x, hit)) is None:
+            if (v := leave(x, hit)) is None:
                 return results
-            x, a_tab, lam_tab, e_tab, u, beta, ref, nref, target, norms, any_of, ops = views
-            written = rows.block
+            x, written = v.x, rows.block
         if on_grid:
             slot += 1
         if k == n:
             break
-        x_next = step(ops, x, a_tab[k - 1], lam_tab[k - 1], None if e_tab is None else e_tab[k - 1], u, beta)
+        x_next = v.step(x, v.alpha[k - 1], v.lam[k - 1], None if v.e is None else v.e[k - 1], v.u, v.beta)
         # exact and warning-free, unlike a test of a sum or dot product, which may overflow
         if np.count_nonzero(np.isfinite(x_next)) != x_next.size:
             bad = ~np.isfinite(x_next.reshape(-1, d)).all(axis=1)
@@ -592,10 +577,9 @@ def _lockstep(cfgs: list, extras: list) -> list:
                     last_state=x.reshape(-1, d)[j].copy(),
                     step=k,
                 )
-            if (views := leave(x_next, bad)) is None:
+            if (v := leave(x_next, bad)) is None:
                 return results
-            x_next, a_tab, lam_tab, e_tab, u, beta, ref, nref, target, norms, any_of, ops = views
-            written = rows.block
+            x_next, written = v.x, rows.block
         x = x_next
     for j in range(rows.block.size):
         finish(j, slot, None, False)

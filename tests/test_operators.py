@@ -217,5 +217,5 @@ def test_degenerate_mixing_reduces_to_forward_map(problem):
     # zero mixing weight leaves only S P(x - lam A x); with S = identity
     # that is exactly the projected forward step
     x = np.array([2.0, 3.0])
-    out = solvers._explicit_update(x, 0.0, 0.1, problem)
+    out = solvers._build_step(problem, solvers.EXPLICIT_VISCOSITY)(x, 0.0, 0.1, None, None, None)
     assert np.array_equal(out, theta_map(x, problem, 0.1))

@@ -142,6 +142,18 @@ def test_simplex_threshold_refuses_bad_shapes_as_before():
             simplex_threshold(x, 1.0)
 
 
+def test_simplex_ranks_are_cached_and_read_only():
+    from viscosolve.projections import _ranks
+
+    simplex_threshold(np.ones(5), 1.0)
+    ranks = _ranks(5)
+    assert ranks is _ranks(5)
+    assert ranks.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
+    assert not ranks.flags.writeable
+    with pytest.raises(ValueError):
+        ranks[0] = 0.0
+
+
 def test_simplex_matches_qp_oracle(rng):
     cvxpy = pytest.importorskip("cvxpy")
     for dim in (2, 3):
@@ -310,6 +322,22 @@ def test_sample_stays_inside(rng):
             assert pts.shape == (25, dim)
             for p in pts:
                 assert contains(cset, p, 1e-9)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 64])
+def test_sample_is_a_loop_of_project_bit_for_bit(dim):
+    # the sets without a closed-form sampler project Gaussians, through project_rows
+    for cset in all_sets(dim)[3:]:
+        got = sample(cset, np.random.default_rng(dim), 9)
+        pts = np.random.default_rng(dim).normal(scale=2.0, size=(9, dim))
+        assert got.tobytes() == np.stack([project(cset, p) for p in pts]).tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 64])
+def test_box_equals_numpy_clip_bit_for_bit(dim, rng):
+    for cset in all_sets(dim)[1:2]:
+        for x in rng.normal(scale=2.0, size=(20, dim)):
+            assert project(cset, x).tobytes() == np.clip(x, cset.lo, cset.hi).tobytes()
 
 
 @pytest.mark.parametrize("dim", [2, 64])

@@ -95,7 +95,7 @@ def test_perturbed_step_adds_then_projects(problem):
     x = np.array([2.0, 3.0])
     cfg = make_cfg(problem, algorithm=PERTURBED)
     # extreme corner draw e = (1, 1) at k = 1: step lands on f(x1) + (1, 1)
-    out = solvers._perturbed_update(x, 1.0, 0.1, np.array([1.0, 1.0]), problem)
+    out = solvers._build_step(problem, PERTURBED)(x, 1.0, 0.1, np.array([1.0, 1.0]), None, None)
     expected = problem.map_f(x) + 1.0
     assert np.allclose(out, expected, atol=1e-15)
     assert np.allclose(out, [3.64183, 4.47946], atol=5e-6)

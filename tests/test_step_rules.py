@@ -1,0 +1,161 @@
+"""The step rules' builders: bit for bit the rules they replaced, and the call contract of the 1-D step."""
+
+from functools import partial
+from typing import Callable, NamedTuple
+
+import numpy as np
+import pytest
+
+import viscosolve.solvers as solvers
+from viscosolve import (
+    ALGORITHMS,
+    ConstantAnchor,
+    HALPERN,
+    Identity,
+    LeastSquaresGradient,
+    PERTURBED,
+    ProblemSpec,
+    SolverConfig,
+    UniformSquarePerturbation,
+    benchmark_schedule,
+    project,
+    project_rows,
+    run,
+    sample,
+)
+from viscosolve.operators import rows_of
+
+from test_batch import SET_KINDS, make_set, same_bits
+
+# ---- the oracle: the step rules as they were written before the builders, verbatim
+
+
+class _Ops(NamedTuple):
+    """P_Q, A, f and S of a problem, on (C, d) arrays or on one vector."""
+
+    P: Callable
+    A: Callable
+    f: Callable
+    S: Callable
+
+    @classmethod
+    def of(cls, problem: ProblemSpec, rows: bool):
+        Q, maps = problem.set_Q, (problem.map_A, problem.map_f, problem.map_S)
+        if not rows:
+            return cls(partial(project, Q), *maps)
+        return cls(partial(project_rows.dispatch(type(Q)), Q), *(rows_of(m) for m in maps))
+
+    def forward(self, X, lam):
+        """P_Q(X - lam A X) per row: the forward-backward map of every rule."""
+        return self.P(X - lam * self.A(X))
+
+
+def _explicit(o, X, a, lam, E, U, B):
+    return a * o.f(X) + (1.0 - a) * o.S(o.forward(X, lam))
+
+
+def _perturbed(o, X, a, lam, E, U, B):
+    return o.P(_explicit(o, X, a, lam, E, U, B) + E)
+
+
+def _takahashi_toyoda(o, X, a, lam, E, U, B):
+    return a * X + (1.0 - a) * o.S(o.forward(X, lam))
+
+
+def _halpern(o, X, a, lam, E, U, B):
+    return a * U + (1.0 - a) * o.S(o.forward(X, lam))
+
+
+def _yao_outer(o, X, a, lam, E, U, B):
+    return B * X + (1.0 - B) * o.P(_halpern(o, X, a, lam, E, U, B))
+
+
+def _yao_inner(o, X, a, lam, E, U, B):
+    inner_pt = o.P(a * U + (1.0 - a) * (X - lam * o.A(X)))
+    return B * X + (1.0 - B) * o.S(inner_pt)
+
+
+_OLD_RULES = {
+    "explicit_viscosity": _explicit,
+    "perturbed": _perturbed,
+    "takahashi_toyoda": _takahashi_toyoda,
+    "halpern": _halpern,
+    "yao_outer": _yao_outer,
+    "yao_inner": _yao_inner,
+}
+
+# ---- the comparison
+
+
+def make_problem(kind, rng, d):
+    cset = make_set(kind, rng, d)
+    B = rng.normal(size=(d, d)) + np.eye(d)
+    # LeastSquaresGradient and Identity step through their row kernels, ConstantAnchor through the row loop
+    return ProblemSpec(
+        set_Q=cset,
+        map_S=Identity(d),
+        map_A=LeastSquaresGradient(B, rng.normal(size=d)),
+        map_f=ConstantAnchor(sample(cset, rng, 1)[0]),
+    )
+
+
+def points(problem, rng, count):
+    """``count`` points inside Q, far outside it and on its boundary (the projections of far points)."""
+    Q, d = problem.set_Q, problem.dim
+    far = rng.normal(scale=50.0, size=(count, d))
+    return {"inside": sample(Q, rng, count), "outside": far, "boundary": project_rows(Q, far)}
+
+
+def test_the_old_table_names_every_rule():
+    assert tuple(_OLD_RULES) == ALGORITHMS == tuple(solvers._RULES)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 64])
+@pytest.mark.parametrize("kind", SET_KINDS)
+def test_built_steps_equal_the_old_rules_bit_for_bit(kind, d):
+    rng = np.random.default_rng([d, SET_KINDS.index(kind)])
+    problem = make_problem(kind, rng, d)
+    for where, X in points(problem, rng, 3).items():
+        U, E = sample(problem.set_Q, rng, 3), rng.uniform(-1.0, 1.0, size=(3, d))
+        a, lam, beta = rng.uniform(0.0, 1.0, size=(3, 3, 1)) * [[[1.0]], [[0.5 / problem.nu]], [[0.9]]]
+        for rule in ALGORITHMS:
+            label = (rule, where)
+            # a batch of one: the 1-D step with Python float coefficients
+            got = solvers._build_step(problem, rule)(X[0], float(a[0, 0]), float(lam[0, 0]), E[0], U[0],
+                                                     float(beta[0, 0]))
+            want = _OLD_RULES[rule](_Ops.of(problem, rows=False), X[0], float(a[0, 0]), float(lam[0, 0]), E[0],
+                                    U[0], float(beta[0, 0]))
+            assert same_bits(got, want), label
+            # row steps over C = 1 and C = 3 rows with (C, 1) coefficient columns
+            step = solvers._build_step(problem, rule, rows=True)
+            ops = _Ops.of(problem, rows=True)
+            for c in (1, 3):
+                args = (X[:c], a[:c], lam[:c], E[:c], U[:c], beta[:c])
+                assert same_bits(step(*args), _OLD_RULES[rule](ops, *args)), label + (c,)
+
+
+def counting_config(problem, rule, n):
+    return SolverConfig(
+        problem=problem, schedule=benchmark_schedule(0.9, problem=problem), x1=[2.0, 3.0], n_max=n,
+        algorithm=rule, perturbation=UniformSquarePerturbation(seed=1), anchor=[1.0, 1.0],
+    )
+
+
+@pytest.mark.parametrize("rule, per_step", [(PERTURBED, 2), (HALPERN, 1)])
+def test_a_batch_of_one_calls_project_by_name_at_every_projection(problem, monkeypatch, rule, per_step):
+    # benchmark tracing swaps the module's ``project`` for a plain counting
+    # function with no ``.dispatch``; the 1-D step must call it at every projection
+    n = 40
+    cfg = counting_config(problem, rule, n)
+    want = run(cfg)
+    calls = []
+
+    def counted(cset, x):
+        calls.append(cset)
+        return project(cset, x)
+
+    monkeypatch.setattr(solvers, "project", counted)
+    got = run(cfg)
+    assert len(calls) == per_step * (n - 1)
+    assert all(cset is problem.set_Q for cset in calls)
+    assert same_bits(got.x, want.x)
