@@ -1,15 +1,18 @@
 """Byte-level regression guard: sha256 digests of whole output directories.
 
 The digests were recorded once and must never move: any change to the
-stepping, the recording or the CSV writers that alters a single byte of the
-sweep directory or of a strided, early-stopped ``solve`` trace fails here.
-Run this file as a script to print the current digests.
+stepping, the projections, the recording or the CSV writers that alters a
+single byte of the sweep directory, of a strided, early-stopped ``solve``
+trace, or of a d = 64 ``solve`` trace over a simplex, ball, box or halfspace
+fails here. Run this file as a script to print the current digests.
 """
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from viscosolve import ALGORITHMS
@@ -26,6 +29,39 @@ SOLVE_TRACE_DIGESTS = {
     "halpern": "a00cd1a26c1fd72913d1652dac759cecb4c53e40305209630acf7b36eec51dd9",
     "yao_outer": "a58c4d10de3984ea5dfeefd443b335c2f00fb32fb00a91aa3f45453c8876a3a5",
     "yao_inner": "a58c4d10de3984ea5dfeefd443b335c2f00fb32fb00a91aa3f45453c8876a3a5",
+}
+
+# d = 64 problems shaped like the benchmark's mixed workload: least-squares A,
+# constant f (the anchor), identity S, strided records, no reference
+MIX_KINDS = ("simplex", "ball", "box", "halfspace")
+MIX_DIM = 64
+MIX_NMAX = 300
+MIX_STRIDE = 50
+MIX_TRACE_DIGESTS = {
+    "simplex/explicit_viscosity": "8619741bce07d02f9e16968cc9cceaa25b412b3f4494ad82022470e2897839c9",
+    "simplex/perturbed": "23bec482ed2200d888cc2a9dc540950505d1b8ea7df4425060f648adfd044cb1",
+    "simplex/takahashi_toyoda": "4d25b81e88cf9cae7a578e1aec5328d4bb568984e5bf52a1621a91ea2357e40b",
+    "simplex/halpern": "8619741bce07d02f9e16968cc9cceaa25b412b3f4494ad82022470e2897839c9",
+    "simplex/yao_outer": "7e4f6a18139c8cd22a80237a2030184da10378e5477059c06b28748bd63c9944",
+    "simplex/yao_inner": "382216e3214967b9b49a030717d94dc246438aad205166951f571f14b61ce78e",
+    "ball/explicit_viscosity": "81608e8ce8b8a5e1c9b0f1ee577a884798f577b67932396309057208ef6dddf4",
+    "ball/perturbed": "48e4ac5181c90dddb09b3e1bba72ee3db98c3e385d42a425c6f5fcdd692fa0ef",
+    "ball/takahashi_toyoda": "24ad7eba64940438d9fa90d64602cf28e5c8d9b45ed203bdb601bcc994e099ef",
+    "ball/halpern": "81608e8ce8b8a5e1c9b0f1ee577a884798f577b67932396309057208ef6dddf4",
+    "ball/yao_outer": "88f19e9e9a8f93509c3278f54133b9b036dd35cae57d9844fe5af9861dd394fe",
+    "ball/yao_inner": "1d34c764d6c4297629e04206c9ab44ad52d49a25a35d147aa55c86eb555a985e",
+    "box/explicit_viscosity": "30540c767ad66ad0b9af76eb89175de78b917dec07e01fa0d21c5effe51ff4a8",
+    "box/perturbed": "eb45e73dd81a3a0092582afd74483fecd87f50fae842fc74838bde1775b07c4b",
+    "box/takahashi_toyoda": "779f29d038430376bdf34b80e396f8fba965ced515e412f2e6fd14593955772e",
+    "box/halpern": "30540c767ad66ad0b9af76eb89175de78b917dec07e01fa0d21c5effe51ff4a8",
+    "box/yao_outer": "d51734f1ec21a46c69aa2be6d16316ed71335bd98a878670c986b1d40af57747",
+    "box/yao_inner": "560a32a2b5b4a69b4b18536b40bb238fbc55153c2f04c3c9f63cffb1dfc6d06c",
+    "halfspace/explicit_viscosity": "21848ee8511748f8117f65668c1835f0d3e62dd374f572516b907d815f2585f5",
+    "halfspace/perturbed": "4220830741b09e99afbf9495863c8b0599dcbc8c5bbaae493d65225e7e63d248",
+    "halfspace/takahashi_toyoda": "3e736bb664d61fa843a83c31e8ca7dc624b783ba9c5f86ffb1961413eec4be63",
+    "halfspace/halpern": "21848ee8511748f8117f65668c1835f0d3e62dd374f572516b907d815f2585f5",
+    "halfspace/yao_outer": "115e9b5267f67ba414812d431e472d70522f58c151a56a6a7c7c40f6b032cb55",
+    "halfspace/yao_inner": "115e9b5267f67ba414812d431e472d70522f58c151a56a6a7c7c40f6b032cb55",
 }
 
 
@@ -54,6 +90,53 @@ def solve_trace_digest(tmp: Path, algorithm: str) -> str:
     return hashlib.sha256((out / "trace.csv").read_bytes()).hexdigest()
 
 
+def mix_set(kind: str, rng: np.random.Generator, d: int):
+    """A set descriptor of ``kind`` plus two points of it (x1 and the anchor u)."""
+    if kind == "simplex":
+        total = float(rng.uniform(1.0, 3.0))
+        pts = rng.dirichlet(np.ones(d), size=2) * total
+        return {"kind": "simplex", "total": total, "dim": d}, pts
+    if kind == "ball":
+        center, radius = rng.normal(size=d), float(rng.uniform(1.0, 3.0))
+        dirs = rng.normal(size=(2, d))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        return {"kind": "ball", "center": center.tolist(), "radius": radius}, center + 0.5 * radius * dirs
+    if kind == "box":
+        lo = rng.uniform(-2.0, 0.0, size=d)
+        hi = lo + rng.uniform(0.5, 2.0, size=d)
+        return {"kind": "box", "lo": lo.tolist(), "hi": hi.tolist()}, rng.uniform(lo, hi, size=(2, d))
+    normal, offset = rng.normal(size=d), float(rng.uniform(-1.0, 1.0))
+    pts = rng.normal(size=(2, d))
+    pts -= (np.maximum(pts @ normal - offset + 0.1, 0.0) / float(normal @ normal))[:, None] * normal
+    return {"kind": "halfspace", "normal": normal.tolist(), "offset": offset}, pts
+
+
+def mix_trace_digest(tmp: Path, kind: str, algorithm: str) -> str:
+    rng = np.random.default_rng([MIX_KINDS.index(kind), MIX_DIM])
+    set_d, (x1, u) = mix_set(kind, rng, MIX_DIM)
+    B = rng.normal(size=(MIX_DIM, MIX_DIM)) / math.sqrt(MIX_DIM)
+    lam = 1.0 / float(np.linalg.eigvalsh(B.T @ B)[-1])
+    cfg = {
+        "problem": {
+            "set": set_d,
+            "S": {"kind": "identity"},
+            "A": {"kind": "least_squares_gradient", "B": B.tolist(), "b": rng.normal(size=MIX_DIM).tolist()},
+            "f": {"kind": "constant", "value": u.tolist()},
+            "omega": None,
+        },
+        "schedule": {"alpha": {"power": float(rng.uniform(0.6, 1.0))}, "lambda": {"constant": lam},
+                     "bounds": [lam, lam]},
+        "perturbation": {"kind": "uniform_square_over_ksq", "seed": int(rng.integers(1, 100_000))},
+        "solver": {"algorithm": algorithm, "x1": x1.tolist(), "anchor": u.tolist(), "nmax": MIX_NMAX,
+                   "stride": MIX_STRIDE, "beta": 0.5, "reference": None},
+    }
+    cfg_path = tmp / f"{kind}.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp / f"{kind}_{algorithm}"
+    assert main(["solve", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+    return hashlib.sha256((out / "trace.csv").read_bytes()).hexdigest()
+
+
 def test_experiment_directory_digest(tmp_path):
     assert experiment_digest(tmp_path / "exp") == EXPERIMENT_DIGEST
 
@@ -67,6 +150,12 @@ def test_solve_trace_digest(tmp_path, algorithm):
     assert solve_trace_digest(tmp_path, algorithm) == SOLVE_TRACE_DIGESTS[algorithm]
 
 
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("kind", MIX_KINDS)
+def test_d64_trace_digest(tmp_path, kind, algorithm):
+    assert mix_trace_digest(tmp_path, kind, algorithm) == MIX_TRACE_DIGESTS[f"{kind}/{algorithm}"]
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -77,4 +166,9 @@ if __name__ == "__main__":
         print("SOLVE_TRACE_DIGESTS = {")
         for algorithm in ALGORITHMS:
             print(f"    {algorithm!r}: {solve_trace_digest(tmp, algorithm)!r},")
+        print("}")
+        print("MIX_TRACE_DIGESTS = {")
+        for kind in MIX_KINDS:
+            for algorithm in ALGORITHMS:
+                print(f"    {kind + '/' + algorithm!r}: {mix_trace_digest(tmp, kind, algorithm)!r},")
         print("}")
