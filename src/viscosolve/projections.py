@@ -1,10 +1,21 @@
 """Exact metric projections onto the closed convex sets used by the solvers.
 
-Each set is a small frozen dataclass descriptor; :func:`project` returns the
-nearest point in the set, :func:`project_rows` projects every row of a
-(C, d) array (the batched solvers' kernel), :func:`contains` tests
-membership up to a tolerance, and :func:`sample` draws points of the set
-for property checks.
+Each set is a small frozen dataclass descriptor that owns its kernels. The
+set protocol, which a user-defined set follows too:
+
+* ``dim``: the dimension of the space the set lives in;
+* ``project(x)``: the nearest point of the set to a float vector ``x`` of
+  length ``dim``, which the caller has checked;
+* ``contains(x, tol)``: membership of such a vector up to ``tol``;
+* ``project_rows(X)`` (optional): ``project`` of every row of a checked
+  (C, dim) array, bit for bit;
+* ``sample(rng, n)`` (optional): ``n`` points of the set as an (n, dim) array.
+
+The module functions :func:`project`, :func:`contains` and
+:func:`project_rows` are the checked entry points: each checks the shape of
+its argument, then calls the set's method. :func:`project_rows` of a set
+with no row method is a loop of :func:`project` over the rows, and
+:func:`sample` of a set with no ``sample`` projects Gaussian points.
 
 Closed forms:
 
@@ -15,17 +26,16 @@ Closed forms:
 * simplex {x >= 0 : sum x = a}: water-filling threshold, see
   :func:`simplex_threshold`
 
-Each row of :func:`project_rows` equals :func:`project` of that row bit for
-bit. Only the orthant, the constraint set of the theta sweep, has a row
-kernel (the same clamp on the whole array); every other set steps through a
-loop of :func:`project` over the rows, since no workload batches it.
+Only the orthant, the constraint set of the theta sweep, has a row method
+(the same clamp on the whole array); every other set steps through the loop
+of :func:`project`, since no workload batches it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, singledispatch
+from functools import cache
 from typing import Union
 
 import numpy as np
@@ -67,6 +77,17 @@ class NonnegOrthant:
         if self.dim < 1:
             raise InvalidDescriptorError("orthant dimension must be >= 1")
 
+    def project(self, x):
+        return np.maximum(x, 0.0)
+
+    project_rows = project
+
+    def contains(self, x, tol=MEMBERSHIP_TOL):
+        return bool(np.all(x >= -tol))
+
+    def sample(self, rng, n):
+        return np.abs(rng.normal(scale=2.0, size=(n, self.dim)))
+
 
 @dataclass(frozen=True, eq=False)
 class Box:
@@ -82,10 +103,16 @@ class Box:
             raise InvalidDescriptorError("box needs lo <= hi componentwise")
         self.lo.setflags(write=False)
         self.hi.setflags(write=False)
+        object.__setattr__(self, "dim", self.lo.size)  # not a field: digests ignore it
 
-    @property
-    def dim(self) -> int:
-        return self.lo.size
+    def project(self, x):
+        return x.clip(self.lo, self.hi)  # the method np.clip calls, without its wrappers
+
+    def contains(self, x, tol=MEMBERSHIP_TOL):
+        return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))
+
+    def sample(self, rng, n):
+        return rng.uniform(self.lo, self.hi, size=(n, self.dim))
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,10 +128,24 @@ class Ball:
         if not self.radius > 0:
             raise InvalidDescriptorError(f"ball radius must be > 0, got {self.radius}")
         self.center.setflags(write=False)
+        object.__setattr__(self, "dim", self.center.size)  # not a field: digests ignore it
 
-    @property
-    def dim(self) -> int:
-        return self.center.size
+    def project(self, x):
+        d = x - self.center
+        dist = math.sqrt(np.dot(d, d))
+        if dist <= self.radius:
+            return x.copy()
+        return self.center + (self.radius / dist) * d
+
+    def contains(self, x, tol=MEMBERSHIP_TOL):
+        d = x - self.center
+        return float(np.sqrt(np.dot(d, d))) <= self.radius + tol
+
+    def sample(self, rng, n):
+        dirs = rng.normal(size=(n, self.dim))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        radii = self.radius * rng.random(n) ** (1.0 / self.dim)
+        return self.center + radii[:, None] * dirs
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,11 +161,17 @@ class Halfspace:
         if not np.any(self.normal != 0):
             raise InvalidDescriptorError("halfspace normal must be nonzero")
         self.normal.setflags(write=False)
-        object.__setattr__(self, "_normal_sq", float(np.dot(self.normal, self.normal)))  # not a field: digests ignore it
+        object.__setattr__(self, "_normal_sq", float(np.dot(self.normal, self.normal)))  # not fields: digests ignore them
+        object.__setattr__(self, "dim", self.normal.size)
 
-    @property
-    def dim(self) -> int:
-        return self.normal.size
+    def project(self, x):
+        excess = float(np.dot(self.normal, x)) - self.offset
+        if excess <= 0:
+            return x.copy()
+        return x - (excess / self._normal_sq) * self.normal
+
+    def contains(self, x, tol=MEMBERSHIP_TOL):
+        return float(np.dot(self.normal, x)) <= self.offset + tol
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,11 +187,15 @@ class Hyperplane:
         if not np.any(self.normal != 0):
             raise InvalidDescriptorError("hyperplane normal must be nonzero")
         self.normal.setflags(write=False)
-        object.__setattr__(self, "_normal_sq", float(np.dot(self.normal, self.normal)))  # not a field: digests ignore it
+        object.__setattr__(self, "_normal_sq", float(np.dot(self.normal, self.normal)))  # not fields: digests ignore them
+        object.__setattr__(self, "dim", self.normal.size)
 
-    @property
-    def dim(self) -> int:
-        return self.normal.size
+    def project(self, x):
+        excess = float(np.dot(self.normal, x)) - self.offset
+        return x - (excess / self._normal_sq) * self.normal
+
+    def contains(self, x, tol=MEMBERSHIP_TOL):
+        return abs(float(np.dot(self.normal, x)) - self.offset) <= tol
 
 
 @dataclass(frozen=True)
@@ -161,6 +212,12 @@ class Simplex:
         if self.dim < 1:
             raise InvalidDescriptorError("simplex dimension must be >= 1")
 
+    def project(self, x):
+        return np.maximum(x - simplex_threshold(x, self.total), 0.0)
+
+    def contains(self, x, tol=MEMBERSHIP_TOL):
+        return bool(np.all(x >= -tol)) and abs(float(np.sum(x)) - self.total) <= tol
+
 
 ConvexSet = Union[NonnegOrthant, Box, Ball, Halfspace, Hyperplane, Simplex]
 
@@ -172,6 +229,15 @@ def _check_dim(cset, x, name="x") -> np.ndarray:
             f"{name} has shape {x.shape}, set lives in dimension {cset.dim}"
         )
     return x
+
+
+def _check_rows(cset, X) -> np.ndarray:
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != cset.dim:
+        raise DimensionMismatchError(
+            f"rows have shape {X.shape}, set lives in dimension {cset.dim}"
+        )
+    return X
 
 
 def simplex_threshold(x, total: float) -> float:
@@ -188,6 +254,8 @@ def simplex_threshold(x, total: float) -> float:
     all of it: after the reversal a NaN comes first and an infinity sits at
     an end. On finite floats u - q > 0 exactly when u > q (subnormals keep
     u - q from rounding to 0), so the active test skips the subtraction.
+    When the largest entry swamps ``total`` (u_1 - total rounds to u_1), no
+    entry passes the test and the support is the largest entry alone.
     """
     if not total > 0:
         raise InvalidDescriptorError(f"simplex total must be > 0, got {total}")
@@ -201,7 +269,8 @@ def simplex_threshold(x, total: float) -> float:
         as_vector(x, name="x")  # raises NonFiniteError
     excess = np.add.accumulate(u)
     excess -= total
-    rho = int((u > excess / _ranks(x.size)).nonzero()[0][-1])
+    active = (u > excess / _ranks(x.size)).nonzero()[0]
+    rho = int(active[-1]) if active.size else 0
     return excess.item(rho) / (rho + 1)
 
 
@@ -213,137 +282,44 @@ def _ranks(n: int) -> np.ndarray:
     return ranks
 
 
-@singledispatch
 def project(cset, x) -> np.ndarray:
-    """Nearest point of ``cset`` to ``x`` in the Euclidean norm."""
-    raise TypeError(f"no projection rule for {type(cset).__name__}")
+    """Nearest point of ``cset`` to ``x`` in the Euclidean norm: ``cset.project`` after a shape check."""
+    try:
+        kernel = cset.project
+    except AttributeError:
+        raise TypeError(f"no projection rule for {type(cset).__name__}") from None
+    return kernel(_check_dim(cset, x))
 
 
-@project.register
-def _(cset: NonnegOrthant, x) -> np.ndarray:
-    x = _check_dim(cset, x)
-    return np.maximum(x, 0.0)
-
-
-@project.register
-def _(cset: Box, x) -> np.ndarray:
-    return _check_dim(cset, x).clip(cset.lo, cset.hi)  # the method np.clip calls, without its wrappers
-
-
-@project.register
-def _(cset: Ball, x) -> np.ndarray:
-    x = _check_dim(cset, x)
-    d = x - cset.center
-    dist = math.sqrt(np.dot(d, d))
-    if dist <= cset.radius:
-        return x.copy()
-    return cset.center + (cset.radius / dist) * d
-
-
-@project.register
-def _(cset: Halfspace, x) -> np.ndarray:
-    x = _check_dim(cset, x)
-    excess = float(np.dot(cset.normal, x)) - cset.offset
-    if excess <= 0:
-        return x.copy()
-    return x - (excess / cset._normal_sq) * cset.normal
-
-
-@project.register
-def _(cset: Hyperplane, x) -> np.ndarray:
-    x = _check_dim(cset, x)
-    excess = float(np.dot(cset.normal, x)) - cset.offset
-    return x - (excess / cset._normal_sq) * cset.normal
-
-
-@project.register
-def _(cset: Simplex, x) -> np.ndarray:
-    x = _check_dim(cset, x)
-    alpha = simplex_threshold(x, cset.total)
-    return np.maximum(x - alpha, 0.0)
-
-
-def _check_rows(cset, X) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != cset.dim:
-        raise DimensionMismatchError(
-            f"rows have shape {X.shape}, set lives in dimension {cset.dim}"
-        )
-    return X
-
-
-@singledispatch
 def project_rows(cset, X) -> np.ndarray:
     """Row i of the result is ``project(cset, X[i])``; X is a (C, d) array.
 
-    Sets without a row kernel (all but the orthant) loop over the rows.
+    Sets without a ``project_rows`` method (all but the orthant) loop over the rows.
     """
     X = _check_rows(cset, X)
+    kernel = getattr(cset, "project_rows", None)
+    if kernel is not None:
+        return kernel(X)
     return np.array([project(cset, x) for x in X]).reshape(X.shape)
 
 
-@project_rows.register
-def _(cset: NonnegOrthant, X) -> np.ndarray:
-    return np.maximum(_check_rows(cset, X), 0.0)
-
-
-@singledispatch
 def contains(cset, x, tol: float = MEMBERSHIP_TOL) -> bool:
     """True iff ``x`` violates every defining constraint of ``cset`` by at most ``tol``."""
-    raise TypeError(f"no membership rule for {type(cset).__name__}")
-
-
-@contains.register
-def _(cset: NonnegOrthant, x, tol: float = MEMBERSHIP_TOL) -> bool:
-    x = _check_dim(cset, x)
-    return bool(np.all(x >= -tol))
-
-
-@contains.register
-def _(cset: Box, x, tol: float = MEMBERSHIP_TOL) -> bool:
-    x = _check_dim(cset, x)
-    return bool(np.all(x >= cset.lo - tol) and np.all(x <= cset.hi + tol))
-
-
-@contains.register
-def _(cset: Ball, x, tol: float = MEMBERSHIP_TOL) -> bool:
-    x = _check_dim(cset, x)
-    d = x - cset.center
-    return float(np.sqrt(np.dot(d, d))) <= cset.radius + tol
-
-
-@contains.register
-def _(cset: Halfspace, x, tol: float = MEMBERSHIP_TOL) -> bool:
-    x = _check_dim(cset, x)
-    return float(np.dot(cset.normal, x)) <= cset.offset + tol
-
-
-@contains.register
-def _(cset: Hyperplane, x, tol: float = MEMBERSHIP_TOL) -> bool:
-    x = _check_dim(cset, x)
-    return abs(float(np.dot(cset.normal, x)) - cset.offset) <= tol
-
-
-@contains.register
-def _(cset: Simplex, x, tol: float = MEMBERSHIP_TOL) -> bool:
-    x = _check_dim(cset, x)
-    return bool(np.all(x >= -tol)) and abs(float(np.sum(x)) - cset.total) <= tol
+    try:
+        kernel = cset.contains
+    except AttributeError:
+        raise TypeError(f"no membership rule for {type(cset).__name__}") from None
+    return kernel(_check_dim(cset, x), tol)
 
 
 def sample(cset: ConvexSet, rng: np.random.Generator, n: int = 1) -> np.ndarray:
     """Draw ``n`` points of ``cset`` as an (n, dim) array.
 
-    Distribution is arbitrary (projection of Gaussians for the constrained
-    sets); intended for membership-style property checks, not for statistics.
+    Distribution is arbitrary (``cset.sample`` where the set has one, else
+    the projection of Gaussians); intended for membership-style property
+    checks, not for statistics.
     """
-    d = cset.dim
-    if isinstance(cset, NonnegOrthant):
-        return np.abs(rng.normal(scale=2.0, size=(n, d)))
-    if isinstance(cset, Box):
-        return rng.uniform(cset.lo, cset.hi, size=(n, d))
-    if isinstance(cset, Ball):
-        dirs = rng.normal(size=(n, d))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        radii = cset.radius * rng.random(n) ** (1.0 / d)
-        return cset.center + radii[:, None] * dirs
-    return project_rows(cset, rng.normal(scale=2.0, size=(n, d)))
+    draw = getattr(cset, "sample", None)
+    if draw is not None:
+        return draw(rng, n)
+    return project_rows(cset, rng.normal(scale=2.0, size=(n, cset.dim)))

@@ -307,13 +307,15 @@ _RULES = {
 
 
 def _build_step(problem: ProblemSpec, rule: str, rows: bool = False) -> Callable:
-    """``rule``'s step on ``problem``: on (C, d) rows through the row kernels, or on one vector
-    through the problem's maps and ``project``, called by its module name at every projection
-    (so a function put in its place, such as a call counter, sees each call)."""
+    """``rule``'s step on ``problem``: on (C, d) rows through the set's ``project_rows`` method
+    (else the checked per-row loop) and ``rows_of`` each map, or on one vector through the
+    problem's maps and the checked ``project``, which this module's name ``project`` is read
+    for once, here (so a function put in its place before a run, such as a call counter,
+    sees each of the run's projections)."""
     Q, maps = problem.set_Q, (problem.map_A, problem.map_f, problem.map_S)
     if rows:
-        return _RULES[rule](partial(project_rows.dispatch(type(Q)), Q), *(rows_of(m) for m in maps))
-    return _RULES[rule](lambda x: project(Q, x), *maps)
+        return _RULES[rule](getattr(Q, "project_rows", None) or partial(project_rows, Q), *(rows_of(m) for m in maps))
+    return _RULES[rule](partial(project, Q), *maps)
 
 
 def explicit_step(x, k: int, cfg: SolverConfig) -> np.ndarray:

@@ -376,13 +376,11 @@ def test_rows_fallback_for_custom_sets_and_maps():
     class UnitSquare:
         dim: int = 2
 
-    @project.register
-    def _(cset: UnitSquare, x):
-        return np.clip(x, 0.0, 1.0)
+        def project(self, x):
+            return np.clip(x, 0.0, 1.0)
 
-    @contains.register
-    def _(cset: UnitSquare, x, tol=1e-10):
-        return bool(np.all(x >= -tol) and np.all(x <= 1.0 + tol))
+        def contains(self, x, tol=1e-10):
+            return bool(np.all(x >= -tol) and np.all(x <= 1.0 + tol))
 
     class Halve:
         dim = 2

@@ -43,7 +43,7 @@ class _Ops(NamedTuple):
         Q, maps = problem.set_Q, (problem.map_A, problem.map_f, problem.map_S)
         if not rows:
             return cls(partial(project, Q), *maps)
-        return cls(partial(project_rows.dispatch(type(Q)), Q), *(rows_of(m) for m in maps))
+        return cls(partial(project_rows, Q), *(rows_of(m) for m in maps))
 
     def forward(self, X, lam):
         """P_Q(X - lam A X) per row: the forward-backward map of every rule."""
