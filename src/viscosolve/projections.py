@@ -213,7 +213,7 @@ class Simplex:
             raise InvalidDescriptorError("simplex dimension must be >= 1")
 
     def project(self, x):
-        return np.maximum(x - simplex_threshold(x, self.total), 0.0)
+        return np.maximum(x - _threshold(x, self.total), 0.0)
 
     def contains(self, x, tol=MEMBERSHIP_TOL):
         return bool(np.all(x >= -tol)) and abs(float(np.sum(x)) - self.total) <= tol
@@ -262,6 +262,11 @@ def simplex_threshold(x, total: float) -> float:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or not x.size:
         as_vector(x, name="x")  # raises
+    return _threshold(x, total)
+
+
+def _threshold(x: np.ndarray, total: float) -> float:
+    """``simplex_threshold`` without the checks of ``total`` and of the shape (a set's ``project`` has made them)."""
     u = x.copy()
     u.sort()
     u = u[::-1]
@@ -288,7 +293,10 @@ def project(cset, x) -> np.ndarray:
         kernel = cset.project
     except AttributeError:
         raise TypeError(f"no projection rule for {type(cset).__name__}") from None
-    return kernel(_check_dim(cset, x))
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or x.size != cset.dim:
+        _check_dim(cset, x)  # raises
+    return kernel(x)
 
 
 def project_rows(cset, X) -> np.ndarray:

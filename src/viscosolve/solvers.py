@@ -307,14 +307,19 @@ _RULES = {
 
 
 def _build_step(problem: ProblemSpec, rule: str, rows: bool = False) -> Callable:
-    """``rule``'s step on ``problem``: on (C, d) rows through the set's ``project_rows`` method
-    (else the checked per-row loop) and ``rows_of`` each map, or on one vector through the
-    problem's maps and the checked ``project``, which this module's name ``project`` is read
-    for once, here (so a function put in its place before a run, such as a call counter,
-    sees each of the run's projections)."""
+    """``rule``'s step on ``problem``, on (C, d) rows or on one vector.
+
+    Rows go through the set's ``project_rows`` method (else the checked
+    per-row loop) and ``rows_of`` each map. One vector goes through the
+    problem's maps and ``partial(project, Q)``: this module's name ``project``
+    is read here, once per built step, so every projection keeps its shape
+    check and a function put in its place before a run (a call counter, say)
+    sees each of the run's projections.
+    """
     Q, maps = problem.set_Q, (problem.map_A, problem.map_f, problem.map_S)
     if rows:
-        return _RULES[rule](getattr(Q, "project_rows", None) or partial(project_rows, Q), *(rows_of(m) for m in maps))
+        P = getattr(Q, "project_rows", None) or partial(project_rows, Q)
+        return _RULES[rule](P, *(rows_of(m) for m in maps))
     return _RULES[rule](partial(project, Q), *maps)
 
 

@@ -1,4 +1,6 @@
+import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,20 +10,33 @@ from hypothesis import strategies as st
 from viscosolve import (
     Ball,
     Box,
+    ConstantAnchor,
+    ConstantLambda,
     DimensionMismatchError,
     Halfspace,
     Hyperplane,
+    Identity,
     InvalidDescriptorError,
+    LeastSquaresGradient,
     NonFiniteError,
     NonnegOrthant,
+    PowerAlpha,
+    ProblemSpec,
+    ScheduleSpec,
+    ScheduleViolationWarning,
     Simplex,
+    SolverConfig,
     contains,
     inner,
     norm,
     project,
+    project_rows,
+    run,
     sample,
     simplex_threshold,
 )
+
+from test_batch import SET_KINDS, make_set, same_bits
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False, allow_infinity=False)
 
@@ -134,6 +149,46 @@ def test_simplex_refuses_non_finite_points_without_a_warning(d):
                     simplex_threshold(x, 1.0)
                 with pytest.raises(NonFiniteError):
                     project(Simplex(1.0, d), x)
+
+
+def exact_simplex_projection(x, total):
+    """The projection onto Simplex(total, len(x)) in exact rational arithmetic."""
+    xs, total = [Fraction(v) for v in x], Fraction(total)
+    acc, theta = Fraction(0), None
+    for j, v in enumerate(sorted(xs, reverse=True), 1):
+        acc += v
+        if v > (acc - total) / j:
+            theta = (acc - total) / j
+    return [max(v - theta, Fraction(0)) for v in xs]
+
+
+# the largest entry swamps the total: u_1 - total rounds to u_1, so no entry passes the active test
+SWAMPING = [([1e17, 3.0], 2), ([1e20, 0.0], 2), ([1e16, 1.0, 2.0], 3)]
+
+
+@pytest.mark.parametrize("x, d", SWAMPING)
+def test_simplex_projection_of_a_swamping_entry_is_finite_and_near_exact(x, d):
+    got = project(Simplex(1.0, d), x)
+    assert np.isfinite(got).all()
+    tol = 2 * math.ulp(max(abs(v) for v in x))
+    for g, want in zip(got.tolist(), exact_simplex_projection(x, 1.0)):
+        assert abs(Fraction(g) - want) <= tol
+
+
+def test_a_run_whose_forward_step_swamps_the_simplex_total_finishes_with_a_warning():
+    # lambda = 1e18 sends x - lam A x to about 1e18, far outside [0, 2 nu]
+    problem = ProblemSpec(
+        set_Q=Simplex(1.0, 2),
+        map_S=Identity(2),
+        map_A=LeastSquaresGradient(np.eye(2), [1.0, 0.0]),
+        map_f=ConstantAnchor([0.5, 0.5]),
+    )
+    schedule = ScheduleSpec(alpha=PowerAlpha(0.9), lam=ConstantLambda(1e18), bounds=(1e18, 1e18))
+    cfg = SolverConfig(problem=problem, schedule=schedule, x1=[0.5, 0.5], n_max=20)
+    with pytest.warns(ScheduleViolationWarning):
+        trace = run(cfg)
+    assert trace.x.shape == (20, 2)
+    assert np.isfinite(trace.x).all()
 
 
 def test_simplex_threshold_refuses_bad_shapes_as_before():
@@ -354,3 +409,59 @@ def test_box_keeps_numpy_clip_signed_zeros(dim):
     assert signs(-1.0, 0.0, -0.0) == {False}
     assert signs(-1.0, 1.0, -0.0) == {True}
     assert signs(-1.0, 1.0, 0.0) == {False}
+
+
+# ---- the checked entry points: a shape check, then the set's own method
+
+
+class WithoutRows:
+    """``cset`` behind the set protocol without its optional ``project_rows``."""
+
+    def __init__(self, cset):
+        self.cset, self.dim = cset, cset.dim
+
+    def project(self, x):
+        return self.cset.project(x)
+
+    def contains(self, x, tol):
+        return self.cset.contains(x, tol)
+
+
+@pytest.mark.parametrize("kind", SET_KINDS)
+def test_entry_points_check_shapes(kind):
+    cset = make_set(kind, np.random.default_rng(SET_KINDS.index(kind)), 3)
+    for x in (np.zeros(2), np.zeros(4), np.zeros((1, 3)), np.zeros((3, 3)), np.float64(0.0)):
+        with pytest.raises(DimensionMismatchError):
+            project(cset, x)
+        with pytest.raises(DimensionMismatchError):
+            contains(cset, x)
+    for X in (np.zeros(3), np.zeros((2, 2)), np.zeros((2, 4)), np.zeros((1, 1, 3))):
+        with pytest.raises(DimensionMismatchError):
+            project_rows(cset, X)
+        with pytest.raises(DimensionMismatchError):
+            project_rows(WithoutRows(cset), X)
+
+
+@pytest.mark.parametrize("kind", SET_KINDS)
+def test_entry_points_refuse_objects_that_are_not_sets(kind):
+    # a set's config descriptor is not a set
+    for not_a_set in ({"kind": kind, "dim": 3}, kind, None, object()):
+        with pytest.raises(TypeError, match="no projection rule"):
+            project(not_a_set, np.zeros(3))
+        with pytest.raises(TypeError, match="no membership rule"):
+            contains(not_a_set, np.zeros(3))
+
+
+@pytest.mark.parametrize("d", [1, 2, 64])
+@pytest.mark.parametrize("kind", SET_KINDS)
+def test_project_rows_without_a_row_method_is_project_per_row(kind, d):
+    rng = np.random.default_rng([d, SET_KINDS.index(kind)])
+    cset = make_set(kind, rng, d)
+    for c in (0, 1, 5):
+        X = rng.normal(scale=3.0, size=(c, d))
+        want = np.array([project(cset, x) for x in X]).reshape(c, d)
+        assert same_bits(project_rows(WithoutRows(cset), X), want), (kind, d, c)
+        assert same_bits(project_rows(cset, X), want), (kind, d, c)
+        if c:  # an empty list has shape (0,), not (0, d)
+            assert same_bits(project_rows(WithoutRows(cset), X.tolist()), want), (kind, d, c)
+

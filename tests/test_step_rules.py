@@ -10,13 +10,17 @@ import viscosolve.solvers as solvers
 from viscosolve import (
     ALGORITHMS,
     ConstantAnchor,
+    EXPLICIT_VISCOSITY,
     HALPERN,
     Identity,
     LeastSquaresGradient,
     PERTURBED,
     ProblemSpec,
     SolverConfig,
+    TAKAHASHI_TOYODA,
     UniformSquarePerturbation,
+    YAO_INNER,
+    YAO_OUTER,
     benchmark_schedule,
     project,
     project_rows,
@@ -134,28 +138,39 @@ def test_built_steps_equal_the_old_rules_bit_for_bit(kind, d):
                 assert same_bits(step(*args), _OLD_RULES[rule](ops, *args)), label + (c,)
 
 
-def counting_config(problem, rule, n):
+def counting_config(problem, rule, n, x1, anchor):
     return SolverConfig(
-        problem=problem, schedule=benchmark_schedule(0.9, problem=problem), x1=[2.0, 3.0], n_max=n,
-        algorithm=rule, perturbation=UniformSquarePerturbation(seed=1), anchor=[1.0, 1.0],
+        problem=problem, schedule=benchmark_schedule(0.9, problem=problem), x1=x1, n_max=n,
+        algorithm=rule, perturbation=UniformSquarePerturbation(seed=1), anchor=anchor,
     )
 
 
-@pytest.mark.parametrize("rule, per_step", [(PERTURBED, 2), (HALPERN, 1)])
+PROJECTIONS_PER_STEP = {
+    EXPLICIT_VISCOSITY: 1, PERTURBED: 2, TAKAHASHI_TOYODA: 1, HALPERN: 1, YAO_OUTER: 2, YAO_INNER: 1,
+}
+
+
+@pytest.mark.parametrize("rule, per_step", PROJECTIONS_PER_STEP.items())
 def test_a_batch_of_one_calls_project_by_name_at_every_projection(problem, monkeypatch, rule, per_step):
     # benchmark tracing swaps the module's ``project`` for a plain counting
-    # function with no ``.dispatch``; the 1-D step must call it at every projection
+    # function before a run; the run binds the name when it builds its step,
+    # and the 1-D step calls it at every projection
+    rng = np.random.default_rng(64)
+    simplex = make_problem("simplex", rng, 64)
+    cases = [(problem, [2.0, 3.0], [1.0, 1.0]), (simplex, *sample(simplex.set_Q, rng, 2))]
     n = 40
-    cfg = counting_config(problem, rule, n)
-    want = run(cfg)
-    calls = []
+    for prob, x1, anchor in cases:
+        cfg = counting_config(prob, rule, n, x1, anchor)
+        want = run(cfg)
+        calls = []
 
-    def counted(cset, x):
-        calls.append(cset)
-        return project(cset, x)
+        def counted(cset, x):
+            calls.append(cset)
+            return project(cset, x)
 
-    monkeypatch.setattr(solvers, "project", counted)
-    got = run(cfg)
-    assert len(calls) == per_step * (n - 1)
-    assert all(cset is problem.set_Q for cset in calls)
-    assert same_bits(got.x, want.x)
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers, "project", counted)
+            got = run(cfg)
+        assert len(calls) == per_step * (n - 1), prob.dim
+        assert all(cset is prob.set_Q for cset in calls)
+        assert same_bits(got.x, want.x)
