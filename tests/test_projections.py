@@ -464,4 +464,3 @@ def test_project_rows_without_a_row_method_is_project_per_row(kind, d):
         assert same_bits(project_rows(cset, X), want), (kind, d, c)
         if c:  # an empty list has shape (0,), not (0, d)
             assert same_bits(project_rows(WithoutRows(cset), X.tolist()), want), (kind, d, c)
-
