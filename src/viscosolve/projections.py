@@ -106,7 +106,7 @@ class Box:
         object.__setattr__(self, "dim", self.lo.size)  # not a field: digests ignore it
 
     def project(self, x):
-        return x.clip(self.lo, self.hi)  # the method np.clip calls, without its wrappers
+        return x.clip(self.lo, self.hi)  # skips np.clip's fromnumeric wrapper; numpy's _methods._clip still runs
 
     def contains(self, x, tol=MEMBERSHIP_TOL):
         return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))
@@ -213,7 +213,12 @@ class Simplex:
             raise InvalidDescriptorError("simplex dimension must be >= 1")
 
     def project(self, x):
-        return np.maximum(x - _threshold(x, self.total), 0.0)
+        threshold = _threshold(x, self.total)
+        if threshold is None:  # the largest entry swamps total: it takes all of it
+            y = np.zeros_like(x)
+            y[x.argmax()] = self.total
+            return y
+        return np.maximum(x - threshold, 0.0)
 
     def contains(self, x, tol=MEMBERSHIP_TOL):
         return bool(np.all(x >= -tol)) and abs(float(np.sum(x)) - self.total) <= tol
@@ -255,18 +260,24 @@ def simplex_threshold(x, total: float) -> float:
     an end. On finite floats u - q > 0 exactly when u > q (subnormals keep
     u - q from rounding to 0), so the active test skips the subtraction.
     When the largest entry swamps ``total`` (u_1 - total rounds to u_1), no
-    entry passes the test and the support is the largest entry alone.
+    entry passes the test, the support is the largest entry alone and the
+    threshold rounds to u_1; ``Simplex.project`` then puts ``total`` on that
+    entry.
     """
     if not total > 0:
         raise InvalidDescriptorError(f"simplex total must be > 0, got {total}")
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or not x.size:
         as_vector(x, name="x")  # raises
-    return _threshold(x, total)
+    threshold = _threshold(x, total)
+    return float(x.max()) if threshold is None else threshold
 
 
-def _threshold(x: np.ndarray, total: float) -> float:
-    """``simplex_threshold`` without the checks of ``total`` and of the shape (a set's ``project`` has made them)."""
+def _threshold(x: np.ndarray, total: float) -> float | None:
+    """``simplex_threshold`` without the checks of ``total`` and of the shape (a set's ``project`` has made them).
+
+    None when the largest entry swamps ``total``.
+    """
     u = x.copy()
     u.sort()
     u = u[::-1]
@@ -275,7 +286,9 @@ def _threshold(x: np.ndarray, total: float) -> float:
     excess = np.add.accumulate(u)
     excess -= total
     active = (u > excess / _ranks(x.size)).nonzero()[0]
-    rho = int(active[-1]) if active.size else 0
+    if not active.size:
+        return None
+    rho = int(active[-1])
     return excess.item(rho) / (rho + 1)
 
 

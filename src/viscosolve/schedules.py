@@ -138,6 +138,10 @@ class ScheduleSpec:
             )
 
 
+def _exhausted(name: str, k: int, size: int) -> IndexError:
+    return IndexError(f"{name} table exhausted at k={k} (length {size})")
+
+
 def alpha_at(s: ScheduleSpec, k: int) -> float:
     """alpha_k for k >= 1."""
     if k < 1:
@@ -146,7 +150,7 @@ def alpha_at(s: ScheduleSpec, k: int) -> float:
     if isinstance(a, PowerAlpha):
         return float(k) ** (-a.theta)
     if k > a.values.size:
-        raise IndexError(f"alpha table exhausted at k={k} (length {a.values.size})")
+        raise _exhausted("alpha", k, a.values.size)
     return float(a.values[k - 1])
 
 
@@ -159,7 +163,7 @@ def lambda_at(s: ScheduleSpec, k: int) -> float:
         value = lam.value
     else:
         if k > lam.values.size:
-            raise IndexError(f"lambda table exhausted at k={k} (length {lam.values.size})")
+            raise _exhausted("lambda", k, lam.values.size)
         value = float(lam.values[k - 1])
     a, b = s.bounds
     if not (a <= value <= b):
@@ -171,15 +175,23 @@ def lambda_at(s: ScheduleSpec, k: int) -> float:
     return value
 
 
-def tabulate(s: ScheduleSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(alpha_1 .. alpha_n, lambda_1 .. lambda_n) as arrays, without the per-value warnings."""
-    alphas = np.array([alpha_at(s, k) for k in range(1, n + 1)])
+def tabulate(s: ScheduleSpec, n: int, start: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """(alpha_k, lambda_k) for k = start .. start + n - 1 as two arrays, without the per-value warnings."""
+    ks = range(start, start + n)
+    alphas = np.array([alpha_at(s, k) for k in ks])
     if isinstance(s.lam, ConstantLambda):
         return alphas, np.full(n, s.lam.value)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ScheduleViolationWarning)
-        lams = np.array([lambda_at(s, k) for k in range(1, n + 1)])
+        lams = np.array([lambda_at(s, k) for k in ks])
     return alphas, lams
+
+
+def _check_horizon(s: ScheduleSpec, n: int) -> None:
+    """Raise the ``IndexError`` of :func:`alpha_at` / :func:`lambda_at` if a table ends before k = n."""
+    for name, table in (("alpha", s.alpha), ("lambda", s.lam)):
+        if isinstance(table, (TableAlpha, TableLambda)) and table.values.size < n:
+            raise _exhausted(name, table.values.size + 1, table.values.size)
 
 
 # --------------------------------------------------------------------------
@@ -215,24 +227,33 @@ class UniformSquarePerturbation:
 Perturbation = Union[NoPerturbation, UniformSquarePerturbation]
 
 
-def perturbation_stream(p: Perturbation, n: int, dim: int) -> np.ndarray:
-    """Rows e_1 .. e_n as an (n, dim) array."""
+# Doubles per row in one block of steps: the engine and hypothesis_report draw
+# e_k (and the engine tabulates alpha_k and lambda_k) _block_steps(dim) steps at a time.
+_BLOCK_DOUBLES = 2**14
+
+
+def _block_steps(dim: int) -> int:
+    """Steps in one block of a run in dimension ``dim``: 8192 at dim 2, 256 at dim 64."""
+    return max(1, _BLOCK_DOUBLES // dim)
+
+
+def perturbation_stream(p: Perturbation, n: int, dim: int, start: int = 1) -> np.ndarray:
+    """Rows e_start .. e_{start + n - 1} as an (n, dim) array, bit for bit those rows of the whole stream."""
     if isinstance(p, NoPerturbation):
         return np.zeros((n, dim))
-    u = np.random.default_rng(p.seed).random((n, dim))
-    ks = np.arange(1, n + 1, dtype=float)
-    return (2.0 * u - 1.0) / (ks[:, None] ** 2)
+    # row k starts (k - 1) * dim draws into the seed's stream
+    e = np.random.Generator(np.random.PCG64(p.seed).advance((start - 1) * dim)).random((n, dim))
+    e *= 2.0  # (2 u - 1) / k**2 in place: the same roundings, no temporaries
+    e -= 1.0
+    e /= np.arange(start, start + n, dtype=float)[:, None] ** 2
+    return e
 
 
 def perturbation_at(p: Perturbation, k: int, dim: int) -> np.ndarray:
     """e_k; deterministic in (seed, k), hence ||e_k|| <= sqrt(dim) / k**2."""
     if k < 1:
         raise IndexError(f"perturbation index starts at 1, got {k}")
-    if isinstance(p, NoPerturbation):
-        return np.zeros(dim)
-    # row k of the stream starts (k - 1) * dim draws in: O(1) in k
-    u = np.random.Generator(np.random.PCG64(p.seed).advance((k - 1) * dim)).random(dim)
-    return (2.0 * u - 1.0) / (float(k) ** 2)
+    return perturbation_stream(p, 1, dim, k)[0]  # O(1) in k
 
 
 # --------------------------------------------------------------------------
@@ -306,7 +327,11 @@ def hypothesis_report(
     if n < 2:
         raise ValueError("need n >= 2 to grade the hypotheses")
     alphas, lams = tabulate(s, n)
-    e_norms = np.linalg.norm(perturbation_stream(p, n, dim), axis=1)
+    block = _block_steps(dim)  # the stream one block at a time: only its norms are kept
+    e_norms = np.concatenate([
+        np.linalg.norm(perturbation_stream(p, min(block, n + 1 - k0), dim, k0), axis=1)
+        for k0 in range(1, n + 1, block)
+    ])
 
     half = n // 2
     evidence_alpha = {

@@ -39,6 +39,9 @@ from .schedules import (
     ScheduleSpec,
     ScheduleViolationError,
     ScheduleViolationWarning,
+    TableLambda,
+    _block_steps,
+    _check_horizon,
     alpha_at,
     lambda_at,
     perturbation_at,
@@ -379,19 +382,22 @@ def run_batch(cfgs, extra_metadata=None) -> list:
     return _lockstep(cfgs, extras)
 
 
-def _tables(cfg: SolverConfig, tabulated: dict):
-    """The alpha and lambda tables of one run, and its schedule-violation counts.
+def _violations(cfg: SolverConfig) -> tuple[int, int]:
+    """One run's counts of lambda_k outside its bounds and outside [0, 2 nu] over k <= n_max.
 
-    ``tabulated`` keeps the alpha and lambda tables of each schedule object
-    already seen in the batch (sweep cells of one theta share a schedule).
+    Raises what the run's tables would raise, before the first step: the
+    ``IndexError`` of an alpha or lambda table that ends before n_max, and the
+    :class:`ScheduleViolationError` of a strict run.
     """
-    n = cfg.n_max
-    if id(cfg.schedule) not in tabulated:
-        tabulated[id(cfg.schedule)] = tabulate(cfg.schedule, n)
-    alphas, lams = tabulated[id(cfg.schedule)]
-    a_lo, a_hi = cfg.schedule.bounds
-    n_outside_bounds = int(np.count_nonzero((lams < a_lo) | (lams > a_hi)))
-    n_outside_2nu = int(np.count_nonzero((lams < 0) | (lams > 2 * cfg.problem.nu)))
+    s, n = cfg.schedule, cfg.n_max
+    _check_horizon(s, n)
+    if isinstance(s.lam, TableLambda):
+        lams, repeats = s.lam.values[:n], 1
+    else:  # a constant lambda: one value, n times
+        lams, repeats = np.array([s.lam.value]), n
+    a_lo, a_hi = s.bounds
+    n_outside_bounds = repeats * int(np.count_nonzero((lams < a_lo) | (lams > a_hi)))
+    n_outside_2nu = repeats * int(np.count_nonzero((lams < 0) | (lams > 2 * cfg.problem.nu)))
     if n_outside_2nu:
         msg = (
             f"{n_outside_2nu} lambda value(s) outside [0, 2*nu = {2 * cfg.problem.nu}]; "
@@ -399,17 +405,17 @@ def _tables(cfg: SolverConfig, tabulated: dict):
         )
         if cfg.strict_schedule:
             raise ScheduleViolationError(msg)
-        # _tables <- _lockstep <- run / run_batch <- their caller
+        # _violations <- _lockstep <- run / run_batch <- their caller
         warnings.warn(msg, ScheduleViolationWarning, stacklevel=4)
-    return alphas, lams, (n_outside_bounds, n_outside_2nu)
+    return n_outside_bounds, n_outside_2nu
 
 
 def _vector_norm(v):
     return math.sqrt(np.dot(v, v))
 
 
-# What a step reads: x; the alpha, lambda and e tables indexed by k - 1; u, beta, the
-# reference, its norm and the rel_err target; the norm, the any-row-at-target test and the step.
+# What a step reads: x; the alpha, lambda and e tables of the block, indexed by k - k0; u, beta,
+# the reference, its norm and the rel_err target; the norm, the any-row-at-target test and the step.
 _Views = namedtuple("_Views", "x alpha lam e u beta ref nref target norms any_of step")
 
 
@@ -417,7 +423,9 @@ class _Rows:
     """The rows of a batch still stepping: one array per field, row axis first.
 
     ``x`` is the start, then the iterate at which rows last left; the loop
-    steps a local copy.
+    steps a local copy. ``cols`` holds alpha_k, lambda_k and ||e_k|| and
+    ``e`` the rows e_k of the current block, k = k0 .. k0 + m - 1, as (C, 3, m)
+    and (C, m, d) arrays.
     """
 
     def __init__(self, **fields):
@@ -428,8 +436,8 @@ class _Rows:
             if value is not None:
                 setattr(self, name, value[mask])
 
-    def views(self, problem: ProblemSpec, rule: str) -> _Views:
-        """The views of the rows, with ``rule``'s step built for them.
+    def views(self, step) -> _Views:
+        """The views of the rows for ``step``, which is built for rows or, for a single row, for one vector.
 
         A single row steps as a 1-D vector through the problem's own 1-D maps
         and projection, which cost less than (1, d) kernels. Its coefficients
@@ -437,18 +445,16 @@ class _Rows:
         whose arithmetic costs less than numpy scalars' and rounds the same.
         """
         if self.x.shape[0] > 1:
-            return _Views(self.x, self.alpha.T[:, :, None], self.lam.T[:, :, None],
+            return _Views(self.x, self.cols[:, 0].T[:, :, None], self.cols[:, 1].T[:, :, None],
                           None if self.e is None else self.e.swapaxes(0, 1), self.u, self.beta,
-                          self.ref, self.nref, self.target, row_norms, np.ndarray.any,
-                          _build_step(problem, rule, rows=True))
+                          self.ref, self.nref, self.target, row_norms, np.ndarray.any, step)
 
         def first(v):
             return None if v is None else v[0]
 
-        return _Views(self.x[0], self.alpha[0].tolist(), self.lam[0].tolist(), first(self.e), first(self.u),
+        return _Views(self.x[0], self.cols[0, 0].tolist(), self.cols[0, 1].tolist(), first(self.e), first(self.u),
                       float(self.beta[0, 0]), first(self.ref), None if self.nref is None else float(self.nref[0]),
-                      None if self.target is None else float(self.target[0]), _vector_norm, bool,
-                      _build_step(problem, rule))
+                      None if self.target is None else float(self.target[0]), _vector_norm, bool, step)
 
 
 def _lockstep(cfgs: list, extras: list) -> list:
@@ -465,59 +471,68 @@ def _lockstep(cfgs: list, extras: list) -> list:
                 "a batch shares one problem, algorithm, n_max and record_stride, "
                 "and either every config has a reference or none has"
             )
-    tables, tabulated = {}, {}
+    violations = {}
     for i, cfg in enumerate(cfgs):
         try:
-            tables[i] = _tables(cfg, tabulated)
+            violations[i] = _violations(cfg)
         except Exception as exc:  # a row that fails before stepping: its outcome
             results[i] = exc
-    if not tables:
+    if not violations:
         return results
-    ids, live = list(tables), [cfgs[i] for i in tables]
-    alphas, lams, violations = zip(*tables.values())
+    ids, live = list(violations), [cfgs[i] for i in violations]
     d = problem.dim
-    # e_k rows, filled stream by stream; a batch of one keeps its stream
-    E, e_norms = None, np.zeros((len(ids), n))
-    for j, cfg in enumerate(live if rule == PERTURBED else ()):
-        e = perturbation_stream(cfg.perturbation, n, d)
-        e_norms[j] = np.linalg.norm(e, axis=1)
-        if len(ids) == 1:
-            E = e[None]
-        else:
-            E = np.empty((len(ids), n, d)) if E is None else E
-            E[j] = e
     targets = [cfg.rel_err_target for cfg in live]
     rows = _Rows(
         cfg=np.array(ids),
-        block=np.arange(len(ids)),
+        rec=np.arange(len(ids)),
         x=np.array([cfg.x1 for cfg in live]),
-        alpha=np.array(alphas),
-        lam=np.array(lams),
-        e=E,
-        e_norm=e_norms,
-        violations=np.array(violations),
+        cols=None,
+        e=None,
+        violations=np.array(list(violations.values())),
         u=np.array([cfg.anchor for cfg in live]) if rule in (HALPERN, YAO_OUTER, YAO_INNER) else None,
         beta=np.array([[cfg.beta] for cfg in live]),
         ref=np.array([cfg.reference for cfg in live]) if with_ref else None,
         nref=np.array([norm(cfg.reference) for cfg in live]) if with_ref else None,
         target=np.array([-np.inf if t is None else t for t in targets]) if with_ref else None,
     )
-    del tables, alphas, lams, E, e_norms
     has_target = any(t is not None for t in targets)
 
     # records: the stride grid k = 1, 1 + stride, ..., n is shared; a row that
-    # stops off the grid writes its stopping row into the next slot. Traces
-    # are views of these blocks.
+    # stops off the grid writes its stopping row into the next slot. Xrec holds
+    # the iterates and Srec alpha_k, lambda_k and ||e_k||; traces are views of them.
     kgrid = np.arange(1, n + 1, stride)
     if kgrid[-1] != n:
         kgrid = np.append(kgrid, n)
     kgrid.setflags(write=False)
     Xrec = np.empty((len(ids), kgrid.size, d))
+    Srec = np.empty((len(ids), 3, kgrid.size))
+
+    def load(k0, m):
+        """Tabulate and draw k = k0 .. k0 + m - 1 for the rows still stepping; record their values on the grid."""
+        lo, hi = np.searchsorted(kgrid, (k0, k0 + m))
+        dense = stride == 1 and rows.rec.size == len(ids)  # the tables are the records: held once
+        cols = Srec[:, :, lo:hi] if dense else np.empty((rows.rec.size, 3, m))
+        cols[:, 2] = 0.0
+        tabulated, E = {}, None  # sweep cells of one theta share a schedule
+        for j, i in enumerate(rows.cfg.tolist()):
+            s = cfgs[i].schedule
+            if id(s) not in tabulated:
+                tabulated[id(s)] = tabulate(s, m, k0)
+            cols[j, 0], cols[j, 1] = tabulated[id(s)]
+            if rule == PERTURBED:
+                e = perturbation_stream(cfgs[i].perturbation, m, d, k0)
+                cols[j, 2] = np.linalg.norm(e, axis=1)
+                if rows.rec.size == 1:  # a batch of one keeps its stream
+                    E = e[None]
+                else:
+                    E = np.empty((rows.rec.size, m, d)) if E is None else E
+                    E[j] = e
+        if not dense:
+            Srec[rows.rec, :, lo:hi] = cols[:, :, kgrid[lo:hi] - k0]
+        rows.cols, rows.e = cols, E
 
     def finish(j, count, stopped_at, off_grid):
-        i, b = rows.cfg[j], rows.block[j]
-        ks = np.append(kgrid[: count - 1], stopped_at) if off_grid else kgrid[:count]
-        take = slice(0, count) if stride == 1 else ks - 1
+        i, b = rows.cfg[j], rows.rec[j]
         metadata = {
             "algorithm": rule,
             "prng": cfgs[i].perturbation.generator,
@@ -531,12 +546,13 @@ def _lockstep(cfgs: list, extras: list) -> list:
             "package": f"viscosolve {_VERSION}",
         }
         metadata.update(extras[i] or {})
+        alpha, lam, e_norm = Srec[b, :, :count]
         results[i] = RunTrace(
-            k=ks,
+            k=np.append(kgrid[: count - 1], stopped_at) if off_grid else kgrid[:count],
             x=Xrec[b, :count],
-            alpha=rows.alpha[j][take],
-            lam=rows.lam[j][take],
-            e_norm=rows.e_norm[j][take],
+            alpha=alpha,
+            lam=lam,
+            e_norm=e_norm,
             # one row_norms over the records: the norm(x_k - ref) / norm(ref) of each, bit for bit
             rel_err=row_norms(Xrec[b, :count] - rows.ref[j]) / rows.nref[j] if with_ref else None,
             metadata=metadata,
@@ -546,49 +562,59 @@ def _lockstep(cfgs: list, extras: list) -> list:
         """Drop the rows flagged in ``gone``; the views of the rest, or None when none is left."""
         rows.x = x.reshape(-1, d)
         rows.keep(~gone)
-        return rows.views(problem, rule) if rows.block.size else None
+        if not rows.rec.size:
+            return None
+        return rows.views(_build_step(problem, rule) if rows.rec.size == 1 else step)
 
-    v = rows.views(problem, rule)
-    x = v.x
-    written = slice(None)  # block rows a record writes: all, until one leaves
+    # blocks of steps: the tables and draws of one block at a time, so a run's
+    # memory is its records plus one block (_block_steps(d) steps of d doubles a row)
+    step = _build_step(problem, rule, rows=len(ids) > 1)
+    written = slice(None)  # record rows a record writes: all, until one leaves
     slot = 0
-    for k in range(1, n + 1):
-        on_grid = (k - 1) % stride == 0 or k == n
-        if has_target:
-            # only the stop test reads rel_err during the run; it may overflow
-            # to inf on a diverging run, which the finiteness check below detects
-            rel = v.norms(x - v.ref) / v.nref
-        if on_grid:
-            Xrec[written, slot] = x
-        if has_target and v.any_of(hit := rel <= v.target):
-            hit = np.reshape(hit, -1)
-            js = np.flatnonzero(hit)
-            if not on_grid:
-                Xrec[rows.block[js], slot] = x.reshape(-1, d)[js]
-            for j in js:
-                finish(j, slot + 1, k, not on_grid)
-            if (v := leave(x, hit)) is None:
-                return results
-            x, written = v.x, rows.block
-        if on_grid:
-            slot += 1
-        if k == n:
-            break
-        x_next = v.step(x, v.alpha[k - 1], v.lam[k - 1], None if v.e is None else v.e[k - 1], v.u, v.beta)
-        # exact and warning-free, unlike a test of a sum or dot product, which may overflow
-        if np.count_nonzero(np.isfinite(x_next)) != x_next.size:
-            bad = ~np.isfinite(x_next.reshape(-1, d)).all(axis=1)
-            for j in np.flatnonzero(bad):
-                results[rows.cfg[j]] = DivergenceError(
-                    f"non-finite iterate at step {k} (algorithm {rule!r})",
-                    last_state=x.reshape(-1, d)[j].copy(),
-                    step=k,
-                )
-            if (v := leave(x_next, bad)) is None:
-                return results
-            x_next, written = v.x, rows.block
-        x = x_next
-    for j in range(rows.block.size):
+    block = _block_steps(d)
+    for k0 in range(1, n + 1, block):
+        load(k0, min(block, n + 1 - k0))
+        v = rows.views(step)
+        if k0 == 1:
+            x = v.x
+        for i, k in enumerate(range(k0, min(k0 + block, n + 1))):
+            on_grid = (k - 1) % stride == 0 or k == n
+            if has_target:
+                # only the stop test reads rel_err during the run; it may overflow
+                # to inf on a diverging run, which the finiteness check below detects
+                rel = v.norms(x - v.ref) / v.nref
+            if on_grid:
+                Xrec[written, slot] = x
+            if has_target and v.any_of(hit := rel <= v.target):
+                hit = np.reshape(hit, -1)
+                js = np.flatnonzero(hit)
+                if not on_grid:
+                    Xrec[rows.rec[js], slot] = x.reshape(-1, d)[js]
+                    Srec[rows.rec[js], :, slot] = rows.cols[js, :, i]
+                for j in js:
+                    finish(j, slot + 1, k, not on_grid)
+                if (v := leave(x, hit)) is None:
+                    return results
+                x, written, step = v.x, rows.rec, v.step
+            if on_grid:
+                slot += 1
+            if k == n:
+                break
+            x_next = v.step(x, v.alpha[i], v.lam[i], None if v.e is None else v.e[i], v.u, v.beta)
+            # exact and warning-free, unlike a test of a sum or dot product, which may overflow
+            if np.count_nonzero(np.isfinite(x_next)) != x_next.size:
+                bad = ~np.isfinite(x_next.reshape(-1, d)).all(axis=1)
+                for j in np.flatnonzero(bad):
+                    results[rows.cfg[j]] = DivergenceError(
+                        f"non-finite iterate at step {k} (algorithm {rule!r})",
+                        last_state=x.reshape(-1, d)[j].copy(),
+                        step=k,
+                    )
+                if (v := leave(x_next, bad)) is None:
+                    return results
+                x_next, written, step = v.x, rows.rec, v.step
+            x = x_next
+    for j in range(rows.rec.size):
         finish(j, slot, None, False)
     return results
 

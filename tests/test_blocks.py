@@ -1,0 +1,321 @@
+"""The engine steps in blocks: every trace equals the whole-run tables, stream and iterates bit for bit."""
+
+import dataclasses
+import tracemalloc
+import warnings
+
+import numpy as np
+import pytest
+
+from viscosolve import (
+    ConstantAnchor,
+    ConstantLambda,
+    DivergenceError,
+    Hyperplane,
+    Identity,
+    LeastSquaresGradient,
+    NonnegOrthant,
+    NoPerturbation,
+    PowerAlpha,
+    ProblemSpec,
+    RunTrace,
+    ScheduleSpec,
+    ScheduleViolationError,
+    SolverConfig,
+    TableAlpha,
+    TableLambda,
+    UniformSquarePerturbation,
+    hypothesis_report,
+    ls_lipschitz,
+    perturbation_at,
+    perturbation_stream,
+    perturbed_step,
+    run,
+    run_batch,
+)
+from viscosolve import solvers
+from viscosolve.schedules import _block_steps, tabulate
+from viscosolve.solvers import PERTURBED
+
+from test_batch import assert_same_trace, explicit_loop, least_squares_batch, same_bits
+
+D = 64
+B = _block_steps(D)
+
+
+def one_block(monkeypatch, steps):
+    """Make every block of the engine ``steps`` steps long."""
+    monkeypatch.setattr(solvers, "_block_steps", lambda dim: steps)
+
+
+class CountingMap(LeastSquaresGradient):
+    """A least-squares gradient that counts its calls."""
+
+    calls = 0
+
+    def __call__(self, x):
+        CountingMap.calls += 1
+        return super().__call__(x)
+
+
+def counting_identity():
+    """A x = x (nu = 1), counted."""
+    CountingMap.calls = 0
+    return CountingMap(np.eye(D), np.zeros(D))
+
+
+def d64_cfgs(cells, n, stride, seed, schedule=None, map_A=None):
+    """Perturbed runs on a 64-dimensional orthant problem, each with a reference."""
+    rng = np.random.default_rng(seed)
+    G = rng.normal(size=(D, D)) / 8.0 + np.eye(D)
+    b = rng.normal(size=D)
+    problem = ProblemSpec(
+        set_Q=NonnegOrthant(D),
+        map_S=Identity(D),
+        map_A=map_A or LeastSquaresGradient(G, b),
+        map_f=ConstantAnchor(rng.uniform(0.0, 1.0, size=D)),
+    )
+    lam = 1.0 / ls_lipschitz(G)
+    return [
+        SolverConfig(
+            problem=problem,
+            schedule=schedule or ScheduleSpec(PowerAlpha(float(rng.uniform(0.3, 1.0))), ConstantLambda(lam),
+                                              (lam, lam)),
+            x1=rng.uniform(0.0, 2.0, size=D),
+            n_max=n,
+            algorithm=PERTURBED,
+            perturbation=UniformSquarePerturbation(int(rng.integers(1, 10_000))),
+            reference=rng.uniform(0.5, 1.5, size=D),
+            record_stride=stride,
+        )
+        for _ in range(cells)
+    ]
+
+
+def assert_whole_run_columns(trace, cfg):
+    """alpha, lambda and e_norm at the recorded k are those of ``tabulate`` and the stream of the whole run."""
+    n, d = cfg.n_max, cfg.problem.dim
+    alphas, lams = tabulate(cfg.schedule, n)
+    e_norms = np.linalg.norm(perturbation_stream(cfg.perturbation, n, d), axis=1)
+    at = trace.k - 1
+    assert same_bits(trace.alpha, alphas[at])
+    assert same_bits(trace.lam, lams[at])
+    assert same_bits(trace.e_norm, e_norms[at])
+
+
+def perturbed_iterates(cfg, until):
+    """x_1 .. x_until by a loop of ``perturbed_step``, which draws e_k on its own for each k."""
+    xs = [cfg.x1]
+    for k in range(1, until):
+        xs.append(perturbed_step(xs[-1], k, cfg))
+    return np.array(xs)
+
+
+# --------------------------------------------------------------------------
+# the pieces a block is built from
+
+
+@pytest.mark.parametrize("d", (1, 2, 3, 64))
+def test_stream_from_start_equals_those_rows_of_the_whole_stream(d):
+    p = UniformSquarePerturbation(seed=11)
+    whole = perturbation_stream(p, 600, d)
+    for k0, m in ((1, 600), (1, 1), (2, 5), (257, 256), (513, 88), (600, 1)):
+        assert same_bits(perturbation_stream(p, m, d, start=k0), whole[k0 - 1 : k0 - 1 + m]), (k0, m)
+    for k in (1, 256, 257, 600):
+        assert same_bits(perturbation_at(p, k, d), whole[k - 1])
+    assert same_bits(perturbation_stream(NoPerturbation(), 5, d, start=100), np.zeros((5, d)))
+
+
+@pytest.mark.parametrize("schedule", [
+    ScheduleSpec(PowerAlpha(0.7), ConstantLambda(0.1), (0.1, 0.1)),
+    ScheduleSpec(TableAlpha(np.linspace(1.0, 0.01, 700)), TableLambda(np.linspace(0.05, 0.3, 700)), (0.1, 0.2)),
+])
+def test_tabulate_from_start_equals_those_rows_of_the_whole_table(schedule):
+    alphas, lams = tabulate(schedule, 700)
+    for k0, m in ((1, 700), (2, 5), (257, 256), (690, 11), (700, 1), (5, 0)):
+        a, lam = tabulate(schedule, m, start=k0)
+        assert same_bits(a, alphas[k0 - 1 : k0 - 1 + m]) and same_bits(lam, lams[k0 - 1 : k0 - 1 + m]), (k0, m)
+
+
+@pytest.mark.parametrize("dim, n", ((2, 3000), (64, 1000), (64, 257)))
+def test_hypothesis_report_evidence_of_a_blockwise_stream_equals_the_whole_stream(dim, n):
+    s = ScheduleSpec(PowerAlpha(0.9), ConstantLambda(0.1), (0.1, 0.1))
+    p = UniformSquarePerturbation(seed=5)
+    e_norms = np.linalg.norm(perturbation_stream(p, n, dim), axis=1)
+    evidence = hypothesis_report(s, p, n, nu=0.1, dim=dim)["v"].evidence
+    assert evidence["e_norm_sum"] == float(e_norms.sum())
+    assert evidence["e_over_alpha_last"] == float(e_norms[-1] / tabulate(s, n)[0][-1])
+
+
+# --------------------------------------------------------------------------
+# runs across block boundaries
+
+
+@pytest.mark.parametrize("n", (B - 1, B, B + 1, 2 * B + 1))
+@pytest.mark.parametrize("stride", (7, 100))  # neither divides the block
+def test_a_run_across_block_boundaries_equals_the_whole_run(monkeypatch, n, stride):
+    (cfg,) = d64_cfgs(1, n, stride, seed=n + stride)
+    trace = run(cfg)
+    grid = list(range(1, n + 1, stride))
+    assert trace.k.tolist() == grid + ([] if grid[-1] == n else [n])
+    assert_whole_run_columns(trace, cfg)
+    assert same_bits(trace.x, perturbed_iterates(cfg, n)[trace.k - 1])
+    one_block(monkeypatch, n)
+    assert_same_trace(trace, run(cfg))
+
+
+def toward_the_end(cfgs):
+    """``cfgs`` with each reference at the end of its free run, so that rel_err falls as a run goes on."""
+    return [dataclasses.replace(cfg, reference=run(cfg).final) for cfg in cfgs]
+
+
+@pytest.mark.parametrize("steps", (1, 3, 7, 64))
+def test_a_batch_whose_rows_stop_inside_blocks_equals_one_block(monkeypatch, steps):
+    cfgs = toward_the_end(d64_cfgs(4, 120, 5, seed=3))
+    free = run_batch(cfgs)
+    # targets between the rel_err recorded at k = 41 and 46 and at k = 76 and 81, and
+    # the one recorded at k = 101: rows stop off and on the stride-5 grid
+    targets = [float(free[0].rel_err[8] + free[0].rel_err[9]) / 2, None,
+               float(free[2].rel_err[15] + free[2].rel_err[16]) / 2, float(free[3].rel_err[20])]
+    cfgs = [dataclasses.replace(cfg, rel_err_target=t) for cfg, t in zip(cfgs, targets)]
+    whole = [run(cfg) for cfg in cfgs]
+    stops = [t.metadata["stopped_at"] for t in whole]
+    assert 41 < stops[0] < 46 and stops[1] is None and 76 < stops[2] < 81 and stops[3] <= 101
+    one_block(monkeypatch, steps)
+    for cfg, got, want in zip(cfgs, run_batch(cfgs), whole):
+        assert_same_trace(got, want)
+        assert_whole_run_columns(got, cfg)
+        assert same_bits(got.x, perturbed_iterates(cfg, int(got.k[-1]))[got.k - 1])
+
+
+def test_a_row_stops_off_the_grid_inside_a_later_block():
+    cfgs = toward_the_end(d64_cfgs(3, 2 * B + 1, 7, seed=21))
+    free = run(cfgs[1])
+    # a target between the rel_err recorded at k = 1 + 7 * 44 = 309 and at k = 316
+    target = float(free.rel_err[44] + free.rel_err[45]) / 2
+    cfgs[1] = dataclasses.replace(cfgs[1], rel_err_target=target)
+    batch = run_batch(cfgs)
+    hit = batch[1].metadata["stopped_at"]
+    assert B < hit < 316 and (hit - 1) % 7 and batch[1].k[-1] == hit
+    for cfg, got in zip(cfgs, batch):
+        assert_same_trace(got, run(cfg))
+        assert_whole_run_columns(got, cfg)
+
+
+def diverging_cfgs(n):
+    # on the hyperplane sum(x) = 0, x - lam x grows by |1 - lam| a step; alpha = 1e-9 keeps f out of it
+    problem = ProblemSpec(
+        set_Q=Hyperplane(normal=np.ones(D), offset=0.0),
+        map_S=Identity(D),
+        map_A=LeastSquaresGradient(np.eye(D), np.zeros(D)),
+        map_f=ConstantAnchor(np.zeros(D)),
+    )
+    x1 = np.tile([1.0, -1.0], D // 2)
+    return [
+        SolverConfig(problem=problem, schedule=ScheduleSpec(TableAlpha(np.full(n, 1e-9)), ConstantLambda(lam),
+                                                            (lam, lam)),
+                     x1=x1, n_max=n, reference=x1, record_stride=9)
+        for lam in (0.5, 6.9, 1.5)
+    ]
+
+
+@pytest.mark.parametrize("steps", (None, 5))
+def test_a_row_that_diverges_inside_a_block_fails_alone(monkeypatch, steps):
+    cfgs = diverging_cfgs(3 * B)
+    if steps:
+        one_block(monkeypatch, steps)
+    with pytest.warns(Warning):  # lambda = 6.9 > 2 nu, and the overflow
+        batch = run_batch(cfgs)
+    assert [type(r) for r in batch] == [RunTrace, DivergenceError, RunTrace]
+    with np.errstate(over="ignore", invalid="ignore"):
+        xs, k = explicit_loop(cfgs[1])
+    assert B < k < 2 * B and k % (steps or B) not in (0, 1)  # inside the second block
+    assert batch[1].step == k and same_bits(batch[1].last_state, xs[-1])
+    for i in (0, 2):
+        xs, k = explicit_loop(cfgs[i])
+        assert k == cfgs[i].n_max and same_bits(batch[i].x, xs[batch[i].k - 1])
+        assert_whole_run_columns(batch[i], cfgs[i])
+
+
+# --------------------------------------------------------------------------
+# schedule errors come before the first step
+
+
+def test_table_lambda_violations_past_the_first_block_are_counted_before_stepping():
+    n = 2 * B + 1
+    lam = np.full(n + 40, 0.5)
+    lam[B + 10 : B + 21] = 5.0  # 11 values outside [0, 2 nu = 2], all past the first block
+    lam[B + 30] = 0.75  # inside [0, 2 nu], outside the bounds
+    lam[n:] = 5.0  # past n_max: not counted
+    schedule = ScheduleSpec(PowerAlpha(0.8), TableLambda(lam), (0.5, 0.5))
+    (cfg,) = d64_cfgs(1, n, 50, seed=2, schedule=schedule, map_A=counting_identity())
+    msg = "11 lambda value(s) outside [0, 2*nu = 2.0]; convergence guarantees void"
+    with pytest.raises(ScheduleViolationError) as err:
+        run(dataclasses.replace(cfg, strict_schedule=True))
+    assert str(err.value) == msg and CountingMap.calls == 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        trace = run(cfg)
+    assert [str(w.message) for w in caught] == [msg]
+    assert caught[0].filename == __file__
+    assert trace.metadata["schedule_violations_2nu"] == 11
+    assert trace.metadata["schedule_violations_bounds"] == 12
+    assert_whole_run_columns(trace, cfg)
+
+
+@pytest.mark.parametrize("table", ("alpha", "lambda"))
+def test_a_table_that_ends_in_a_later_block_fails_before_stepping(table):
+    n, size = 2 * B + 1, B + 40
+    short = np.full(size, 0.5)
+    schedule = ScheduleSpec(TableAlpha(short) if table == "alpha" else PowerAlpha(0.8),
+                            TableLambda(short) if table == "lambda" else ConstantLambda(0.5), (0.5, 0.5))
+    cfgs = d64_cfgs(2, n, 50, seed=4, map_A=counting_identity())
+    cfgs[1] = dataclasses.replace(cfgs[1], schedule=schedule)
+    want = f"{table} table exhausted at k={size + 1} (length {size})"
+    with pytest.raises(IndexError) as err:
+        run(cfgs[1])
+    assert str(err.value) == want and CountingMap.calls == 0
+    ok, failed = run_batch(cfgs)
+    assert isinstance(failed, IndexError) and str(failed) == want
+    assert_same_trace(ok, run(cfgs[0]))
+
+
+# --------------------------------------------------------------------------
+# memory
+
+
+def test_a_runs_traced_peak_does_not_grow_with_n_max():
+    # records at stride 10,000 are a few rows: what is left is one block of tables and draws
+    (cfg,) = d64_cfgs(1, 10_000, 10_000, seed=9)
+    cfg = dataclasses.replace(cfg, reference=None)
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            run(dataclasses.replace(cfg, n_max=n))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(10_000), peak(50_000)
+    assert abs(large - small) <= 2**20, (small, large)
+
+
+def test_a_dense_batch_holds_its_schedule_columns_once():
+    # at stride 1 a block tabulates into the records: against a run that records
+    # two rows, the traced peak grows by the iterate records, not by a second
+    # copy of the (C, 3, n) alpha, lambda and e_norm columns
+    cells, d, n = 4, 2, 3000
+    cfgs = [dataclasses.replace(cfg, reference=None) for cfg in least_squares_batch(d, cells, 1, n, seed=6)]
+
+    def peak(stride):
+        batch = [dataclasses.replace(cfg, record_stride=stride) for cfg in cfgs]
+        tracemalloc.start()
+        try:
+            run_batch(batch)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    iterates, columns = cells * n * d * 8, cells * 3 * n * 8
+    assert peak(1) - peak(n) <= iterates + columns / 2

@@ -164,15 +164,23 @@ def exact_simplex_projection(x, total):
 
 # the largest entry swamps the total: u_1 - total rounds to u_1, so no entry passes the active test
 SWAMPING = [([1e17, 3.0], 2), ([1e20, 0.0], 2), ([1e16, 1.0, 2.0], 3)]
+# ... also when the largest value is there more than once
+SWAMPING_TIED = [([1e17, 1e17], 2), ([2.0, 1e20, -5.0, 1e20], 4)]
 
 
-@pytest.mark.parametrize("x, d", SWAMPING)
+@pytest.mark.parametrize("x, d", SWAMPING + SWAMPING_TIED)
 def test_simplex_projection_of_a_swamping_entry_is_finite_and_near_exact(x, d):
     got = project(Simplex(1.0, d), x)
     assert np.isfinite(got).all()
+    assert contains(Simplex(1.0, d), got, 0.0)  # in the set: sum 1, no negative entry
     tol = 2 * math.ulp(max(abs(v) for v in x))
     for g, want in zip(got.tolist(), exact_simplex_projection(x, 1.0)):
         assert abs(Fraction(g) - want) <= tol
+
+
+@pytest.mark.parametrize("x, d", SWAMPING + SWAMPING_TIED)
+def test_simplex_threshold_of_a_swamping_entry_is_the_largest_entry(x, d):
+    assert simplex_threshold(x, 1.0) == max(x)
 
 
 def test_a_run_whose_forward_step_swamps_the_simplex_total_finishes_with_a_warning():
@@ -189,6 +197,7 @@ def test_a_run_whose_forward_step_swamps_the_simplex_total_finishes_with_a_warni
         trace = run(cfg)
     assert trace.x.shape == (20, 2)
     assert np.isfinite(trace.x).all()
+    assert all(contains(problem.set_Q, x) for x in trace.x)
 
 
 def test_simplex_threshold_refuses_bad_shapes_as_before():
