@@ -10,7 +10,7 @@ benchmark harness.
 """
 
 from .__about__ import __version__
-from .space import DEFAULT_TOL, DimensionMismatchError, NonFiniteError, as_vector, inner, norm
+from .space import DimensionMismatchError, NonFiniteError, as_vector, inner, norm
 from .projections import (
     Ball,
     Box,
@@ -24,7 +24,6 @@ from .projections import (
     project,
     project_rows,
     sample,
-    simplex_threshold,
 )
 from .operators import (
     AffineMap,
@@ -36,12 +35,9 @@ from .operators import (
     RegisteredMapping,
     TrigContraction,
     UnknownMappingError,
-    apply,
-    forward_step,
     get_mapping,
     ls_lipschitz,
     register_mapping,
-    theta_map,
     viscosity_map,
 )
 from .schedules import (
@@ -58,7 +54,6 @@ from .schedules import (
     alpha_at,
     hypothesis_report,
     lambda_at,
-    perturbation_at,
     perturbation_stream,
 )
 from .solvers import (
@@ -76,14 +71,10 @@ from .solvers import (
     TAKAHASHI_TOYODA,
     YAO_INNER,
     YAO_OUTER,
-    explicit_step,
     implicit_path,
-    implicit_solve,
-    perturbed_step,
     reference_solution,
     run,
     run_batch,
-    xu_recursion,
 )
 from .experiment import (
     BENCHMARK_X1,

@@ -14,12 +14,10 @@ and :class:`LeastSquaresGradient`) also evaluate a (C, d) array through
 over the rows for every other callable, since no workload batches it.
 
 :class:`ProblemSpec` bundles a constraint set Q with a nonexpansive S, a
-cocoercive A and a contraction f; the composite operators built here are
-
-* ``forward_step``:  x - lam * A(x)
-* ``theta_map``:     P_Q(x - lam * A(x)), nonexpansive for lam in (0, 2 nu]
-* ``viscosity_map``: t f(x) + (1 - t) S(P_Q(x - mu A(x))),
-  a contraction with factor <= 1 - (1 - rho) t.
+cocoercive A and a contraction f. The composite operator built here is
+:func:`viscosity_map`, t f(x) + (1 - t) S(P_Q(x - mu A(x))), a contraction
+with factor <= 1 - (1 - rho) t; the step rules of :mod:`viscosolve.solvers`
+apply the same forward-backward map P_Q(x - lam A(x)).
 """
 
 from __future__ import annotations
@@ -49,10 +47,7 @@ __all__ = [
     "register_mapping",
     "get_mapping",
     "ProblemSpec",
-    "apply",
     "rows_of",
-    "forward_step",
-    "theta_map",
     "viscosity_map",
     "ls_lipschitz",
 ]
@@ -392,44 +387,12 @@ def _jsonable(obj):
     return obj
 
 
-def apply(mapping, x) -> np.ndarray:
-    """Evaluate ``mapping`` at ``x`` with boundary validation."""
-    x = as_vector(x, dim=getattr(mapping, "dim", None), name="x")
-    out = np.asarray(mapping(x), dtype=float)
-    if not np.isfinite(out).all():
-        raise NonFiniteError(f"mapping produced a non-finite value at {x!r}")
-    return out
-
-
 def rows_of(mapping) -> Callable[[np.ndarray], np.ndarray]:
     """``mapping`` on (C, d) arrays, row by row: its ``rows`` method, else a loop over the rows."""
     rows = getattr(mapping, "rows", None)
     if rows is not None:
         return rows
     return lambda X: np.array([np.asarray(mapping(x), dtype=float) for x in X]).reshape(np.shape(X))
-
-
-def _check_lambda(lam: float, nu: float | None, strict: bool, lo_open: bool = False):
-    if nu is None:
-        return
-    bad = lam < 0 or lam > 2 * nu or (lo_open and lam == 0)
-    if bad:
-        msg = f"lambda = {lam} outside {'(' if lo_open else '['}0, 2*nu = {2 * nu}]"
-        if strict:
-            raise ScheduleViolationError(msg)
-        warnings.warn(msg, ScheduleViolationWarning, stacklevel=3)
-
-
-def forward_step(x, A, lam: float, *, strict: bool = False) -> np.ndarray:
-    """x - lam * A(x); lam is expected in [0, 2*nu] (warns outside, raises if strict)."""
-    _check_lambda(lam, getattr(A, "ism_modulus", None), strict)
-    return x - lam * A(x)
-
-
-def theta_map(x, problem: ProblemSpec, lam: float, *, strict: bool = False) -> np.ndarray:
-    """P_Q(x - lam * A(x)); nonexpansive in x for lam in (0, 2*nu]."""
-    _check_lambda(lam, problem.nu, strict, lo_open=True)
-    return project(problem.set_Q, x - lam * problem.map_A(x))
 
 
 def viscosity_map(x, problem: ProblemSpec, t: float, mu: float, *, strict: bool = False) -> np.ndarray:
@@ -441,7 +404,12 @@ def viscosity_map(x, problem: ProblemSpec, t: float, mu: float, *, strict: bool 
     """
     if not (0 < t <= 1):
         raise ParameterError(f"t must be in (0, 1], got {t}")
-    _check_lambda(mu, problem.nu, strict)
+    nu = problem.nu
+    if mu < 0 or mu > 2 * nu:
+        msg = f"lambda = {mu} outside [0, 2*nu = {2 * nu}]"
+        if strict:
+            raise ScheduleViolationError(msg)
+        warnings.warn(msg, ScheduleViolationWarning, stacklevel=2)
     if np.ndim(x) == 2:
         f, A, S = (rows_of(m) for m in (problem.map_f, problem.map_A, problem.map_S))
         return t * f(x) + (1.0 - t) * S(project_rows(problem.set_Q, x - mu * A(x)))

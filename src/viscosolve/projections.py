@@ -23,8 +23,7 @@ Closed forms:
 * ball:           radial shrink toward the center
 * halfspace {x : <n,x> <= c}:   x - max(0, <n,x> - c) / ||n||^2 * n
 * hyperplane {x : <n,x> = c}:   x - (<n,x> - c) / ||n||^2 * n
-* simplex {x >= 0 : sum x = a}: water-filling threshold, see
-  :func:`simplex_threshold`
+* simplex {x >= 0 : sum x = a}: water-filling threshold, see ``_threshold``
 
 Only the orthant, the constraint set of the theta sweep, has a row method
 (the same clamp on the whole array); every other set steps through the loop
@@ -54,7 +53,6 @@ __all__ = [
     "ConvexSet",
     "project",
     "project_rows",
-    "simplex_threshold",
     "contains",
     "sample",
 ]
@@ -245,12 +243,12 @@ def _check_rows(cset, X) -> np.ndarray:
     return X
 
 
-def simplex_threshold(x, total: float) -> float:
-    """Solve sum_k max(x_k - alpha, 0) = total for the unique alpha.
+def _threshold(x: np.ndarray, total: float) -> float | None:
+    """The alpha with sum_k max(x_k - alpha, 0) = total, of a checked ``x`` and ``total``.
 
-    Sort-based, exact in O(n log n): sort descending, scan cumulative sums for
-    the active-support breakpoint. The threshold reproduces the projection
-    onto ``Simplex(total, n)`` as max(x - alpha, 0).
+    max(x - alpha, 0) is then the projection onto ``Simplex(total, x.size)``.
+    Sort-based, exact in O(n log n) (Duchi et al. 2008): sort descending,
+    scan cumulative sums for the active-support breakpoint.
 
     At small n numpy's per-call overhead is the cost, so the methods stand in
     for their wrappers (an in-place sort of a copy for ``np.sort``,
@@ -260,23 +258,8 @@ def simplex_threshold(x, total: float) -> float:
     an end. On finite floats u - q > 0 exactly when u > q (subnormals keep
     u - q from rounding to 0), so the active test skips the subtraction.
     When the largest entry swamps ``total`` (u_1 - total rounds to u_1), no
-    entry passes the test, the support is the largest entry alone and the
-    threshold rounds to u_1; ``Simplex.project`` then puts ``total`` on that
-    entry.
-    """
-    if not total > 0:
-        raise InvalidDescriptorError(f"simplex total must be > 0, got {total}")
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or not x.size:
-        as_vector(x, name="x")  # raises
-    threshold = _threshold(x, total)
-    return float(x.max()) if threshold is None else threshold
-
-
-def _threshold(x: np.ndarray, total: float) -> float | None:
-    """``simplex_threshold`` without the checks of ``total`` and of the shape (a set's ``project`` has made them).
-
-    None when the largest entry swamps ``total``.
+    entry passes the test and the support is the largest entry alone: the
+    result is then None, and ``Simplex.project`` puts ``total`` on that entry.
     """
     u = x.copy()
     u.sort()

@@ -35,7 +35,6 @@ __all__ = [
     "alpha_at",
     "lambda_at",
     "tabulate",
-    "perturbation_at",
     "perturbation_stream",
     "HypothesisCheck",
     "HypothesisReport",
@@ -247,13 +246,6 @@ def perturbation_stream(p: Perturbation, n: int, dim: int, start: int = 1) -> np
     e -= 1.0
     e /= np.arange(start, start + n, dtype=float)[:, None] ** 2
     return e
-
-
-def perturbation_at(p: Perturbation, k: int, dim: int) -> np.ndarray:
-    """e_k; deterministic in (seed, k), hence ||e_k|| <= sqrt(dim) / k**2."""
-    if k < 1:
-        raise IndexError(f"perturbation index starts at 1, got {k}")
-    return perturbation_stream(p, 1, dim, k)[0]  # O(1) in k
 
 
 # --------------------------------------------------------------------------

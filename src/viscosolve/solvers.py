@@ -10,10 +10,9 @@ contraction, u a fixed anchor in Q):
 * yao_outer:           x+ = b x + (1 - b) P(a u + (1 - a) S P(x - l A x))
 * yao_inner:           x+ = b x + (1 - b) S P(a u + (1 - a)(x - l A x))
 
-plus the implicit path x_t = t f(x_t) + (1 - t) S P(x_t - l(t) A x_t) solved
-by safeguarded Anderson acceleration, the reference solver for the limit
-point (the fixed point of P_Omega . f), and the scalar comparison recursion
-used as a test oracle for convergence diagnostics.
+plus the implicit path x_t = t f(x_t) + (1 - t) S P(x_t - l A x_t) solved by
+safeguarded Anderson acceleration and the reference solver for the limit
+point (the fixed point of P_Omega . f).
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .__about__ import __version__ as _VERSION
-from .operators import ParameterError, ProblemSpec, _jsonable, rows_of, viscosity_map
+from .operators import ProblemSpec, _jsonable, rows_of, viscosity_map
 from .projections import contains, project, project_rows
 from .schedules import (
     NoPerturbation,
@@ -42,9 +41,7 @@ from .schedules import (
     TableLambda,
     _block_steps,
     _check_horizon,
-    alpha_at,
-    lambda_at,
-    perturbation_at,
+    alpha_at,  # not called here: bench/tests reads solvers.alpha_at, with project, norm and run
     perturbation_stream,
     tabulate,
 )
@@ -65,14 +62,10 @@ __all__ = [
     "RunTrace",
     "ImplicitConfig",
     "PathPoint",
-    "explicit_step",
-    "perturbed_step",
     "run",
     "run_batch",
-    "implicit_solve",
     "implicit_path",
     "reference_solution",
-    "xu_recursion",
     "config_digest",
 ]
 
@@ -324,25 +317,6 @@ def _build_step(problem: ProblemSpec, rule: str, rows: bool = False) -> Callable
         P = getattr(Q, "project_rows", None) or partial(project_rows, Q)
         return _RULES[rule](P, *(rows_of(m) for m in maps))
     return _RULES[rule](partial(project, Q), *maps)
-
-
-def explicit_step(x, k: int, cfg: SolverConfig) -> np.ndarray:
-    """One step of the explicit viscosity rule at index k (k >= 1)."""
-    if k < 1:
-        raise IndexError(f"step index starts at 1, got {k}")
-    a = alpha_at(cfg.schedule, k)
-    lam = lambda_at(cfg.schedule, k)
-    return _build_step(cfg.problem, EXPLICIT_VISCOSITY)(np.asarray(x, dtype=float), a, lam, None, None, None)
-
-
-def perturbed_step(x, k: int, cfg: SolverConfig) -> np.ndarray:
-    """One step of the perturbed rule: the explicit step plus e_k, re-projected onto Q."""
-    if k < 1:
-        raise IndexError(f"step index starts at 1, got {k}")
-    a = alpha_at(cfg.schedule, k)
-    lam = lambda_at(cfg.schedule, k)
-    e = perturbation_at(cfg.perturbation, k, cfg.problem.dim)
-    return _build_step(cfg.problem, PERTURBED)(np.asarray(x, dtype=float), a, lam, e, None, None)
 
 
 # --------------------------------------------------------------------------
@@ -627,17 +601,17 @@ def _lockstep(cfgs: list, extras: list) -> list:
 class ImplicitConfig:
     """Settings for the implicit curve t -> x_t.
 
-    ``lambda_of_t`` maps t to the relaxation step (a float means a constant
-    map); values are expected in (0, 2*nu). Each solve runs safeguarded
-    Anderson acceleration on the viscosity map and stops once either the
-    contraction a-posteriori bound certifies ||x - x_t|| <= inner_tol or the
-    fixed-point residual itself drops below inner_tol (for very small t the
-    bound alone would demand residuals below the float64 rounding floor).
+    ``lambda_of_t`` is the relaxation step at every t, a finite float >= 0,
+    expected in (0, 2*nu). Each solve runs safeguarded Anderson acceleration
+    on the viscosity map and stops once either the contraction a-posteriori
+    bound certifies ||x - x_t|| <= inner_tol or the fixed-point residual
+    itself drops below inner_tol (for very small t the bound alone would
+    demand residuals below the float64 rounding floor).
     ``inner_max_iter`` caps the viscosity_map evaluations of one solve.
     """
 
     t_values: tuple[float, ...]
-    lambda_of_t: float | Callable[[float], float]
+    lambda_of_t: float
     inner_tol: float = 1e-10
     inner_max_iter: int = 20_000_000
 
@@ -652,11 +626,14 @@ class ImplicitConfig:
             raise ConfigurationError("t_values must be strictly decreasing")
         if not self.inner_tol > 0:
             raise ConfigurationError("inner_tol must be > 0")
+        lam = float(self.lambda_of_t)
+        if not (math.isfinite(lam) and lam >= 0):
+            raise ConfigurationError(f"lambda_of_t must be finite and >= 0, got {lam}")
+        object.__setattr__(self, "lambda_of_t", lam)
 
     def lam_at(self, t: float) -> float:
-        if callable(self.lambda_of_t):
-            return float(self.lambda_of_t(t))
-        return float(self.lambda_of_t)
+        """The relaxation step at t: ``lambda_of_t``, the same at every t."""
+        return self.lambda_of_t
 
 
 @dataclass(frozen=True, eq=False)
@@ -722,22 +699,6 @@ def _anderson_solve(t, lam, problem, x0, tol, max_iter):
     )
 
 
-def implicit_solve(t: float, cfg: ImplicitConfig, problem: ProblemSpec, x0=None) -> np.ndarray:
-    """The unique x_t with x_t = t f(x_t) + (1 - t) S P_Q(x_t - lambda(t) A x_t).
-
-    Safeguarded Anderson acceleration on the viscosity map (contraction
-    factor <= 1 - sigma t); the returned point has fixed-point residual
-    <= cfg.inner_tol.
-    """
-    if not (0 < t <= 1):
-        raise ParameterError(f"t must be in (0, 1], got {t}")
-    x0 = as_vector(x0, dim=problem.dim, name="x0") if x0 is not None else project(
-        problem.set_Q, np.zeros(problem.dim)
-    )
-    x, _ = _anderson_solve(t, cfg.lam_at(t), problem, x0, cfg.inner_tol, cfg.inner_max_iter)
-    return x
-
-
 def implicit_path(cfg: ImplicitConfig, problem: ProblemSpec, x1=None) -> list[PathPoint]:
     """Solve x_t along cfg.t_values, warm-starting each solve from the previous one.
 
@@ -788,33 +749,6 @@ def reference_solution(problem: ProblemSpec, tol: float = 1e-12, max_iter: int =
         residual=step,
         iterations=max_iter,
     )
-
-
-def xu_recursion(a1, gamma, r, delta, n: int) -> list:
-    """Run a_{k+1} = (1 - gamma_k) a_k + gamma_k r_k + delta_k with equality.
-
-    Returns [a_1, ..., a_n]: the extremal majorant of the comparison
-    inequality, used as a numeric oracle for convergence diagnostics.
-    ``gamma``, ``r`` and ``delta`` may be callables of k >= 1 or indexable
-    sequences. Arithmetic follows the input scalar types: pass
-    ``fractions.Fraction`` values for exact evaluation.
-    """
-    if a1 < 0:
-        raise ValueError(f"a1 must be >= 0, got {a1}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    gamma_f = gamma if callable(gamma) else (lambda k: gamma[k - 1])
-    r_f = r if callable(r) else (lambda k: r[k - 1])
-    delta_f = delta if callable(delta) else (lambda k: delta[k - 1])
-    a = a1
-    out = [a]
-    for k in range(1, n):
-        g = gamma_f(k)
-        if not (0 <= g <= 1):
-            raise ValueError(f"gamma_{k} = {g} outside [0, 1]")
-        a = (1 - g) * a + g * r_f(k) + delta_f(k)
-        out.append(a)
-    return out
 
 
 # --------------------------------------------------------------------------

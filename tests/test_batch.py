@@ -37,7 +37,6 @@ from viscosolve import (
     UniformSquarePerturbation,
     benchmark_schedule,
     contains,
-    explicit_step,
     ls_lipschitz,
     norm,
     project,
@@ -48,6 +47,8 @@ from viscosolve import (
 )
 from viscosolve.operators import rows_of
 from viscosolve.solvers import PERTURBED, _csv_cells
+
+from oracles import step_at
 
 SET_KINDS = ("orthant", "box", "ball", "halfspace", "hyperplane", "simplex")
 
@@ -212,10 +213,10 @@ def test_rel_err_without_a_target_stays_exact_beside_a_diverging_row():
     with pytest.warns(Warning):
         batch = run_batch(cfgs)
     for cfg, got in zip(cfgs, batch):
-        # an independent loop of explicit_step, up to the first non-finite iterate
+        # an independent loop of the explicit step, up to the first non-finite iterate
         xs, k = [cfg.x1], 1
         with np.errstate(over="ignore", invalid="ignore"):
-            while k < cfg.n_max and np.isfinite(nxt := explicit_step(xs[-1], k, cfg)).all():
+            while k < cfg.n_max and np.isfinite(nxt := step_at(xs[-1], k, cfg)).all():
                 xs, k = xs + [nxt], k + 1
         if isinstance(got, DivergenceError):
             assert (got.step, str(got)) == (k, f"non-finite iterate at step {k} (algorithm 'explicit_viscosity')")
@@ -257,9 +258,9 @@ def huge_batch(cells, edge=np.inf, bad=np.inf, d=3, n=15):
 
 
 def explicit_loop(cfg):
-    """An independent loop of explicit_step: the iterates up to the first non-finite one, and its step."""
+    """An independent loop of the explicit step: the iterates up to the first non-finite one, and its step."""
     xs, k = [cfg.x1], 1
-    while k < cfg.n_max and np.isfinite(nxt := explicit_step(xs[-1], k, cfg)).all():
+    while k < cfg.n_max and np.isfinite(nxt := step_at(xs[-1], k, cfg)).all():
         xs, k = xs + [nxt], k + 1
     return np.array(xs), k
 

@@ -27,9 +27,7 @@ from viscosolve import (
     UniformSquarePerturbation,
     hypothesis_report,
     ls_lipschitz,
-    perturbation_at,
     perturbation_stream,
-    perturbed_step,
     run,
     run_batch,
 )
@@ -37,6 +35,7 @@ from viscosolve import solvers
 from viscosolve.schedules import _block_steps, tabulate
 from viscosolve.solvers import PERTURBED
 
+from oracles import step_at
 from test_batch import assert_same_trace, explicit_loop, least_squares_batch, same_bits
 
 D = 64
@@ -104,10 +103,10 @@ def assert_whole_run_columns(trace, cfg):
 
 
 def perturbed_iterates(cfg, until):
-    """x_1 .. x_until by a loop of ``perturbed_step``, which draws e_k on its own for each k."""
+    """x_1 .. x_until by a loop of one step at a time, which draws e_k on its own for each k."""
     xs = [cfg.x1]
     for k in range(1, until):
-        xs.append(perturbed_step(xs[-1], k, cfg))
+        xs.append(step_at(xs[-1], k, cfg))
     return np.array(xs)
 
 
@@ -122,7 +121,7 @@ def test_stream_from_start_equals_those_rows_of_the_whole_stream(d):
     for k0, m in ((1, 600), (1, 1), (2, 5), (257, 256), (513, 88), (600, 1)):
         assert same_bits(perturbation_stream(p, m, d, start=k0), whole[k0 - 1 : k0 - 1 + m]), (k0, m)
     for k in (1, 256, 257, 600):
-        assert same_bits(perturbation_at(p, k, d), whole[k - 1])
+        assert same_bits(perturbation_stream(p, 1, d, k)[0], whole[k - 1])
     assert same_bits(perturbation_stream(NoPerturbation(), 5, d, start=100), np.zeros((5, d)))
 
 

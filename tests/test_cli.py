@@ -177,6 +177,16 @@ def test_implicit_command(tmp_path):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), -1.0])
+def test_implicit_with_a_non_finite_or_negative_lambda_is_config_error(tmp_path, capsys, lam):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"implicit": {"t_values": [1.0, 0.5], "lambda": lam}}))
+    out = tmp_path / "out"
+    assert run_cli("implicit", "--config", cfg_path, "--out", out) == EXIT_CONFIG
+    assert f"lambda_of_t must be finite and >= 0, got {lam}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_check_command_benchmark_passes(capsys):
     assert run_cli("check", "--nmax", "1000") == EXIT_OK
     out = capsys.readouterr().out

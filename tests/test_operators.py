@@ -17,51 +17,55 @@ from viscosolve import (
     Simplex,
     TrigContraction,
     UnknownMappingError,
-    apply,
-    forward_step,
     get_mapping,
     inner,
     ls_lipschitz,
     norm,
     project,
     register_mapping,
-    theta_map,
     viscosity_map,
 )
 
 
+def theta_map(x, problem, lam):
+    """P_Q(x - lam A x) as the rules apply it: the explicit step at mixing weight 0 (S is the identity here)."""
+    step = solvers._build_step(problem, solvers.EXPLICIT_VISCOSITY)
+    return step(np.asarray(x, dtype=float), 0.0, lam, None, None, None)
+
+
 def test_apply_gradient_example(problem):
-    out = apply(problem.map_A, [2.0, 3.0])
+    out = problem.map_A(np.array([2.0, 3.0]))
     assert np.allclose(out, [12.0, 12.0], atol=1e-12)
 
 
 def test_apply_identity():
     x = np.array([0.3, -1.7, 4.0])
-    assert np.array_equal(apply(Identity(3), x), x)
+    assert np.array_equal(Identity(3)(x), x)
 
 
 def test_apply_trig_contraction():
-    out = apply(TrigContraction(), [2.0, 3.0])
+    out = TrigContraction()(np.array([2.0, 3.0]))
     assert np.allclose(out, [2.64183, 3.47946], atol=5e-6)
     assert out[0] == (5.0 + math.cos(5.0)) / 2.0
     assert out[1] == (6.0 - math.sin(5.0)) / 2.0
 
 
 def test_forward_step_examples(problem, qstar):
-    out = forward_step(np.array([2.0, 3.0]), problem.map_A, 0.1)
+    # x - lam A x stays in Q at these points, so P_Q leaves it as it is
+    out = theta_map(np.array([2.0, 3.0]), problem, 0.1)
     assert np.allclose(out, [0.8, 1.8], atol=1e-12)
     x = np.array([1.0, 2.5])
-    assert np.array_equal(forward_step(x, problem.map_A, 0.0), x)
+    assert np.array_equal(theta_map(x, problem, 0.0), x)
     # the reference point is stationary: A vanishes there
-    assert np.allclose(forward_step(qstar, problem.map_A, 0.15), qstar, atol=1e-12)
+    assert np.allclose(theta_map(qstar, problem, 0.15), qstar, atol=1e-12)
 
 
 def test_forward_step_schedule_violation(problem):
     x = np.array([1.0, 1.0])
     with pytest.warns(ScheduleViolationWarning):
-        forward_step(x, problem.map_A, 0.25)  # 2*nu = 0.2
+        viscosity_map(x, problem, 0.5, 0.25)  # 2*nu = 0.2
     with pytest.raises(ScheduleViolationError):
-        forward_step(x, problem.map_A, 0.25, strict=True)
+        viscosity_map(x, problem, 0.5, 0.25, strict=True)
 
 
 def test_theta_map_examples(problem, qstar):
@@ -218,4 +222,4 @@ def test_degenerate_mixing_reduces_to_forward_map(problem):
     # that is exactly the projected forward step
     x = np.array([2.0, 3.0])
     out = solvers._build_step(problem, solvers.EXPLICIT_VISCOSITY)(x, 0.0, 0.1, None, None, None)
-    assert np.array_equal(out, theta_map(x, problem, 0.1))
+    assert np.array_equal(out, project(problem.set_Q, x - 0.1 * problem.map_A(x)))

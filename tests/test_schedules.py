@@ -19,7 +19,6 @@ from viscosolve import (
     hypothesis_report,
     lambda_at,
     norm,
-    perturbation_at,
     perturbation_stream,
 )
 from viscosolve import schedules
@@ -117,27 +116,27 @@ def test_power_alpha_decreasing_into_unit_interval(theta, k):
 
 def test_perturbation_none_is_zero():
     p = NoPerturbation()
-    assert np.array_equal(perturbation_at(p, 5, 2), np.zeros(2))
+    assert np.array_equal(perturbation_stream(p, 1, 2, 5)[0], np.zeros(2))
     assert np.array_equal(perturbation_stream(p, 10, 3), np.zeros((10, 3)))
 
 
 def test_perturbation_norm_bound():
     p = UniformSquarePerturbation(seed=123)
     for k in (1, 2, 10, 500):
-        assert norm(perturbation_at(p, k, 2)) <= math.sqrt(2) / k**2
+        assert norm(perturbation_stream(p, 1, 2, k)[0]) <= math.sqrt(2) / k**2
 
 
 def test_perturbation_determinism():
     p = UniformSquarePerturbation(seed=42)
-    a = perturbation_at(p, 7, 2)
-    b = perturbation_at(p, 7, 2)
+    a = perturbation_stream(p, 1, 2, 7)[0]
+    b = perturbation_stream(p, 1, 2, 7)[0]
     assert np.array_equal(a, b)
     # the stream rows agree bit-exactly with per-index evaluation
     stream = perturbation_stream(p, 20, 2)
     for k in (1, 3, 20):
-        assert np.array_equal(stream[k - 1], perturbation_at(p, k, 2))
+        assert np.array_equal(stream[k - 1], perturbation_stream(p, 1, 2, k)[0])
     # different seeds give different draws
-    assert not np.array_equal(a, perturbation_at(UniformSquarePerturbation(seed=43), 7, 2))
+    assert not np.array_equal(a, perturbation_stream(UniformSquarePerturbation(seed=43), 1, 2, 7)[0])
 
 
 @pytest.mark.parametrize("dim", [1, 2, 5])
@@ -146,7 +145,7 @@ def test_perturbation_at_matches_stream_rows(dim):
     n = 100_000
     stream = perturbation_stream(p, n, dim)
     for k in (1, 2, 7, 5000, n - 1, n):
-        assert np.array_equal(perturbation_at(p, k, dim), stream[k - 1]), k
+        assert np.array_equal(perturbation_stream(p, 1, dim, k)[0], stream[k - 1]), k
 
 
 def test_perturbation_partial_sum_bound():

@@ -41,20 +41,18 @@ from viscosolve import (
     YAO_OUTER,
     benchmark_schedule,
     contains,
-    explicit_step,
     implicit_path,
-    implicit_solve,
     inner,
     norm,
     perturbation_stream,
-    perturbed_step,
     project,
     reference_solution,
     run,
     sample,
     viscosity_map,
-    xu_recursion,
 )
+
+from oracles import step_at, xu_recursion
 
 
 def make_cfg(problem, qstar=None, **kw):
@@ -78,7 +76,7 @@ def test_explicit_first_step_collapses_to_contraction(problem):
     # alpha_1 = 1 for every exponent
     for theta in (0.1, 0.5, 0.9, 1.0):
         cfg = make_cfg(problem, schedule=benchmark_schedule(theta, problem=problem))
-        out = explicit_step(np.array([2.0, 3.0]), 1, cfg)
+        out = step_at(np.array([2.0, 3.0]), 1, cfg)
         assert np.allclose(out, problem.map_f(np.array([2.0, 3.0])), atol=1e-15)
         assert np.allclose(out, [2.64183, 3.47946], atol=5e-6)
 
@@ -88,7 +86,7 @@ def test_step_is_stationary_at_anchored_fixed_point(problem, qstar):
     prob = dataclasses.replace(problem, map_f=ConstantAnchor(qstar))
     cfg = make_cfg(prob)
     for k in (1, 2, 10, 100):
-        assert norm(explicit_step(qstar, k, cfg) - qstar) <= 1e-15
+        assert norm(step_at(qstar, k, cfg) - qstar) <= 1e-15
 
 
 def test_perturbed_step_adds_then_projects(problem):
@@ -107,8 +105,8 @@ def test_perturbed_step_with_zero_noise_reduces_bit_exactly(problem):
     rng = np.random.default_rng(5)
     for k in (1, 2, 7, 33):
         x = np.abs(rng.normal(scale=2.0, size=2))
-        lhs = perturbed_step(x, k, cfg0)
-        rhs = project(problem.set_Q, explicit_step(x, k, cfg))
+        lhs = step_at(x, k, cfg0)
+        rhs = project(problem.set_Q, step_at(x, k, cfg))
         assert np.array_equal(lhs, rhs)
 
 
@@ -333,6 +331,12 @@ def bisect_coordinate_sum():
     return (lo + hi) / 2
 
 
+def implicit_solve(t, icfg, problem, x0=None):
+    """x_t: the one point of ``implicit_path`` over t alone."""
+    (point,) = implicit_path(dataclasses.replace(icfg, t_values=(t,)), problem, x1=x0)
+    return point.x
+
+
 def test_implicit_solve_t1_matches_scalar_oracle(problem):
     icfg = ImplicitConfig(t_values=(1.0,), lambda_of_t=0.1)
     x = implicit_solve(1.0, icfg, problem, x0=[2.0, 3.0])
@@ -363,7 +367,9 @@ def test_implicit_path_single_t_equals_solve(problem):
     icfg = ImplicitConfig(t_values=(1.0,), lambda_of_t=0.1)
     pts = implicit_path(icfg, problem)
     assert len(pts) == 1
-    assert np.array_equal(pts[0].x, implicit_solve(1.0, icfg, problem))
+    x0 = project(problem.set_Q, np.zeros(problem.dim))  # the path's default start
+    x, _ = solvers._anderson_solve(1.0, 0.1, problem, x0, icfg.inner_tol, icfg.inner_max_iter)
+    assert np.array_equal(pts[0].x, x)
 
 
 def test_implicit_path_distance_decreasing(problem):
@@ -497,6 +503,14 @@ def test_implicit_config_validation():
         ImplicitConfig(t_values=(0.5, 0.9), lambda_of_t=0.1)
     with pytest.raises(ConfigurationError):
         ImplicitConfig(t_values=(1.5,), lambda_of_t=0.1)
+    icfg = ImplicitConfig(t_values=(1.0, 0.5), lambda_of_t=0)
+    assert icfg.lambda_of_t == 0.0 and type(icfg.lambda_of_t) is float
+    assert icfg.lam_at(1.0) == icfg.lam_at(0.5) == 0.0
+    for bad in (float("nan"), float("inf"), -float("inf"), -1.0, -1e-300):
+        with pytest.raises(ConfigurationError, match="lambda_of_t must be finite and >= 0"):
+            ImplicitConfig(t_values=(1.0,), lambda_of_t=bad)
+    with pytest.raises(TypeError):  # a map t -> lambda is not a float
+        ImplicitConfig(t_values=(1.0,), lambda_of_t=lambda t: 0.1)
 
 
 # -------------------------------------------------------------- reference

@@ -6,6 +6,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 import pytest
 
+import viscosolve
 import viscosolve.solvers as solvers
 from viscosolve import (
     ALGORITHMS,
@@ -13,6 +14,7 @@ from viscosolve import (
     EXPLICIT_VISCOSITY,
     HALPERN,
     Identity,
+    ImplicitConfig,
     LeastSquaresGradient,
     PERTURBED,
     ProblemSpec,
@@ -174,3 +176,17 @@ def test_a_batch_of_one_calls_project_by_name_at_every_projection(problem, monke
         assert len(calls) == per_step * (n - 1), prob.dim
         assert all(cset is prob.set_Q for cset in calls)
         assert same_bits(got.x, want.x)
+
+
+def test_the_names_the_benchmark_reads_from_solvers_are_the_packages_own():
+    # the benchmark's self-test swaps viscosolve.solvers' project, norm, run and
+    # alpha_at for counters and checks that each is restored, so all four must
+    # stay module globals there, even one the module does not call (alpha_at);
+    # its implicit workload reads the relaxation step through ImplicitConfig.lam_at
+    from viscosolve import projections, schedules, space
+
+    assert solvers.project is projections.project
+    assert solvers.norm is space.norm
+    assert solvers.alpha_at is schedules.alpha_at
+    assert solvers.run is viscosolve.run and solvers.run.__module__ == "viscosolve.solvers"
+    assert ImplicitConfig(t_values=(1.0, 0.1), lambda_of_t=0.1).lam_at(0.1) == 0.1
