@@ -10,7 +10,7 @@ benchmark harness.
 """
 
 from .__about__ import __version__
-from .space import DimensionMismatchError, NonFiniteError, as_vector, inner, norm
+from .space import DimensionMismatchError, NonFiniteError, as_vector, norm
 from .projections import (
     Ball,
     Box,

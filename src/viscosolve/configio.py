@@ -263,34 +263,35 @@ def build_problem(resolved: dict) -> ProblemSpec:
 
 def build_schedule(resolved: dict) -> ScheduleSpec:
     body = resolved["schedule"]
-    alpha_d = body["alpha"]
-    if "power" in alpha_d:
-        alpha = PowerAlpha(float(alpha_d["power"]))
-    elif "table" in alpha_d:
-        alpha = TableAlpha(alpha_d["table"])
-    else:
-        raise ConfigurationError("schedule.alpha: need 'power' or 'table'")
-    lam_d = body["lambda"]
-    if "constant" in lam_d:
-        lam = ConstantLambda(float(lam_d["constant"]))
-        default_bounds = (lam.value, lam.value)
-    elif "table" in lam_d:
-        lam = TableLambda(lam_d["table"])
-        default_bounds = (float(min(lam.values)), float(max(lam.values)))
-    else:
-        raise ConfigurationError("schedule.lambda: need 'constant' or 'table'")
-    bounds = tuple(body.get("bounds", default_bounds))
-    with _as_config_error("schedule", ValueError):
+    with _as_config_error("schedule", (ValueError, TypeError, IndexError)):
+        alpha_d = body["alpha"]
+        if "power" in alpha_d:
+            alpha = PowerAlpha(float(alpha_d["power"]))
+        elif "table" in alpha_d:
+            alpha = TableAlpha(alpha_d["table"])
+        else:
+            raise ConfigurationError("schedule.alpha: need 'power' or 'table'")
+        lam_d = body["lambda"]
+        if "constant" in lam_d:
+            lam = ConstantLambda(float(lam_d["constant"]))
+            default_bounds = (lam.value, lam.value)
+        elif "table" in lam_d:
+            lam = TableLambda(lam_d["table"])
+            default_bounds = (float(min(lam.values)), float(max(lam.values)))
+        else:
+            raise ConfigurationError("schedule.lambda: need 'constant' or 'table'")
+        bounds = tuple(body.get("bounds", default_bounds))
         return ScheduleSpec(alpha=alpha, lam=lam, bounds=bounds)
 
 
 def build_perturbation(resolved: dict):
     body = resolved["perturbation"]
-    kind = _need(body, "kind", "perturbation")
-    if kind == "none":
-        return NoPerturbation()
-    if kind == "uniform_square_over_ksq":
-        return UniformSquarePerturbation(seed=int(_need(body, "seed", "perturbation")))
+    with _as_config_error("perturbation", (ValueError, TypeError, IndexError)):
+        kind = _need(body, "kind", "perturbation")
+        if kind == "none":
+            return NoPerturbation()
+        if kind == "uniform_square_over_ksq":
+            return UniformSquarePerturbation(seed=int(_need(body, "seed", "perturbation")))
     raise ConfigurationError(f"perturbation.kind: unknown kind {kind!r}")
 
 

@@ -32,7 +32,7 @@ from typing import Callable, ClassVar
 import numpy as np
 
 from .projections import ConvexSet, contains, project, project_rows, sample
-from .schedules import ScheduleViolationError, ScheduleViolationWarning
+from .schedules import ScheduleViolationWarning
 from .space import DimensionMismatchError, NonFiniteError, as_vector
 
 __all__ = [
@@ -239,7 +239,6 @@ def register_mapping(
     dim: int,
     role: str,
     modulus: float | None = None,
-    seed: int = 20220702,
 ) -> RegisteredMapping:
     """Register ``fn`` under ``name`` after spot-checking its declared modulus.
 
@@ -262,7 +261,7 @@ def register_mapping(
     if name in _REGISTRY:
         raise ValueError(f"mapping {name!r} already registered")
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(20220702)
     xs = rng.normal(scale=2.0, size=(_SPOT_CHECK_PAIRS, dim))
     ys = rng.normal(scale=2.0, size=(_SPOT_CHECK_PAIRS, dim))
     for x, y in zip(xs, ys):
@@ -395,7 +394,7 @@ def rows_of(mapping) -> Callable[[np.ndarray], np.ndarray]:
     return lambda X: np.array([np.asarray(mapping(x), dtype=float) for x in X]).reshape(np.shape(X))
 
 
-def viscosity_map(x, problem: ProblemSpec, t: float, mu: float, *, strict: bool = False) -> np.ndarray:
+def viscosity_map(x, problem: ProblemSpec, t: float, mu: float) -> np.ndarray:
     """t f(x) + (1 - t) S(P_Q(x - mu A(x))).
 
     Lipschitz with factor <= 1 - sigma * t where sigma = 1 - rho, hence a
@@ -407,8 +406,6 @@ def viscosity_map(x, problem: ProblemSpec, t: float, mu: float, *, strict: bool 
     nu = problem.nu
     if mu < 0 or mu > 2 * nu:
         msg = f"lambda = {mu} outside [0, 2*nu = {2 * nu}]"
-        if strict:
-            raise ScheduleViolationError(msg)
         warnings.warn(msg, ScheduleViolationWarning, stacklevel=2)
     if np.ndim(x) == 2:
         f, A, S = (rows_of(m) for m in (problem.map_f, problem.map_A, problem.map_S))

@@ -176,14 +176,11 @@ def lambda_at(s: ScheduleSpec, k: int) -> float:
 
 def tabulate(s: ScheduleSpec, n: int, start: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """(alpha_k, lambda_k) for k = start .. start + n - 1 as two arrays, without the per-value warnings."""
-    ks = range(start, start + n)
-    alphas = np.array([alpha_at(s, k) for k in ks])
+    alphas = np.array([alpha_at(s, k) for k in range(start, start + n)])
     if isinstance(s.lam, ConstantLambda):
         return alphas, np.full(n, s.lam.value)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ScheduleViolationWarning)
-        lams = np.array([lambda_at(s, k) for k in ks])
-    return alphas, lams
+    _check_horizon(s, start + n - 1)
+    return alphas, s.lam.values[start - 1 : start - 1 + n]
 
 
 def _check_horizon(s: ScheduleSpec, n: int) -> None:
@@ -380,13 +377,9 @@ def hypothesis_report(
         v4 = CONSISTENT if _tame_increments(lams, alphas) else VIOLATED
     c4 = HypothesisCheck("iv", "lambda increments vanish relative to alpha or are summable", v4, evidence_lambda)
 
-    # (v)
-    if isinstance(p, NoPerturbation):
-        v5 = ANALYTIC
-    else:
-        # ||e_k|| <= sqrt(dim)/k**2, absolutely summable
-        v5 = ANALYTIC
+    # (v): e_k = 0, or ||e_k|| <= sqrt(dim)/k**2, absolutely summable
+    if not isinstance(p, NoPerturbation):
         evidence_e["e_norm_sum_bound"] = float(math.sqrt(dim) * math.pi**2 / 6)
-    c5 = HypothesisCheck("v", "perturbation norms vanish relative to alpha or are summable", v5, evidence_e)
+    c5 = HypothesisCheck("v", "perturbation norms vanish relative to alpha or are summable", ANALYTIC, evidence_e)
 
     return HypothesisReport(checks=(c1, c2, c3, c4, c5), n=n, nu=float(nu))

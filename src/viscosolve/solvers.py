@@ -157,8 +157,13 @@ class SolverConfig:
                 raise ConfigurationError("reference must have a nonzero norm: rel_err divides by it")
             ref.setflags(write=False)
             object.__setattr__(self, "reference", ref)
-        if self.rel_err_target is not None and self.reference is None:
-            raise ConfigurationError("rel_err_target needs a reference point")
+        if self.rel_err_target is not None:
+            if self.reference is None:
+                raise ConfigurationError("rel_err_target needs a reference point")
+            target = float(self.rel_err_target)
+            if not (math.isfinite(target) and target >= 0):  # a NaN target would never stop the run
+                raise ConfigurationError(f"rel_err_target must be finite and >= 0, got {target}")
+            object.__setattr__(self, "rel_err_target", target)
 
 
 _CSV_CHUNK = 1000  # trace rows formatted per write
@@ -462,7 +467,6 @@ def _lockstep(cfgs: list, extras: list) -> list:
         x=np.array([cfg.x1 for cfg in live]),
         cols=None,
         e=None,
-        violations=np.array(list(violations.values())),
         u=np.array([cfg.anchor for cfg in live]) if rule in (HALPERN, YAO_OUTER, YAO_INNER) else None,
         beta=np.array([[cfg.beta] for cfg in live]),
         ref=np.array([cfg.reference for cfg in live]) if with_ref else None,
@@ -514,8 +518,8 @@ def _lockstep(cfgs: list, extras: list) -> list:
             "n_max": n,
             "record_stride": stride,
             "stopped_at": stopped_at,
-            "schedule_violations_bounds": int(rows.violations[j, 0]),
-            "schedule_violations_2nu": int(rows.violations[j, 1]),
+            "schedule_violations_bounds": violations[i][0],
+            "schedule_violations_2nu": violations[i][1],
             "config_digest": config_digest(cfgs[i]),
             "package": f"viscosolve {_VERSION}",
         }
@@ -756,26 +760,27 @@ def reference_solution(problem: ProblemSpec, tol: float = 1e-12, max_iter: int =
 
 
 _encode = json.JSONEncoder(sort_keys=True).encode  # json.dumps(..., sort_keys=True)
+_PROBLEM_SLOT = "\0problem field\0"  # stands in for a ProblemSpec field; no config string holds a NUL
 
 
 def _json(obj) -> str:
-    """``json.dumps(_jsonable(obj), sort_keys=True)``, splicing in the encoding a problem keeps
-    where ``obj`` or one of its fields is a :class:`ProblemSpec`."""
+    """``json.dumps(_jsonable(obj), sort_keys=True)``, with the encoding a problem keeps
+    in place of ``obj`` or of each field of ``obj`` that is a :class:`ProblemSpec`."""
     if isinstance(obj, ProblemSpec):
         return obj.digest_json
     if not dataclasses.is_dataclass(obj) or isinstance(obj, type):
         return _encode(_jsonable(obj))
-    items = {"type": type(obj).__name__, **{f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}}
-    members, run = [], {}  # the members of the JSON object; a run of consecutive other fields
-    for k, v in sorted(items.items()):
-        if isinstance(v, ProblemSpec):
-            members += [_encode(run)[1:-1]] if run else []
-            members.append(f"{_encode(k)}: {v.digest_json}")
-            run = {}
-        else:
-            run[k] = _jsonable(v)
-    members += [_encode(run)[1:-1]] if run else []
-    return "{" + ", ".join(members) + "}"
+    data, problems = {"type": type(obj).__name__}, {}
+    for f in dataclasses.fields(obj):
+        v = getattr(obj, f.name)
+        if isinstance(v, ProblemSpec):  # encoded as a placeholder string, then replaced
+            problems[_encode(_PROBLEM_SLOT + f.name)] = v.digest_json
+            v = _PROBLEM_SLOT + f.name
+        data[f.name] = _jsonable(v)
+    text = _encode(data)
+    for slot, problem_json in problems.items():
+        text = text.replace(slot, problem_json, 1)
+    return text
 
 
 def config_digest(cfg) -> str:

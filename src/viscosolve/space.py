@@ -15,7 +15,6 @@ __all__ = [
     "DimensionMismatchError",
     "NonFiniteError",
     "as_vector",
-    "inner",
     "norm",
     "row_inners",
     "row_norms",
@@ -44,20 +43,8 @@ def as_vector(x, dim: int | None = None, name: str = "vector") -> np.ndarray:
     return v
 
 
-def inner(x: np.ndarray, y: np.ndarray) -> float:
-    """Standard inner product sum_i x_i * y_i."""
-    if np.shape(x) != np.shape(y):
-        raise DimensionMismatchError(
-            f"inner product needs equal dimensions, got {np.shape(x)} and {np.shape(y)}"
-        )
-    out = float(np.dot(x, y))
-    if not math.isfinite(out):
-        raise NonFiniteError("inner product is not finite (NaN/Inf or overflowing input)")
-    return out
-
-
 def norm(x: np.ndarray) -> float:
-    """Norm induced by :func:`inner`; zero iff x is the zero vector."""
+    """Norm induced by the standard inner product; zero iff x is the zero vector."""
     out = math.sqrt(np.dot(x, x))
     if not math.isfinite(out):
         raise NonFiniteError("norm is not finite (NaN/Inf or overflowing input)")
@@ -65,7 +52,7 @@ def norm(x: np.ndarray) -> float:
 
 
 def row_inners(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """:func:`inner` of each pair of rows of the (C, d) arrays X and Y, bit for bit, without the checks.
+    """``np.dot`` of each pair of rows of the (C, d) arrays X and Y, bit for bit.
 
     The stacked (1, d) by (d, 1) ``matmul`` takes the same BLAS dot per row
     as ``np.dot`` does on one pair of vectors. ``np.dot`` multiplies vectors

@@ -1,8 +1,11 @@
-"""Oracles the tests share: one step of a run from any iterate, and the scalar comparison recursion."""
+"""Oracles the tests share: one step of a run from any iterate, the scalar comparison recursion
+and the checked inner product."""
+
+import math
 
 import numpy as np
 
-from viscosolve import alpha_at, lambda_at, perturbation_stream
+from viscosolve import DimensionMismatchError, NonFiniteError, alpha_at, lambda_at, perturbation_stream
 from viscosolve.solvers import _build_step
 
 
@@ -37,4 +40,16 @@ def xu_recursion(a1, gamma, r, delta, n: int) -> list:
             raise ValueError(f"gamma_{k} = {g} outside [0, 1]")
         a = (1 - g) * a + g * r_f(k) + delta_f(k)
         out.append(a)
+    return out
+
+
+def inner(x: np.ndarray, y: np.ndarray) -> float:
+    """Standard inner product sum_i x_i * y_i."""
+    if np.shape(x) != np.shape(y):
+        raise DimensionMismatchError(
+            f"inner product needs equal dimensions, got {np.shape(x)} and {np.shape(y)}"
+        )
+    out = float(np.dot(x, y))
+    if not math.isfinite(out):
+        raise NonFiniteError("inner product is not finite (NaN/Inf or overflowing input)")
     return out

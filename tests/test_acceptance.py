@@ -24,7 +24,6 @@ from viscosolve import (
     benchmark_schedule,
     build_benchmark_problem,
     implicit_path,
-    inner,
     norm,
     project,
     reference_solution,
@@ -34,7 +33,7 @@ from viscosolve import (
     viscosity_map,
 )
 
-from oracles import step_at, xu_recursion
+from oracles import inner, step_at, xu_recursion
 
 THETAS = (0.1, 0.2, 0.3, 0.4, 0.6, 0.8, 0.9, 1.0)
 

@@ -21,11 +21,13 @@ from viscosolve import (
     RunTrace,
     ScheduleSpec,
     ScheduleViolationError,
+    ScheduleViolationWarning,
     SolverConfig,
     TableAlpha,
     TableLambda,
     UniformSquarePerturbation,
     hypothesis_report,
+    lambda_at,
     ls_lipschitz,
     perturbation_stream,
     run,
@@ -131,9 +133,13 @@ def test_stream_from_start_equals_those_rows_of_the_whole_stream(d):
 ])
 def test_tabulate_from_start_equals_those_rows_of_the_whole_table(schedule):
     alphas, lams = tabulate(schedule, 700)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ScheduleViolationWarning)  # values outside the bounds warn in lambda_at
+        per_k = np.array([lambda_at(schedule, k) for k in range(1, 701)])
     for k0, m in ((1, 700), (2, 5), (257, 256), (690, 11), (700, 1), (5, 0)):
         a, lam = tabulate(schedule, m, start=k0)
         assert same_bits(a, alphas[k0 - 1 : k0 - 1 + m]) and same_bits(lam, lams[k0 - 1 : k0 - 1 + m]), (k0, m)
+        assert same_bits(lam, per_k[k0 - 1 : k0 - 1 + m]), (k0, m)
 
 
 @pytest.mark.parametrize("dim, n", ((2, 3000), (64, 1000), (64, 257)))
@@ -271,6 +277,10 @@ def test_a_table_that_ends_in_a_later_block_fails_before_stepping(table):
     cfgs = d64_cfgs(2, n, 50, seed=4, map_A=counting_identity())
     cfgs[1] = dataclasses.replace(cfgs[1], schedule=schedule)
     want = f"{table} table exhausted at k={size + 1} (length {size})"
+    for start in (1, B + 1):  # tabulate raises what the run raises, from any start
+        with pytest.raises(IndexError) as err:
+            tabulate(schedule, n + 1 - start, start)
+        assert str(err.value) == want
     with pytest.raises(IndexError) as err:
         run(cfgs[1])
     assert str(err.value) == want and CountingMap.calls == 0

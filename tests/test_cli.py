@@ -219,6 +219,30 @@ def test_rel_err_target_via_config(tmp_path):
     assert float(lines[-1].rsplit(",", 1)[1]) <= 0.05
 
 
+@pytest.mark.parametrize("target, message", [
+    ([0.1], "solver: float() argument"), ({"a": 1}, "solver: float() argument"),
+    (-1, "rel_err_target must be finite and >= 0, got -1.0"), (float("nan"), "rel_err_target must be finite and >= 0, got nan"),
+])
+def test_malformed_rel_err_target_is_config_error(tmp_path, capsys, target, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"solver": {"rel_err_target": target}}))
+    assert run_cli("solve", "--config", cfg_path, "--nmax", "50", "--out", tmp_path / "out") == EXIT_CONFIG
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "check"])
+@pytest.mark.parametrize("section, body", [
+    ("schedule", {"bounds": [0.1]}), ("schedule", {"alpha": {"power": "x"}}), ("schedule", {"alpha": 3}),
+    ("schedule", {"lambda": {"table": [[0.1], [0.2, 0.3]]}}), ("perturbation", {"seed": "x"}),
+    ("perturbation", {"seed": [1]}),
+])
+def test_malformed_schedule_or_perturbation_is_config_error(tmp_path, capsys, command, section, body):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({section: body}))
+    assert run_cli(command, "--config", cfg_path, "--nmax", "5", "--out", tmp_path / "out") == EXIT_CONFIG
+    assert f"config error: {section}: " in capsys.readouterr().err
+
+
 def test_divergence_exit_code(tmp_path, capsys):
     cfg = {
         "problem": {

@@ -20,7 +20,6 @@ from viscosolve import (
     ProblemSpec,
     Simplex,
     build_benchmark_problem,
-    inner,
     norm,
     project,
     reference_solution,
@@ -28,6 +27,8 @@ from viscosolve import (
     viscosity_map,
 )
 from viscosolve.diagnostics import CheckResult, run_property_checks
+
+from oracles import inner
 
 SET_KINDS = ("orthant", "box", "ball", "halfspace", "hyperplane", "simplex")
 

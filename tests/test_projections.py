@@ -27,7 +27,6 @@ from viscosolve import (
     Simplex,
     SolverConfig,
     contains,
-    inner,
     norm,
     project,
     project_rows,
@@ -36,6 +35,7 @@ from viscosolve import (
 )
 from viscosolve.projections import _ranks, _threshold
 
+from oracles import inner
 from test_batch import SET_KINDS, make_set, same_bits
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False, allow_infinity=False)
@@ -215,21 +215,6 @@ def test_simplex_ranks_are_cached_and_read_only():
     assert not ranks.flags.writeable
     with pytest.raises(ValueError):
         ranks[0] = 0.0
-
-
-def test_simplex_matches_qp_oracle(rng):
-    cvxpy = pytest.importorskip("cvxpy")
-    for dim in (2, 3):
-        cset = Simplex(2.6, dim)
-        for _ in range(12):
-            x = rng.normal(scale=3.0, size=dim)
-            y = cvxpy.Variable(dim)
-            prob = cvxpy.Problem(
-                cvxpy.Minimize(cvxpy.sum_squares(y - x)),
-                [y >= 0, cvxpy.sum(y) == 2.6],
-            )
-            prob.solve()
-            assert norm(np.asarray(y.value) - project(cset, x)) <= 1e-6
 
 
 def test_simplex_matches_scipy_qp_oracle(rng):

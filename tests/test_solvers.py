@@ -42,7 +42,6 @@ from viscosolve import (
     benchmark_schedule,
     contains,
     implicit_path,
-    inner,
     norm,
     perturbation_stream,
     project,
@@ -52,7 +51,7 @@ from viscosolve import (
     viscosity_map,
 )
 
-from oracles import step_at, xu_recursion
+from oracles import inner, step_at, xu_recursion
 
 
 def make_cfg(problem, qstar=None, **kw):
@@ -208,6 +207,16 @@ def test_run_early_stop_on_target(problem, qstar):
     assert tr.rel_err[-1] <= 0.05
     assert np.all(tr.rel_err[:-1] > 0.05)
     assert tr.metadata["stopped_at"] == int(tr.k[-1])
+
+
+def test_rel_err_target_is_kept_as_a_finite_float_at_least_zero(problem, qstar):
+    cfg = make_cfg(problem, qstar, rel_err_target=0)
+    assert cfg.rel_err_target == 0.0 and type(cfg.rel_err_target) is float
+    for bad in (float("nan"), float("inf"), -1.0, -1e-300):
+        with pytest.raises(ConfigurationError, match="rel_err_target must be finite and >= 0"):
+            make_cfg(problem, qstar, rel_err_target=bad)
+    with pytest.raises(TypeError):  # a list is not a float
+        make_cfg(problem, qstar, rel_err_target=[0.1])
 
 
 def test_run_record_stride(problem, qstar):
