@@ -291,7 +291,7 @@ def build_perturbation(resolved: dict):
         if kind == "none":
             return NoPerturbation()
         if kind == "uniform_square_over_ksq":
-            return UniformSquarePerturbation(seed=int(_need(body, "seed", "perturbation")))
+            return UniformSquarePerturbation(seed=_need(body, "seed", "perturbation"))
     raise ConfigurationError(f"perturbation.kind: unknown kind {kind!r}")
 
 

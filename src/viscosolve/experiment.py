@@ -38,6 +38,7 @@ from .schedules import (
     PowerAlpha,
     ScheduleSpec,
     UniformSquarePerturbation,
+    _seed,
 )
 from .solvers import PERTURBED, RunTrace, SolverConfig, config_digest, reference_solution, run, run_batch
 from .space import as_vector
@@ -106,7 +107,7 @@ class ExperimentConfig:
         if not thetas:
             raise ValueError("thetas must be nonempty")
         object.__setattr__(self, "thetas", thetas)
-        seeds = (0,) if self.deterministic else tuple(int(s) for s in self.seeds)
+        seeds = (0,) if self.deterministic else tuple(_seed(s, "seeds entry") for s in self.seeds)
         object.__setattr__(self, "seeds", seeds)
         for name, values in (("thetas", thetas), ("seeds", seeds)):
             if len(set(values)) != len(values):  # a repeat would count one cell twice

@@ -153,7 +153,7 @@ class LeastSquaresGradient:
         return 1.0 / self.lipschitz
 
     def __call__(self, x):
-        return self._gram @ x - self._bt_b
+        return self._gram.dot(x) - self._bt_b  # ndarray.dot: the gemv of ``@``, with less dispatch
 
     def rows(self, X):
         # stacked matrix-vector products: the same BLAS gemv per row as __call__

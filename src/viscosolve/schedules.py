@@ -127,6 +127,8 @@ class ScheduleSpec:
     bounds: tuple[float, float]
 
     def __post_init__(self):
+        if len(self.bounds) != 2:
+            raise ValueError(f"bounds must be a pair (a, b), got {self.bounds}")
         a, b = (float(self.bounds[0]), float(self.bounds[1]))
         object.__setattr__(self, "bounds", (a, b))
         if not (0 < a <= b):
@@ -217,10 +219,21 @@ class UniformSquarePerturbation:
     generator: ClassVar[str] = "numpy-pcg64"
 
     def __post_init__(self):
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _seed(self.seed))
 
 
 Perturbation = Union[NoPerturbation, UniformSquarePerturbation]
+
+
+def _seed(value, name: str = "seed") -> int:
+    """``value`` as a PCG64 seed: an integer >= 0 (``1.0`` passes, ``1.5`` and ``-1`` do not)."""
+    try:
+        seed = int(value)
+    except (TypeError, ValueError, OverflowError):  # a list, "x", nan, inf
+        seed = None
+    if seed is None or seed != value or seed < 0:
+        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+    return seed
 
 
 # Doubles per row in one block of steps: the engine and hypothesis_report draw
@@ -233,12 +246,24 @@ def _block_steps(dim: int) -> int:
     return max(1, _BLOCK_DOUBLES // dim)
 
 
-def perturbation_stream(p: Perturbation, n: int, dim: int, start: int = 1) -> np.ndarray:
-    """Rows e_start .. e_{start + n - 1} as an (n, dim) array, bit for bit those rows of the whole stream."""
+def _generator(p: Perturbation, start: int = 1, dim: int = 1) -> np.random.Generator | None:
+    """The PCG64 generator of ``p``'s stream at row ``start``, each row ``dim`` draws (None for no perturbation)."""
+    if isinstance(p, NoPerturbation):
+        return None
+    return np.random.Generator(np.random.PCG64(p.seed).advance((start - 1) * dim))
+
+
+def perturbation_stream(p: Perturbation, n: int, dim: int, start: int = 1, generator=None) -> np.ndarray:
+    """Rows e_start .. e_{start + n - 1} as an (n, dim) array, bit for bit those rows of the whole stream.
+
+    ``generator``, when given, is ``_generator(p)`` after it has drawn the
+    rows before ``start``: the draws continue it, so a run that keeps one
+    generator for its whole stream seeds and advances none per block.
+    """
     if isinstance(p, NoPerturbation):
         return np.zeros((n, dim))
     # row k starts (k - 1) * dim draws into the seed's stream
-    e = np.random.Generator(np.random.PCG64(p.seed).advance((start - 1) * dim)).random((n, dim))
+    e = (_generator(p, start, dim) if generator is None else generator).random((n, dim))
     e *= 2.0  # (2 u - 1) / k**2 in place: the same roundings, no temporaries
     e -= 1.0
     e /= np.arange(start, start + n, dtype=float)[:, None] ** 2
@@ -316,9 +341,9 @@ def hypothesis_report(
     if n < 2:
         raise ValueError("need n >= 2 to grade the hypotheses")
     alphas, lams = tabulate(s, n)
-    block = _block_steps(dim)  # the stream one block at a time: only its norms are kept
+    block, generator = _block_steps(dim), _generator(p)  # the stream one block at a time: only its norms are kept
     e_norms = np.concatenate([
-        np.linalg.norm(perturbation_stream(p, min(block, n + 1 - k0), dim, k0), axis=1)
+        np.linalg.norm(perturbation_stream(p, min(block, n + 1 - k0), dim, k0, generator), axis=1)
         for k0 in range(1, n + 1, block)
     ])
 

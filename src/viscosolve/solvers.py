@@ -41,6 +41,7 @@ from .schedules import (
     TableLambda,
     _block_steps,
     _check_horizon,
+    _generator,
     alpha_at,  # not called here: bench/tests reads solvers.alpha_at, with project, norm and run
     perturbation_stream,
     tabulate,
@@ -266,35 +267,36 @@ class RunTrace:
 
 # --------------------------------------------------------------------------
 # step rules, written once over the rows of a (C, d) array: a builder takes
-# P_Q, A, f and S and returns step(X, a, lam, E, U, B), where a and lam are
-# the (C, 1) columns of alpha_k and lambda_k, E holds the rows of e_k, U the
-# anchors and B the (C, 1) column of beta. Fed the problem's 1-D maps and
-# projection, the same step moves one 1-D iterate with scalar coefficients.
-# Every rule applies the forward-backward map P(X - lam A(X)).
+# P_Q, A, f and S and returns step(X, a, ca, lam, E, U, B, cB), where a, ca
+# and lam are the (C, 1) columns of alpha_k, 1 - alpha_k and lambda_k, E holds
+# the rows of e_k, U the anchors and B and cB the (C, 1) columns of beta and
+# 1 - beta. Fed the problem's 1-D maps and projection, the same step moves one
+# 1-D iterate with 0-d coefficients. Every rule applies the forward-backward
+# map P(X - lam A(X)).
 
 
 def _explicit(P, A, f, S):
-    return lambda X, a, lam, E, U, B: a * f(X) + (1.0 - a) * S(P(X - lam * A(X)))
+    return lambda X, a, ca, lam, E, U, B, cB: a * f(X) + ca * S(P(X - lam * A(X)))
 
 
 def _perturbed(P, A, f, S):
-    return lambda X, a, lam, E, U, B: P(a * f(X) + (1.0 - a) * S(P(X - lam * A(X))) + E)
+    return lambda X, a, ca, lam, E, U, B, cB: P(a * f(X) + ca * S(P(X - lam * A(X))) + E)
 
 
 def _takahashi_toyoda(P, A, f, S):
-    return lambda X, a, lam, E, U, B: a * X + (1.0 - a) * S(P(X - lam * A(X)))
+    return lambda X, a, ca, lam, E, U, B, cB: a * X + ca * S(P(X - lam * A(X)))
 
 
 def _halpern(P, A, f, S):
-    return lambda X, a, lam, E, U, B: a * U + (1.0 - a) * S(P(X - lam * A(X)))
+    return lambda X, a, ca, lam, E, U, B, cB: a * U + ca * S(P(X - lam * A(X)))
 
 
 def _yao_outer(P, A, f, S):
-    return lambda X, a, lam, E, U, B: B * X + (1.0 - B) * P(a * U + (1.0 - a) * S(P(X - lam * A(X))))
+    return lambda X, a, ca, lam, E, U, B, cB: B * X + cB * P(a * U + ca * S(P(X - lam * A(X))))
 
 
 def _yao_inner(P, A, f, S):
-    return lambda X, a, lam, E, U, B: B * X + (1.0 - B) * S(P(a * U + (1.0 - a) * (X - lam * A(X))))
+    return lambda X, a, ca, lam, E, U, B, cB: B * X + cB * S(P(a * U + ca * (X - lam * A(X))))
 
 
 _RULES = {
@@ -390,12 +392,14 @@ def _violations(cfg: SolverConfig) -> tuple[int, int]:
 
 
 def _vector_norm(v):
-    return math.sqrt(np.dot(v, v))
+    return math.sqrt(v.dot(v))
 
 
-# What a step reads: x; the alpha, lambda and e tables of the block, indexed by k - k0; u, beta,
-# the reference, its norm and the rel_err target; the norm, the any-row-at-target test and the step.
-_Views = namedtuple("_Views", "x alpha lam e u beta ref nref target norms any_of step")
+# What a step reads, the nine fields the loop binds to locals: x; the alpha, 1 - alpha (None for rows,
+# which take 1.0 - a per step), lambda and e tables of the block, indexed by k - k0; u, beta, 1 - beta
+# and the step. Then what the stop test reads: the reference, its norm, the rel_err target, the norm
+# and the any-row-at-target test.
+_Views = namedtuple("_Views", "x alpha calpha lam e u beta cbeta step ref nref target norms any_of")
 
 
 class _Rows:
@@ -420,20 +424,27 @@ class _Rows:
 
         A single row steps as a 1-D vector through the problem's own 1-D maps
         and projection, which cost less than (1, d) kernels. Its coefficients
-        (alpha and lambda as lists, beta) and its rel_err are Python floats,
-        whose arithmetic costs less than numpy scalars' and rounds the same.
+        are 0-d float64 views: alpha_k, 1 - alpha_k (tabulated here, once per
+        block, as Python's ``1.0 - a`` rounds it) and lambda_k of the block,
+        beta and 1 - beta. numpy takes a 0-d array operand faster than a
+        Python float and rounds the same. Its rel_err is a Python float.
         """
         if self.x.shape[0] > 1:
-            return _Views(self.x, self.cols[:, 0].T[:, :, None], self.cols[:, 1].T[:, :, None],
-                          None if self.e is None else self.e.swapaxes(0, 1), self.u, self.beta,
-                          self.ref, self.nref, self.target, row_norms, np.ndarray.any, step)
+            return _Views(self.x, self.cols[:, 0].T[:, :, None], None, self.cols[:, 1].T[:, :, None],
+                          None if self.e is None else self.e.swapaxes(0, 1), self.u, self.beta, self.cbeta, step,
+                          self.ref, self.nref, self.target, row_norms, np.ndarray.any)
 
         def first(v):
             return None if v is None else v[0]
 
-        return _Views(self.x[0], self.cols[0, 0].tolist(), self.cols[0, 1].tolist(), first(self.e), first(self.u),
-                      float(self.beta[0, 0]), first(self.ref), None if self.nref is None else float(self.nref[0]),
-                      None if self.target is None else float(self.target[0]), _vector_norm, bool, step)
+        def scalars(col):  # nditer yields a 0-d view of each entry, cheaper than col[i, ...]
+            return list(np.nditer(col, order="C"))
+
+        alpha = self.cols[0, 0]
+        return _Views(self.x[0], scalars(alpha), scalars(1.0 - alpha), scalars(self.cols[0, 1]), first(self.e),
+                      first(self.u), self.beta[0, 0, ...], self.cbeta[0, 0, ...], step, first(self.ref),
+                      None if self.nref is None else float(self.nref[0]),
+                      None if self.target is None else float(self.target[0]), _vector_norm, bool)
 
 
 def _lockstep(cfgs: list, extras: list) -> list:
@@ -461,6 +472,7 @@ def _lockstep(cfgs: list, extras: list) -> list:
     ids, live = list(violations), [cfgs[i] for i in violations]
     d = problem.dim
     targets = [cfg.rel_err_target for cfg in live]
+    betas = np.array([[cfg.beta] for cfg in live])
     rows = _Rows(
         cfg=np.array(ids),
         rec=np.arange(len(ids)),
@@ -468,7 +480,8 @@ def _lockstep(cfgs: list, extras: list) -> list:
         cols=None,
         e=None,
         u=np.array([cfg.anchor for cfg in live]) if rule in (HALPERN, YAO_OUTER, YAO_INNER) else None,
-        beta=np.array([[cfg.beta] for cfg in live]),
+        beta=betas,
+        cbeta=1.0 - betas,
         ref=np.array([cfg.reference for cfg in live]) if with_ref else None,
         nref=np.array([norm(cfg.reference) for cfg in live]) if with_ref else None,
         target=np.array([-np.inf if t is None else t for t in targets]) if with_ref else None,
@@ -485,6 +498,9 @@ def _lockstep(cfgs: list, extras: list) -> list:
     Xrec = np.empty((len(ids), kgrid.size, d))
     Srec = np.empty((len(ids), 3, kgrid.size))
 
+    # one generator per perturbed row for the whole run: each block's draws continue its stream
+    generators = {i: _generator(cfgs[i].perturbation) for i in ids} if rule == PERTURBED else {}
+
     def load(k0, m):
         """Tabulate and draw k = k0 .. k0 + m - 1 for the rows still stepping; record their values on the grid."""
         lo, hi = np.searchsorted(kgrid, (k0, k0 + m))
@@ -498,7 +514,7 @@ def _lockstep(cfgs: list, extras: list) -> list:
                 tabulated[id(s)] = tabulate(s, m, k0)
             cols[j, 0], cols[j, 1] = tabulated[id(s)]
             if rule == PERTURBED:
-                e = perturbation_stream(cfgs[i].perturbation, m, d, k0)
+                e = perturbation_stream(cfgs[i].perturbation, m, d, k0, generators[i])
                 cols[j, 2] = np.linalg.norm(e, axis=1)
                 if rows.rec.size == 1:  # a batch of one keeps its stream
                     E = e[None]
@@ -547,6 +563,7 @@ def _lockstep(cfgs: list, extras: list) -> list:
     # blocks of steps: the tables and draws of one block at a time, so a run's
     # memory is its records plus one block (_block_steps(d) steps of d doubles a row)
     step = _build_step(problem, rule, rows=len(ids) > 1)
+    count_nonzero, isfinite = np.count_nonzero, np.isfinite
     written = slice(None)  # record rows a record writes: all, until one leaves
     slot = 0
     block = _block_steps(d)
@@ -555,6 +572,7 @@ def _lockstep(cfgs: list, extras: list) -> list:
         v = rows.views(step)
         if k0 == 1:
             x = v.x
+        _, alpha, calpha, lam, e, u, beta, cbeta, step = v[:9]
         for i, k in enumerate(range(k0, min(k0 + block, n + 1))):
             on_grid = (k - 1) % stride == 0 or k == n
             if has_target:
@@ -573,15 +591,18 @@ def _lockstep(cfgs: list, extras: list) -> list:
                     finish(j, slot + 1, k, not on_grid)
                 if (v := leave(x, hit)) is None:
                     return results
-                x, written, step = v.x, rows.rec, v.step
+                x, alpha, calpha, lam, e, u, beta, cbeta, step = v[:9]
+                written = rows.rec
             if on_grid:
                 slot += 1
             if k == n:
                 break
-            x_next = v.step(x, v.alpha[i], v.lam[i], None if v.e is None else v.e[i], v.u, v.beta)
+            a = alpha[i]
+            x_next = step(x, a, 1.0 - a if calpha is None else calpha[i], lam[i], None if e is None else e[i], u,
+                          beta, cbeta)
             # exact and warning-free, unlike a test of a sum or dot product, which may overflow
-            if np.count_nonzero(np.isfinite(x_next)) != x_next.size:
-                bad = ~np.isfinite(x_next.reshape(-1, d)).all(axis=1)
+            if count_nonzero(isfinite(x_next)) != x_next.size:
+                bad = ~isfinite(x_next.reshape(-1, d)).all(axis=1)
                 for j in np.flatnonzero(bad):
                     results[rows.cfg[j]] = DivergenceError(
                         f"non-finite iterate at step {k} (algorithm {rule!r})",
@@ -590,7 +611,8 @@ def _lockstep(cfgs: list, extras: list) -> list:
                     )
                 if (v := leave(x_next, bad)) is None:
                     return results
-                x_next, written, step = v.x, rows.rec, v.step
+                x_next, alpha, calpha, lam, e, u, beta, cbeta, step = v[:9]
+                written = rows.rec
             x = x_next
     for j in range(rows.rec.size):
         finish(j, slot, None, False)
@@ -685,15 +707,16 @@ def _anderson_solve(t, lam, problem, x0, tol, max_iter):
             return fx, evals
         # least squares by modified Gram-Schmidt over the dg, newest first; dropping
         # a dg nearly dependent on newer ones takes fewer evaluations than lstsq
-        y, basis = fx, []
+        y, basis = fx, []  # (u, w, w . w) per kept dg
         for dx, dg in reversed(history):
             u, w = dx + dg, dg
-            for ui, wi in basis:
-                c = (wi @ w) / (wi @ wi)
+            for ui, wi, wwi in basis:
+                c = wi.dot(w) / wwi
                 u, w = u - c * ui, w - c * wi
             if norm(w) > 1e-8 * norm(dg):
-                basis.append((u, w))
-                y = y - ((w @ g) / (w @ w)) * u
+                ww = w.dot(w)
+                basis.append((u, w, ww))
+                y = y - (w.dot(g) / ww) * u
         accelerated = bool(basis)
     raise NonConvergenceError(
         f"implicit solve at t={t} did not converge in {max_iter} iterations "

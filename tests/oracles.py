@@ -10,10 +10,11 @@ from viscosolve.solvers import _build_step
 
 
 def step_at(x, k, cfg):
-    """x_{k+1} from x_k = ``x``: the step ``run`` builds for ``cfg``'s rule, at alpha_k, lambda_k and e_k."""
+    """x_{k+1} from x_k = ``x``: the step ``run`` builds for ``cfg``'s rule, at alpha_k, 1 - alpha_k, lambda_k, e_k."""
     e = perturbation_stream(cfg.perturbation, 1, cfg.problem.dim, k)[0]
     step = _build_step(cfg.problem, cfg.algorithm)
-    return step(np.asarray(x, dtype=float), alpha_at(cfg.schedule, k), lambda_at(cfg.schedule, k), e, None, None)
+    a = alpha_at(cfg.schedule, k)
+    return step(np.asarray(x, dtype=float), a, 1.0 - a, lambda_at(cfg.schedule, k), e, None, None, None)
 
 
 def xu_recursion(a1, gamma, r, delta, n: int) -> list:

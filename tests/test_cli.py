@@ -243,6 +243,39 @@ def test_malformed_schedule_or_perturbation_is_config_error(tmp_path, capsys, co
     assert f"config error: {section}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "check", "experiment"])
+@pytest.mark.parametrize("seed, shown", [(-1, "-1"), (1.5, "1.5")])
+def test_negative_or_non_integral_perturbation_seed_is_config_error(tmp_path, capsys, command, seed, shown):
+    # refused when the config is parsed, before any step: PCG64 takes no negative seed,
+    # and int() would run 1.5 as seed 1 while config.json echoed 1.5
+    cfg_path = tmp_path / "cfg.json"
+    section = {"experiment": {"seeds": [seed]}} if command == "experiment" else {"perturbation": {"seed": seed}}
+    cfg_path.write_text(json.dumps(section))
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", cfg_path, "--nmax", "5", "--out", out) == EXIT_CONFIG
+    field = "experiment: seeds entry" if command == "experiment" else "perturbation: seed"
+    assert f"config error: {field} must be an integer >= 0, got {shown}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "check", "experiment"])
+def test_negative_seed_flag_is_config_error(tmp_path, capsys, command):
+    flag = "--seeds" if command == "experiment" else "--seed"
+    out = tmp_path / "out"
+    assert run_cli(command, flag, "-1", "--nmax", "5", "--out", out) == EXIT_CONFIG
+    assert "must be an integer >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "check"])
+@pytest.mark.parametrize("bounds", [[0.1], [0.1, 0.1, 0.5], []])
+def test_bounds_other_than_a_pair_is_config_error(tmp_path, capsys, command, bounds):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"schedule": {"bounds": bounds}}))
+    assert run_cli(command, "--config", cfg_path, "--nmax", "5", "--out", tmp_path / "out") == EXIT_CONFIG
+    assert "config error: schedule: bounds must be a pair (a, b)" in capsys.readouterr().err
+
+
 def test_divergence_exit_code(tmp_path, capsys):
     cfg = {
         "problem": {

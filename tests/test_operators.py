@@ -30,7 +30,7 @@ from oracles import inner
 def theta_map(x, problem, lam):
     """P_Q(x - lam A x) as the rules apply it: the explicit step at mixing weight 0 (S is the identity here)."""
     step = solvers._build_step(problem, solvers.EXPLICIT_VISCOSITY)
-    return step(np.asarray(x, dtype=float), 0.0, lam, None, None, None)
+    return step(np.asarray(x, dtype=float), 0.0, 1.0, lam, None, None, None, None)
 
 
 def test_apply_gradient_example(problem):
@@ -219,5 +219,18 @@ def test_degenerate_mixing_reduces_to_forward_map(problem):
     # zero mixing weight leaves only S P(x - lam A x); with S = identity
     # that is exactly the projected forward step
     x = np.array([2.0, 3.0])
-    out = solvers._build_step(problem, solvers.EXPLICIT_VISCOSITY)(x, 0.0, 0.1, None, None, None)
+    out = solvers._build_step(problem, solvers.EXPLICIT_VISCOSITY)(x, 0.0, 1.0, 0.1, None, None, None, None)
     assert np.array_equal(out, project(problem.set_Q, x - 0.1 * problem.map_A(x)))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 64])
+def test_least_squares_gradient_equals_the_matmul_form_and_its_rows_bit_for_bit(d):
+    # __call__ takes ndarray.dot, which reaches the gemv of ``gram @ x``; rows stacks the same gemv
+    rng = np.random.default_rng([d, 15])
+    grad = LeastSquaresGradient(rng.normal(size=(d, d)) + np.eye(d), rng.normal(size=d))
+    X = rng.normal(scale=10.0, size=(50, d))
+    rows = grad.rows(X)
+    for x, row in zip(X, rows):
+        got = grad(x)
+        assert got.tobytes() == (grad._gram @ x - grad._bt_b).tobytes()
+        assert got.tobytes() == row.tobytes()

@@ -457,3 +457,21 @@ def test_project_rows_without_a_row_method_is_project_per_row(kind, d):
         assert same_bits(project_rows(cset, X), want), (kind, d, c)
         if c:  # an empty list has shape (0,), not (0, d)
             assert same_bits(project_rows(WithoutRows(cset), X.tolist()), want), (kind, d, c)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 64])
+def test_orthant_clamp_keeps_nan_and_signed_zeros_of_the_float_clamp(dim, rng):
+    # the clamp takes a 0-d zero; its results are np.maximum(x, 0.0)'s, NaN and -0.0 included
+    special = [np.nan, -np.nan, -0.0, 0.0, -np.inf, np.inf, -5e-324, 5e-324, -1.0, 1.0]
+    x = np.resize(np.array(special), (len(special) * dim,))
+    rng.shuffle(x)
+    X = x.reshape(len(special), dim)
+    want_rows = np.maximum(X, 0.0)
+    for row, want in zip(X, want_rows):
+        got = project(NonnegOrthant(dim), row)
+        assert got.tobytes() == want.tobytes()
+    assert project_rows(NonnegOrthant(dim), X).tobytes() == want_rows.tobytes()
+    for z in (-0.0, 0.0):  # numpy documents no sign for a tie of zeros: the float clamp's is kept
+        got = project(NonnegOrthant(dim), np.full(dim, z))
+        assert got.tobytes() == np.maximum(np.full(dim, z), 0.0).tobytes()
+    assert np.isnan(project(NonnegOrthant(dim), np.full(dim, np.nan))).all()

@@ -120,6 +120,33 @@ def test_perturbation_none_is_zero():
     assert np.array_equal(perturbation_stream(p, 10, 3), np.zeros((10, 3)))
 
 
+@pytest.mark.parametrize("dim", [1, 2, 64])
+def test_a_kept_generator_continues_the_stream_bit_for_bit(dim):
+    # a run keeps one generator per row and draws every block from it, seeding and advancing none
+    p = UniformSquarePerturbation(seed=2022)
+    whole = perturbation_stream(p, 700, dim)
+    generator, k0 = schedules._generator(p), 1
+    for m in (1, 256, 3, 300, 140):
+        block = perturbation_stream(p, m, dim, k0, generator)
+        assert block.tobytes() == whole[k0 - 1 : k0 - 1 + m].tobytes(), (k0, m)
+        assert block.tobytes() == perturbation_stream(p, m, dim, k0).tobytes()
+        k0 += m
+    assert schedules._generator(NoPerturbation()) is None
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "1", "x", [1], math.nan, math.inf])
+def test_perturbation_seed_must_be_an_integer_at_least_zero(seed):
+    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+        UniformSquarePerturbation(seed=seed)
+    assert UniformSquarePerturbation(seed=3.0).seed == 3 and UniformSquarePerturbation(seed=np.int64(0)).seed == 0
+
+
+@pytest.mark.parametrize("bounds", [(0.1,), (0.1, 0.1, 0.5), ()])
+def test_schedule_bounds_must_be_a_pair(bounds):
+    with pytest.raises(ValueError, match=r"bounds must be a pair \(a, b\)"):
+        spec(PowerAlpha(0.9), bounds=bounds)
+
+
 def test_perturbation_norm_bound():
     p = UniformSquarePerturbation(seed=123)
     for k in (1, 2, 10, 500):

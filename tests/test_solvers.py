@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import viscosolve.solvers as solvers
-from viscosolve import configio
+from viscosolve import configio, schedules
 from viscosolve.experiment import ExperimentConfig
 from viscosolve.operators import _jsonable
 from viscosolve import (
@@ -92,7 +92,7 @@ def test_perturbed_step_adds_then_projects(problem):
     x = np.array([2.0, 3.0])
     cfg = make_cfg(problem, algorithm=PERTURBED)
     # extreme corner draw e = (1, 1) at k = 1: step lands on f(x1) + (1, 1)
-    out = solvers._build_step(problem, PERTURBED)(x, 1.0, 0.1, np.array([1.0, 1.0]), None, None)
+    out = solvers._build_step(problem, PERTURBED)(x, 1.0, 0.0, 0.1, np.array([1.0, 1.0]), None, None, None)
     expected = problem.map_f(x) + 1.0
     assert np.allclose(out, expected, atol=1e-15)
     assert np.allclose(out, [3.64183, 4.47946], atol=5e-6)
@@ -640,3 +640,21 @@ def test_trace_csv_roundtrip(tmp_path, problem, qstar):
     meta = meta_path.read_text()
     assert "algorithm: perturbed" in meta
     assert "config_digest:" in meta
+
+
+def test_a_perturbed_run_seeds_one_generator_per_row(problem, monkeypatch):
+    # a run of several blocks draws each block from the generator its row keeps
+    seeded = []
+
+    def generator(p, *args):
+        seeded.append(p.seed)
+        return schedules._generator(p, *args)
+
+    monkeypatch.setattr(solvers, "_generator", generator)
+    cfgs = [make_cfg(problem, algorithm=PERTURBED, n_max=20_000, perturbation=UniformSquarePerturbation(seed))
+            for seed in (3, 4)]
+    assert schedules._block_steps(problem.dim) < 20_000 // 2
+    solvers.run_batch(cfgs)
+    assert sorted(seeded) == [3, 4]
+    solvers.run(cfgs[0])
+    assert sorted(seeded) == [3, 3, 4]

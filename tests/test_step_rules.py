@@ -124,20 +124,35 @@ def test_built_steps_equal_the_old_rules_bit_for_bit(kind, d):
     for where, X in points(problem, rng, 3).items():
         U, E = sample(problem.set_Q, rng, 3), rng.uniform(-1.0, 1.0, size=(3, d))
         a, lam, beta = rng.uniform(0.0, 1.0, size=(3, 3, 1)) * [[[1.0]], [[0.5 / problem.nu]], [[0.9]]]
+        ca, cbeta = 1.0 - a, 1.0 - beta  # as the engine tabulates them
+        a0, lam0, beta0 = float(a[0, 0]), float(lam[0, 0]), float(beta[0, 0])
         for rule in ALGORITHMS:
             label = (rule, where)
+            vector = solvers._build_step(problem, rule)
             # a batch of one: the 1-D step with Python float coefficients
-            got = solvers._build_step(problem, rule)(X[0], float(a[0, 0]), float(lam[0, 0]), E[0], U[0],
-                                                     float(beta[0, 0]))
-            want = _OLD_RULES[rule](_Ops.of(problem, rows=False), X[0], float(a[0, 0]), float(lam[0, 0]), E[0],
-                                    U[0], float(beta[0, 0]))
+            want = _OLD_RULES[rule](_Ops.of(problem, rows=False), X[0], a0, lam0, E[0], U[0], beta0)
+            got = vector(X[0], a0, 1.0 - a0, lam0, E[0], U[0], beta0, 1.0 - beta0)
             assert same_bits(got, want), label
-            # row steps over C = 1 and C = 3 rows with (C, 1) coefficient columns
+            # and with the 0-d float64 views the engine feeds it
+            zero_d = [v[0, 0, ...] for v in (a, ca, lam, beta, cbeta)]
+            assert all(z.shape == () for z in zero_d)
+            got = vector(X[0], *zero_d[:3], E[0], U[0], *zero_d[3:])
+            assert same_bits(got, want), label
+            # row steps over C = 1 and C = 3 rows with (C, 1) coefficient columns; row 0 is the 1-D step
             step = solvers._build_step(problem, rule, rows=True)
             ops = _Ops.of(problem, rows=True)
             for c in (1, 3):
                 args = (X[:c], a[:c], lam[:c], E[:c], U[:c], beta[:c])
-                assert same_bits(step(*args), _OLD_RULES[rule](ops, *args)), label + (c,)
+                got = step(X[:c], a[:c], ca[:c], lam[:c], E[:c], U[:c], beta[:c], cbeta[:c])
+                assert same_bits(got, _OLD_RULES[rule](ops, *args)), label + (c,)
+                assert same_bits(got[0], want), label + (c,)
+
+
+def test_the_tabulated_complement_rounds_as_python_does():
+    alpha = np.random.default_rng(15).uniform(0.0, 1.0, 10_000)
+    alpha[:4] = [1.0, 0.5, 1e-300, 5e-324]
+    want = np.array([1.0 - a for a in alpha.tolist()])
+    assert same_bits(1.0 - alpha, want)
 
 
 def counting_config(problem, rule, n, x1, anchor):
