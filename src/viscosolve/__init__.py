@@ -34,8 +34,6 @@ from .operators import (
     ProblemSpec,
     RegisteredMapping,
     TrigContraction,
-    UnknownMappingError,
-    get_mapping,
     ls_lipschitz,
     register_mapping,
     viscosity_map,

@@ -25,7 +25,7 @@ from . import configio
 from .__about__ import __version__
 from .diagnostics import run_property_checks
 from .experiment import emit_report, emit_tables, run_experiment
-from .schedules import hypothesis_report
+from .schedules import _integer, hypothesis_report
 from .solvers import (
     ConfigurationError,
     DivergenceError,
@@ -92,10 +92,15 @@ def _overrides(args) -> dict:
     }
 
 
-def _resolve(args) -> tuple[dict, list[str]]:
+def _resolve(args) -> tuple[dict, list[str], str]:
+    """The resolved config, the paths that came from the defaults, and the config's digest.
+
+    The digest is the command's one identity: every file it writes that
+    carries a ``config_digest`` carries this value.
+    """
     raw = configio.load_config(args.config) if args.config else {}
-    raw = configio.apply_overrides(raw, _overrides(args))
-    return configio.resolve_config(raw)
+    resolved, defaulted = configio.resolve_config(configio.apply_overrides(raw, _overrides(args)))
+    return resolved, defaulted, config_digest(resolved)
 
 
 def _out_dir(args) -> Path:
@@ -104,21 +109,21 @@ def _out_dir(args) -> Path:
     return Path(os.environ.get(OUT_ENV_VAR, "runs"))
 
 
-def _write_resolved(out: Path, resolved: dict, defaulted: list[str]) -> None:
+def _write_resolved(out: Path, resolved: dict, defaulted: list[str], digest: str) -> None:
     out.mkdir(parents=True, exist_ok=True)
-    echo = {"config": resolved, "defaulted_fields": defaulted, "config_digest": config_digest(resolved)}
+    echo = {"config": resolved, "defaulted_fields": defaulted, "config_digest": digest}
     (out / "config.json").write_text(json.dumps(echo, indent=2, sort_keys=True) + "\n")
 
 
 def _cmd_solve(args) -> int:
-    resolved, defaulted = _resolve(args)
+    resolved, defaulted, digest = _resolve(args)
     cfg = configio.build_solver_config(resolved)
     out = _out_dir(args)
-    trace = run(cfg, extra_metadata={"defaulted_fields": defaulted})
+    trace = run(cfg, extra_metadata={"defaulted_fields": defaulted, "config_digest": digest})
     out.mkdir(parents=True, exist_ok=True)
     trace.write_csv(out / "trace.csv")
     trace.write_meta(out / "trace.meta.txt")
-    _write_resolved(out, resolved, defaulted)
+    _write_resolved(out, resolved, defaulted, digest)
     final = ", ".join(repr(float(v)) for v in trace.final)
     print(f"solve: {cfg.algorithm}, {trace.k.size} recorded iterates, final x = ({final})")
     if trace.rel_err is not None:
@@ -128,7 +133,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_implicit(args) -> int:
-    resolved, defaulted = _resolve(args)
+    resolved, defaulted, digest = _resolve(args)
     problem = configio.build_problem(resolved)
     icfg = configio.build_implicit_config(resolved)
     x1 = resolved["solver"]["x1"]
@@ -145,7 +150,7 @@ def _cmd_implicit(args) -> int:
         cells.append(repr(float(pt.dist_bound)))
         lines.append(",".join(cells))
     (out / "implicit_path.csv").write_text("\n".join(lines) + "\n")
-    _write_resolved(out, resolved, defaulted)
+    _write_resolved(out, resolved, defaulted, digest)
     last = points[-1]
     print(f"implicit: {len(points)} points, final t = {last.t!r}, residual = {last.residual!r}")
     if last.dist_to_reference is not None:
@@ -155,7 +160,7 @@ def _cmd_implicit(args) -> int:
 
 
 def _cmd_experiment(args, tables_only: bool = False) -> int:
-    resolved, defaulted = _resolve(args)
+    resolved, defaulted, digest = _resolve(args)
     cfg = configio.build_experiment_config(resolved)
     report = run_experiment(cfg)
     out = _out_dir(args)
@@ -165,21 +170,22 @@ def _cmd_experiment(args, tables_only: bool = False) -> int:
         for path in written:
             print(f"tables: wrote {path}")
     else:
-        emit_report(report, out)
+        emit_report(report, out, extra_metadata={"config_digest": digest})
         emit_tables(report, out)
         print(f"experiment: {len(report.cells)} cells -> {out}")
         for theta, (med, lo, hi) in sorted(report.aggregate().items()):
             print(f"experiment: theta={theta:g} median min rel_err = {med!r} (spread [{lo!r}, {hi!r}])")
-    _write_resolved(out, resolved, defaulted)
+    _write_resolved(out, resolved, defaulted, digest)
     return EXIT_OK
 
 
 def _cmd_check(args) -> int:
-    resolved, _ = _resolve(args)
+    resolved, _, _ = _resolve(args)
     problem = configio.build_problem(resolved)
     schedule = configio.build_schedule(resolved)
     perturbation = configio.build_perturbation(resolved)
-    n = int(resolved["experiment"]["nmax"])
+    with configio._as_config_error("experiment"):  # grading the hypotheses needs n >= 2
+        n = _integer(resolved["experiment"]["nmax"], "nmax", 2)
     report = hypothesis_report(schedule, perturbation, n, nu=problem.nu, dim=problem.dim)
     for c in report.checks:
         evidence = ", ".join(f"{k}={v:.6g}" for k, v in c.evidence.items())

@@ -31,7 +31,6 @@ from .operators import (
     LeastSquaresGradient,
     ProblemSpec,
     TrigContraction,
-    get_mapping,
 )
 from .projections import Ball, Box, Halfspace, Hyperplane, NonnegOrthant, Simplex
 from .schedules import (
@@ -42,6 +41,7 @@ from .schedules import (
     TableAlpha,
     TableLambda,
     UniformSquarePerturbation,
+    _integer,
 )
 from .solvers import ConfigurationError, ImplicitConfig, SolverConfig, reference_solution
 from .experiment import DEFAULT_EPSILONS, DEFAULT_SEEDS, ExperimentConfig
@@ -215,7 +215,7 @@ def build_set(d: dict, path: str):
     kind = _need(d, "kind", path)
     with _as_config_error(path):
         if kind == "orthant":
-            return NonnegOrthant(dim=int(_need(d, "dim", path)))
+            return NonnegOrthant(dim=_integer(_need(d, "dim", path), "dim", 1))
         if kind == "box":
             return Box(lo=_need(d, "lo", path), hi=_need(d, "hi", path))
         if kind == "ball":
@@ -225,13 +225,13 @@ def build_set(d: dict, path: str):
         if kind == "hyperplane":
             return Hyperplane(normal=_need(d, "normal", path), offset=float(_need(d, "offset", path)))
         if kind == "simplex":
-            return Simplex(total=float(_need(d, "total", path)), dim=int(_need(d, "dim", path)))
+            return Simplex(total=float(_need(d, "total", path)), dim=_integer(_need(d, "dim", path), "dim", 1))
     raise ConfigurationError(f"{path}.kind: unknown set kind {kind!r}")
 
 
 def build_mapping(d: dict, dim: int, path: str):
     kind = _need(d, "kind", path)
-    with _as_config_error(path, (ValueError, TypeError, KeyError)):
+    with _as_config_error(path):
         if kind == "identity":
             return Identity(dim=dim)
         if kind == "trig_contraction":
@@ -242,8 +242,6 @@ def build_mapping(d: dict, dim: int, path: str):
             return LeastSquaresGradient(B=_need(d, "B", path), b=_need(d, "b", path))
         if kind == "affine":
             return AffineMap(M=_need(d, "M", path), c=_need(d, "c", path))
-        if kind == "custom":
-            return get_mapping(_need(d, "name", path))
     raise ConfigurationError(f"{path}.kind: unknown mapping kind {kind!r}")
 
 
@@ -310,14 +308,14 @@ def build_solver_config(resolved: dict, problem: ProblemSpec | None = None) -> S
             problem=problem,
             schedule=build_schedule(resolved),
             x1=body["x1"],
-            n_max=int(body["nmax"]),
+            n_max=_integer(body["nmax"], "nmax", 1),
             algorithm=str(body["algorithm"]),
             perturbation=build_perturbation(resolved),
             anchor=body.get("anchor"),
             beta=float(body.get("beta", 0.5)),
             reference=reference,
             rel_err_target=body.get("rel_err_target"),
-            record_stride=int(body.get("stride", 1)),
+            record_stride=_integer(body.get("stride", 1), "stride", 1),
         )
 
 
@@ -331,7 +329,7 @@ def build_experiment_config(resolved: dict, problem: ProblemSpec | None = None) 
         return ExperimentConfig(
             thetas=tuple(body["thetas"]),
             seeds=tuple(body["seeds"]),
-            n_max=int(body["nmax"]),
+            n_max=_integer(body["nmax"], "nmax", 1),
             epsilons=tuple(body["epsilons"]),
             problem=problem,
             x1=resolved["solver"]["x1"],
@@ -347,5 +345,5 @@ def build_implicit_config(resolved: dict) -> ImplicitConfig:
             t_values=tuple(body["t_values"]),
             lambda_of_t=float(body["lambda"]),
             inner_tol=float(body["inner_tol"]),
-            inner_max_iter=int(body["inner_max_iter"]),
+            inner_max_iter=_integer(body["inner_max_iter"], "inner_max_iter", 1),
         )

@@ -16,10 +16,13 @@ a frozen directory layout::
     table2.csv / table2.txt         median min rel_err for theta >= 0.5
     table3.csv / table3.txt         N(eps, theta) grid, ND for never-hit
     traces/theta_<t>_seed_<s>.csv   full per-iteration traces
-    meta.txt                        seeds, PRNG, config digest, reference
+    meta.txt                        seeds, PRNG, reference, plus the caller's
+                                    extra metadata
 
-All numbers use shortest round-trip float formatting; reruns are
-byte-identical for fixed seeds.
+``viscosolve experiment`` passes its config digest (the one in its
+config.json) as extra metadata, so meta.txt carries the command's identity;
+the library computes no digest of its own. All numbers use shortest
+round-trip float formatting; reruns are byte-identical for fixed seeds.
 """
 
 from __future__ import annotations
@@ -38,9 +41,9 @@ from .schedules import (
     PowerAlpha,
     ScheduleSpec,
     UniformSquarePerturbation,
-    _seed,
+    _integer,
 )
-from .solvers import PERTURBED, RunTrace, SolverConfig, config_digest, reference_solution, run, run_batch
+from .solvers import PERTURBED, RunTrace, SolverConfig, reference_solution, run, run_batch
 from .space import as_vector
 
 __all__ = [
@@ -103,13 +106,13 @@ class ExperimentConfig:
     deterministic: bool = False
 
     def __post_init__(self):
-        thetas = tuple(float(t) for t in self.thetas)
-        if not thetas:
-            raise ValueError("thetas must be nonempty")
+        thetas = tuple(PowerAlpha(t).theta for t in self.thetas)  # the cells' alpha check, before any step
         object.__setattr__(self, "thetas", thetas)
-        seeds = (0,) if self.deterministic else tuple(_seed(s, "seeds entry") for s in self.seeds)
+        seeds = (0,) if self.deterministic else tuple(_integer(s, "seeds entry") for s in self.seeds)
         object.__setattr__(self, "seeds", seeds)
         for name, values in (("thetas", thetas), ("seeds", seeds)):
+            if not values:
+                raise ValueError(f"{name} must be nonempty")
             if len(set(values)) != len(values):  # a repeat would count one cell twice
                 raise ValueError(f"{name} must be distinct, got {values}")
         object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
@@ -287,8 +290,8 @@ def emit_tables(report: ExperimentReport, out_dir) -> list[Path]:
     return written
 
 
-def emit_report(report: ExperimentReport, out_dir) -> Path:
-    """Write report.csv, all traces and meta.txt under ``out_dir``."""
+def emit_report(report: ExperimentReport, out_dir, extra_metadata: dict | None = None) -> Path:
+    """Write report.csv, all traces and meta.txt under ``out_dir``; ``extra_metadata`` joins meta.txt."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     eps = report.config.epsilons
@@ -322,7 +325,7 @@ def emit_report(report: ExperimentReport, out_dir) -> Path:
         "x1": report.config.x1.tolist(),
         "deterministic": report.config.deterministic,
         "reference": report.reference.tolist(),
-        "config_digest": config_digest(report.config),
+        **(extra_metadata or {}),
     }
     (out_dir / "meta.txt").write_text("".join(f"{k}: {meta[k]}\n" for k in sorted(meta)))
     return out_dir

@@ -22,11 +22,9 @@ apply the same forward-backward map P_Q(x - lam A(x)).
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field, fields, is_dataclass
-from functools import cached_property
 from typing import Callable, ClassVar
 
 import numpy as np
@@ -37,7 +35,6 @@ from .space import DimensionMismatchError, NonFiniteError, as_vector
 
 __all__ = [
     "ParameterError",
-    "UnknownMappingError",
     "Identity",
     "TrigContraction",
     "ConstantAnchor",
@@ -45,7 +42,6 @@ __all__ = [
     "AffineMap",
     "RegisteredMapping",
     "register_mapping",
-    "get_mapping",
     "ProblemSpec",
     "rows_of",
     "viscosity_map",
@@ -55,10 +51,6 @@ __all__ = [
 
 class ParameterError(ValueError):
     """An algorithm parameter left its admissible interval."""
-
-
-class UnknownMappingError(KeyError):
-    """No mapping registered under the requested name."""
 
 
 @dataclass(frozen=True)
@@ -197,11 +189,11 @@ class AffineMap:
 
 @dataclass(frozen=True)
 class RegisteredMapping:
-    """A user-supplied mapping with a declared role and modulus.
+    """A user-supplied mapping with a declared role and modulus, passed to :class:`ProblemSpec`.
 
-    The declared modulus is spot-checked on random pairs at registration;
-    registration is refused on violation since every convergence guarantee
-    hinges on it.
+    :func:`register_mapping` builds it after spot-checking the declared
+    modulus on random pairs, and refuses on violation, since every
+    convergence guarantee hinges on it. ``name`` labels it in those messages.
     """
 
     name: str
@@ -226,8 +218,6 @@ class RegisteredMapping:
         return self.fn(x)
 
 
-_REGISTRY: dict[str, RegisteredMapping] = {}
-
 _SPOT_CHECK_PAIRS = 1000
 _SPOT_CHECK_TOL = 1e-10
 
@@ -240,11 +230,11 @@ def register_mapping(
     role: str,
     modulus: float | None = None,
 ) -> RegisteredMapping:
-    """Register ``fn`` under ``name`` after spot-checking its declared modulus.
+    """``fn`` as a :class:`RegisteredMapping` named ``name``, after spot-checking its declared modulus.
 
     role="contraction" requires modulus in [0, 1); role="nonexpansive"
     defaults to modulus 1; role="ism" requires modulus > 0. The check draws
-    1000 Gaussian pairs and refuses registration on any violation beyond
+    1000 Gaussian pairs and refuses the mapping on any violation beyond
     1e-10.
     """
     if role not in ("contraction", "nonexpansive", "ism"):
@@ -258,8 +248,6 @@ def register_mapping(
         raise ValueError(f"contraction modulus must be in [0, 1), got {modulus}")
     if role == "ism" and not modulus > 0:
         raise ValueError(f"ism modulus must be > 0, got {modulus}")
-    if name in _REGISTRY:
-        raise ValueError(f"mapping {name!r} already registered")
 
     rng = np.random.default_rng(20220702)
     xs = rng.normal(scale=2.0, size=(_SPOT_CHECK_PAIRS, dim))
@@ -281,16 +269,7 @@ def register_mapping(
                 raise ValueError(
                     f"mapping {name!r} violates its declared ism modulus {modulus}"
                 )
-    entry = RegisteredMapping(name=name, fn=fn, dim=dim, role=role, modulus=modulus)
-    _REGISTRY[name] = entry
-    return entry
-
-
-def get_mapping(name: str) -> RegisteredMapping:
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise UnknownMappingError(name) from None
+    return RegisteredMapping(name=name, fn=fn, dim=dim, role=role, modulus=modulus)
 
 
 # --------------------------------------------------------------------------
@@ -356,14 +335,6 @@ class ProblemSpec:
     @property
     def nu(self) -> float:
         return float(self.map_A.ism_modulus)
-
-    @cached_property
-    def digest_json(self) -> str:
-        """``json.dumps(_jsonable(self), sort_keys=True)``, this problem's part of
-        :func:`~viscosolve.solvers.config_digest`, kept after first use: the problem
-        is frozen and its arrays read-only (a custom map must keep its fields too).
-        """
-        return json.dumps(_jsonable(self), sort_keys=True)
 
 
 def _jsonable(obj):

@@ -219,21 +219,22 @@ class UniformSquarePerturbation:
     generator: ClassVar[str] = "numpy-pcg64"
 
     def __post_init__(self):
-        object.__setattr__(self, "seed", _seed(self.seed))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
 
 
 Perturbation = Union[NoPerturbation, UniformSquarePerturbation]
 
 
-def _seed(value, name: str = "seed") -> int:
-    """``value`` as a PCG64 seed: an integer >= 0 (``1.0`` passes, ``1.5`` and ``-1`` do not)."""
+def _integer(value, name: str, minimum: int = 0) -> int:
+    """``value`` as an int >= ``minimum``, refusing what ``int()`` would cut: with minimum 0, ``1.0``
+    passes and ``1.5`` and ``-1`` do not. Checks seeds, step counts, strides and dimensions."""
     try:
-        seed = int(value)
+        number = int(value)
     except (TypeError, ValueError, OverflowError):  # a list, "x", nan, inf
-        seed = None
-    if seed is None or seed != value or seed < 0:
-        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
-    return seed
+        number = None
+    if number is None or number != value or number < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return number
 
 
 # Doubles per row in one block of steps: the engine and hypothesis_report draw

@@ -17,7 +17,6 @@ point (the fixed point of P_Omega . f).
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import math
@@ -336,8 +335,9 @@ def run(cfg: SolverConfig, extra_metadata: dict | None = None) -> RunTrace:
     The trace holds n_max rows (n_max - 1 update steps); row k carries the
     schedule values at index k. Stops early when rel_err_target is reached.
     Deterministic given the perturbation seed. A non-finite iterate raises
-    :class:`DivergenceError` carrying the last finite state. This is
-    :func:`run_batch` on a batch of one.
+    :class:`DivergenceError` carrying the last finite state. ``extra_metadata``
+    joins the trace's metadata: the CLI passes its config digest there. This
+    is :func:`run_batch` on a batch of one.
     """
     (out,) = _lockstep([cfg], [extra_metadata])
     if isinstance(out, Exception):
@@ -498,8 +498,9 @@ def _lockstep(cfgs: list, extras: list) -> list:
     Xrec = np.empty((len(ids), kgrid.size, d))
     Srec = np.empty((len(ids), 3, kgrid.size))
 
-    # one generator per perturbed row for the whole run: each block's draws continue its stream
-    generators = {i: _generator(cfgs[i].perturbation) for i in ids} if rule == PERTURBED else {}
+    # one generator per perturbation for the whole run, shared by the rows of one seed:
+    # each block's draws continue its stream
+    generators = {p: _generator(p) for p in {cfg.perturbation for cfg in live}} if rule == PERTURBED else {}
 
     def load(k0, m):
         """Tabulate and draw k = k0 .. k0 + m - 1 for the rows still stepping; record their values on the grid."""
@@ -507,15 +508,17 @@ def _lockstep(cfgs: list, extras: list) -> list:
         dense = stride == 1 and rows.rec.size == len(ids)  # the tables are the records: held once
         cols = Srec[:, :, lo:hi] if dense else np.empty((rows.rec.size, 3, m))
         cols[:, 2] = 0.0
-        tabulated, E = {}, None  # sweep cells of one theta share a schedule
+        tabulated, drawn, E = {}, {}, None  # sweep cells of one theta share a schedule, of one seed a stream
         for j, i in enumerate(rows.cfg.tolist()):
-            s = cfgs[i].schedule
+            s, p = cfgs[i].schedule, cfgs[i].perturbation
             if id(s) not in tabulated:
                 tabulated[id(s)] = tabulate(s, m, k0)
             cols[j, 0], cols[j, 1] = tabulated[id(s)]
             if rule == PERTURBED:
-                e = perturbation_stream(cfgs[i].perturbation, m, d, k0, generators[i])
-                cols[j, 2] = np.linalg.norm(e, axis=1)
+                if p not in drawn:
+                    e = perturbation_stream(p, m, d, k0, generators[p])
+                    drawn[p] = e, np.linalg.norm(e, axis=1)
+                e, cols[j, 2] = drawn[p]
                 if rows.rec.size == 1:  # a batch of one keeps its stream
                     E = e[None]
                 else:
@@ -536,7 +539,6 @@ def _lockstep(cfgs: list, extras: list) -> list:
             "stopped_at": stopped_at,
             "schedule_violations_bounds": violations[i][0],
             "schedule_violations_2nu": violations[i][1],
-            "config_digest": config_digest(cfgs[i]),
             "package": f"viscosolve {_VERSION}",
         }
         metadata.update(extras[i] or {})
@@ -652,6 +654,8 @@ class ImplicitConfig:
             raise ConfigurationError("t_values must be strictly decreasing")
         if not self.inner_tol > 0:
             raise ConfigurationError("inner_tol must be > 0")
+        if not self.inner_max_iter >= 1:  # a solve of no evaluations would end as a numerical failure
+            raise ConfigurationError(f"inner_max_iter must be >= 1, got {self.inner_max_iter}")
         lam = float(self.lambda_of_t)
         if not (math.isfinite(lam) and lam >= 0):
             raise ConfigurationError(f"lambda_of_t must be finite and >= 0, got {lam}")
@@ -782,34 +786,7 @@ def reference_solution(problem: ProblemSpec, tol: float = 1e-12, max_iter: int =
 # structural digest (stable across processes; no addresses, no timestamps)
 
 
-_encode = json.JSONEncoder(sort_keys=True).encode  # json.dumps(..., sort_keys=True)
-_PROBLEM_SLOT = "\0problem field\0"  # stands in for a ProblemSpec field; no config string holds a NUL
-
-
-def _json(obj) -> str:
-    """``json.dumps(_jsonable(obj), sort_keys=True)``, with the encoding a problem keeps
-    in place of ``obj`` or of each field of ``obj`` that is a :class:`ProblemSpec`."""
-    if isinstance(obj, ProblemSpec):
-        return obj.digest_json
-    if not dataclasses.is_dataclass(obj) or isinstance(obj, type):
-        return _encode(_jsonable(obj))
-    data, problems = {"type": type(obj).__name__}, {}
-    for f in dataclasses.fields(obj):
-        v = getattr(obj, f.name)
-        if isinstance(v, ProblemSpec):  # encoded as a placeholder string, then replaced
-            problems[_encode(_PROBLEM_SLOT + f.name)] = v.digest_json
-            v = _PROBLEM_SLOT + f.name
-        data[f.name] = _jsonable(v)
-    text = _encode(data)
-    for slot, problem_json in problems.items():
-        text = text.replace(slot, problem_json, 1)
-    return text
-
-
-def config_digest(cfg) -> str:
-    """Short stable hash of a configuration's structure and numbers.
-
-    A problem is encoded once per problem object (``ProblemSpec.digest_json``),
-    so the runs that share it do not encode it again.
-    """
-    return hashlib.sha256(_json(cfg).encode()).hexdigest()[:16]
+def config_digest(obj) -> str:
+    """Short stable hash of a configuration's structure and numbers: the first 16 hex digits
+    of the sha256 of ``json.dumps(_jsonable(obj), sort_keys=True)``."""
+    return hashlib.sha256(json.dumps(_jsonable(obj), sort_keys=True).encode()).hexdigest()[:16]

@@ -125,19 +125,14 @@ def test_solve_without_target_set_leaves_rel_err_blank(tmp_path):
     assert lines[1].endswith(",")  # rel_err column empty without a reference
 
 
-def test_custom_mapping_via_config(tmp_path):
-    import numpy as np
-
-    from viscosolve import register_mapping
-
-    register_mapping("cli_half_push", lambda x: 0.5 * x + 1.0, dim=2, role="contraction", modulus=0.5)
+def test_custom_mapping_via_config(tmp_path, capsys):
+    # no mapping is looked up by name: a user map goes straight to ProblemSpec in Python
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"problem": {"f": {"kind": "custom", "name": "cli_half_push"}}}))
     out = tmp_path / "out"
-    assert run_cli("solve", "--config", cfg_path, "--seed", "1", "--nmax", "60", "--out", out) == EXIT_OK
-    # unknown names surface as config errors
-    cfg_path.write_text(json.dumps({"problem": {"f": {"kind": "custom", "name": "no_such_map"}}}))
-    assert run_cli("solve", "--config", cfg_path, "--out", out) == EXIT_CONFIG
+    assert run_cli("solve", "--config", cfg_path, "--seed", "1", "--nmax", "60", "--out", out) == EXIT_CONFIG
+    assert "config error: problem.f.kind: unknown mapping kind 'custom'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_file_not_mutated(tmp_path):
@@ -328,3 +323,105 @@ def test_null_section_with_flag_uses_the_defaults(tmp_path):
     assert run_cli("solve", "--nmax", "5", "--out", without) == EXIT_OK
     for name in ("trace.csv", "config.json"):
         assert (with_null / name).read_bytes() == (without / name).read_bytes()
+
+
+# -------------------------------------------------------------- one config digest per command
+
+
+def _digest_lines(out):
+    """{relative path: config_digest value} for every ``config_digest: <value>`` line under ``out``."""
+    found = {}
+    for path in sorted(p for p in out.rglob("*") if p.is_file() and p.name != "config.json"):
+        for line in path.read_text().splitlines():
+            if line.startswith("config_digest: "):
+                found[path.relative_to(out).as_posix()] = line.split(": ", 1)[1]
+    return found
+
+
+@pytest.mark.parametrize("command, argv, carriers", [
+    ("solve", ("--nmax", "40", "--seed", "3"), {"trace.meta.txt"}),
+    ("solve", ("--nmax", "40", "--algorithm", "takahashi_toyoda", "--stride", "3"), {"trace.meta.txt"}),
+    ("experiment", ("--nmax", "60", "--seeds", "1", "2", "--theta", "0.8"), {"meta.txt"}),
+    ("experiment", ("--nmax", "60", "--deterministic"), {"meta.txt"}),
+    ("tables", ("--nmax", "60", "--seeds", "1"), set()),
+    ("implicit", (), set()),
+])
+def test_every_file_carries_the_config_json_digest(tmp_path, command, argv, carriers):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"implicit": {"t_values": [1.0, 0.5]}}))
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", cfg_path, *argv, "--out", out) == EXIT_OK
+    digest = json.loads((out / "config.json").read_text())["config_digest"]
+    found = _digest_lines(out)
+    assert set(found) == carriers
+    assert set(found.values()) <= {digest}
+
+
+def test_default_solve_writes_one_digest(tmp_path):
+    out = tmp_path / "out"
+    assert run_cli("solve", "--out", out) == EXIT_OK
+    assert json.loads((out / "config.json").read_text())["config_digest"] == "93f301372dee9e20"
+    assert _digest_lines(out) == {"trace.meta.txt": "93f301372dee9e20"}
+
+
+@pytest.mark.parametrize("command", ["experiment", "tables", "solve", "check"])
+@pytest.mark.parametrize("theta", ["0", "-1", "nan"])
+def test_non_positive_or_nan_theta_is_config_error(tmp_path, capsys, command, theta):
+    out = tmp_path / "out"
+    seed_flag = "--seeds" if command in ("experiment", "tables") else "--seed"
+    assert run_cli(command, "--theta", theta, "--nmax", "50", seed_flag, "1", "--out", out) == EXIT_CONFIG
+    assert f"power exponent must be > 0, got {float(theta)!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section", [{"experiment": {"nmax": 1}}, {"experiment": {"nmax": 2.5}}])
+def test_check_with_fewer_than_two_steps_is_config_error(tmp_path, capsys, section):
+    # exit 1 means the check found violations; a horizon it cannot grade is a config error
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(section))
+    assert run_cli("check", "--config", cfg_path) == EXIT_CONFIG
+    shown = section["experiment"]["nmax"]
+    assert f"config error: experiment: nmax must be an integer >= 2, got {shown}" in capsys.readouterr().err
+    assert run_cli("check", "--nmax", "1") == EXIT_CONFIG
+
+
+def test_empty_seed_list_is_config_error(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"experiment": {"seeds": [], "nmax": 50}}))
+    out = tmp_path / "out"
+    assert run_cli("experiment", "--config", cfg_path, "--out", out) == EXIT_CONFIG
+    assert "config error: experiment: seeds must be nonempty" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, body, message", [
+    ("solve", {"solver": {"nmax": 10.9}}, "solver: nmax must be an integer >= 1, got 10.9"),
+    ("solve", {"solver": {"nmax": "10"}}, "solver: nmax must be an integer >= 1, got '10'"),
+    ("solve", {"solver": {"stride": 2.5}}, "solver: stride must be an integer >= 1, got 2.5"),
+    ("experiment", {"experiment": {"nmax": 50.7}}, "experiment: nmax must be an integer >= 1, got 50.7"),
+    ("implicit", {"implicit": {"inner_max_iter": 0}}, "implicit: inner_max_iter must be an integer >= 1, got 0"),
+    ("implicit", {"implicit": {"inner_max_iter": 99.5}}, "implicit: inner_max_iter must be an integer >= 1, got 99.5"),
+    ("solve", {"problem": {"set": {"kind": "orthant", "dim": 2.5}}}, "problem.set: dim must be an integer >= 1, got 2.5"),
+    ("solve", {"problem": {"omega": {"kind": "simplex", "total": 2.6, "dim": 1.5}}},
+     "problem.omega: dim must be an integer >= 1, got 1.5"),
+])
+def test_non_integral_count_is_config_error(tmp_path, capsys, command, body, message):
+    # int() would run 10.9 as 10 steps while config.json echoed 10.9
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(body))
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", cfg_path, "--out", out) == EXIT_CONFIG
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_integral_floats_still_count(tmp_path):
+    # 40.0 is the integer 40: the same run and trace as 40
+    traces = []
+    for name, nmax in (("int", 40), ("float", 40.0)):
+        cfg_path = tmp_path / f"{name}.json"
+        body = {"solver": {"nmax": nmax, "stride": 1.0}, "problem": {"set": {"kind": "orthant", "dim": 2.0}}}
+        cfg_path.write_text(json.dumps(body))
+        assert run_cli("solve", "--config", cfg_path, "--out", tmp_path / name) == EXIT_OK
+        traces.append((tmp_path / name / "trace.csv").read_bytes())
+    assert traces[0] == traces[1]

@@ -90,7 +90,7 @@ def test_deterministic_mode_single_cell_per_theta():
 
 
 def test_emit_report_layout(tmp_path, small_report):
-    out = emit_report(small_report, tmp_path / "exp")
+    out = emit_report(small_report, tmp_path / "exp", extra_metadata={"config_digest": "0123456789abcdef"})
     assert (out / "report.csv").exists()
     assert (out / "meta.txt").exists()
     assert (out / "traces" / "theta_0.4_seed_1.csv").exists()
@@ -102,7 +102,8 @@ def test_emit_report_layout(tmp_path, small_report):
     assert len(trace_lines) == 301  # header + one line per iterate
     meta = (out / "meta.txt").read_text()
     assert "prng: numpy-pcg64" in meta
-    assert "config_digest:" in meta
+    assert "config_digest: 0123456789abcdef\n" in meta
+    assert "config_digest" not in (emit_report(small_report, tmp_path / "bare") / "meta.txt").read_text()
 
 
 def test_emit_tables_shapes(tmp_path, small_report):

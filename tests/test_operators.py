@@ -15,8 +15,6 @@ from viscosolve import (
     ScheduleViolationWarning,
     Simplex,
     TrigContraction,
-    UnknownMappingError,
-    get_mapping,
     ls_lipschitz,
     norm,
     project,
@@ -172,16 +170,16 @@ def test_affine_map():
 def test_register_mapping_rejects_false_modulus():
     with pytest.raises(ValueError, match="violates"):
         register_mapping("doubler", lambda x: 2.0 * x, dim=2, role="contraction", modulus=0.5)
-    with pytest.raises(UnknownMappingError):
-        get_mapping("doubler")
 
 
-def test_register_mapping_roles_and_lookup():
+def test_register_mapping_roles():
     entry = register_mapping("halver", lambda x: 0.5 * x, dim=3, role="contraction", modulus=0.5)
-    assert get_mapping("halver") is entry
-    assert entry.lipschitz == 0.5
-    with pytest.raises(ValueError, match="already registered"):
-        register_mapping("halver", lambda x: 0.5 * x, dim=3, role="contraction", modulus=0.5)
+    assert entry.lipschitz == 0.5 and entry.ism_modulus is None
+    assert np.array_equal(entry(np.array([2.0, 4.0, 6.0])), [1.0, 2.0, 3.0])
+    # no name registry: a name may be checked again, and each call returns its own mapping
+    again = register_mapping("halver", lambda x: 0.25 * x, dim=3, role="contraction", modulus=0.5)
+    assert again is not entry and again.fn is not entry.fn
+    assert register_mapping("id", lambda x: x, dim=2, role="nonexpansive").lipschitz == 1.0
     with pytest.raises(ValueError):
         register_mapping("bad_role", lambda x: x, dim=2, role="wat", modulus=0.5)
     with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ import pytest
 
 import viscosolve.solvers as solvers
 from viscosolve import configio, schedules
-from viscosolve.experiment import ExperimentConfig
+from viscosolve.experiment import ExperimentConfig, emit_report, run_experiment
 from viscosolve.operators import _jsonable
 from viscosolve import (
     Ball,
@@ -129,7 +129,7 @@ def test_run_trace_contract(problem, qstar):
     assert tr.metadata["algorithm"] == PERTURBED
     assert tr.metadata["seed"] == 3
     assert tr.metadata["prng"] == "numpy-pcg64"
-    assert len(tr.metadata["config_digest"]) == 16
+    assert "config_digest" not in tr.metadata  # a caller passes its digest through extra_metadata
 
 
 def _digest_by_definition(cfg):
@@ -179,7 +179,7 @@ def test_run_deterministic_given_seed(problem, qstar):
     t1, t2 = run(cfg), run(cfg)
     assert np.array_equal(t1.x, t2.x)
     assert np.array_equal(t1.rel_err, t2.rel_err)
-    assert t1.metadata["config_digest"] == t2.metadata["config_digest"]
+    assert t1.metadata == t2.metadata
 
 
 def test_run_boundedness_invariant(problem, qstar):
@@ -397,10 +397,13 @@ def test_implicit_solve_iteration_cap(problem):
 
 
 def test_implicit_solve_zero_iteration_cap(problem):
-    icfg = ImplicitConfig(t_values=(1.0,), lambda_of_t=0.1, inner_max_iter=0)
+    # a cap of 0 evaluations is a configuration error, not a solve that fails to converge
+    with pytest.raises(ConfigurationError, match="inner_max_iter must be >= 1, got 0"):
+        ImplicitConfig(t_values=(1.0,), lambda_of_t=0.1, inner_max_iter=0)
+    icfg = ImplicitConfig(t_values=(1.0,), lambda_of_t=0.1, inner_max_iter=1)
     with pytest.raises(NonConvergenceError) as exc_info:
         implicit_solve(0.5, icfg, problem, x0=[2.0, 3.0])
-    assert exc_info.value.iterations == 0
+    assert exc_info.value.iterations == 1
 
 
 def counting_viscosity_map(monkeypatch):
@@ -624,7 +627,7 @@ def test_xu_recursion_accepts_sequences():
 def test_trace_csv_roundtrip(tmp_path, problem, qstar):
     cfg = make_cfg(problem, qstar, n_max=50, algorithm=PERTURBED,
                    perturbation=UniformSquarePerturbation(1))
-    tr = run(cfg)
+    tr = run(cfg, extra_metadata={"config_digest": "0123456789abcdef"})
     path = tmp_path / "trace.csv"
     tr.write_csv(path)
     lines = path.read_text().strip().split("\n")
@@ -639,7 +642,7 @@ def test_trace_csv_roundtrip(tmp_path, problem, qstar):
     tr.write_meta(meta_path)
     meta = meta_path.read_text()
     assert "algorithm: perturbed" in meta
-    assert "config_digest:" in meta
+    assert "config_digest: 0123456789abcdef\n" in meta
 
 
 def test_a_perturbed_run_seeds_one_generator_per_row(problem, monkeypatch):
@@ -658,3 +661,48 @@ def test_a_perturbed_run_seeds_one_generator_per_row(problem, monkeypatch):
     assert sorted(seeded) == [3, 4]
     solvers.run(cfgs[0])
     assert sorted(seeded) == [3, 3, 4]
+
+
+def test_rows_of_one_seed_share_one_stream(problem, qstar, monkeypatch):
+    # a sweep batch: thetas x seeds rows, one generator and one draw per block for each seed
+    seeded, drawn = [], []
+
+    def generator(p, *args):
+        seeded.append(p.seed)
+        return schedules._generator(p, *args)
+
+    def stream(p, *args):
+        drawn.append(p.seed)
+        return schedules.perturbation_stream(p, *args)
+
+    cfgs = [make_cfg(problem, qstar, algorithm=PERTURBED, n_max=20_000, rel_err_target=target,
+                     schedule=benchmark_schedule(theta, problem=problem), perturbation=UniformSquarePerturbation(seed))
+            for theta, target in ((0.5, None), (0.9, 0.01), (1.0, None)) for seed in (3, 4)]
+    alone = [run(cfg) for cfg in cfgs]
+    monkeypatch.setattr(solvers, "_generator", generator)
+    monkeypatch.setattr(solvers, "perturbation_stream", stream)
+    batch = solvers.run_batch(cfgs)
+    blocks = -(-20_000 // schedules._block_steps(problem.dim))
+    assert sorted(seeded) == [3, 4]
+    assert sorted(drawn) == [3] * blocks + [4] * blocks
+    assert batch[2].k.size < 20_000  # a row of each seed stops early; its seed's other rows draw on
+    for one, many in zip(alone, batch):
+        assert one.k.tobytes() == many.k.tobytes()
+        assert one.x.tobytes() == many.x.tobytes()
+        assert one.e_norm.tobytes() == many.e_norm.tobytes()
+        assert one.rel_err.tobytes() == many.rel_err.tobytes()
+
+
+def test_library_runs_compute_no_digest(tmp_path, problem, qstar, monkeypatch):
+    # the CLI digests the resolved config once per command; run, run_batch and emit_report never do
+    def refuse(cfg):
+        raise AssertionError("config_digest called")
+
+    monkeypatch.setattr(solvers, "config_digest", refuse)
+    cfg = make_cfg(problem, qstar, algorithm=PERTURBED, n_max=50, perturbation=UniformSquarePerturbation(2))
+    assert run(cfg).k.size == 50
+    assert all(isinstance(tr, RunTrace) for tr in solvers.run_batch([cfg, cfg]))
+    report = run_experiment(ExperimentConfig(thetas=(0.6, 0.9), seeds=(1, 2), n_max=60))
+    assert all(c.error is None for c in report.cells)
+    out = emit_report(report, tmp_path / "exp", extra_metadata={"config_digest": "0123456789abcdef"})
+    assert "config_digest: 0123456789abcdef\n" in (out / "meta.txt").read_text()
