@@ -34,6 +34,7 @@ from .solvers import (
     implicit_path,
     run,
 )
+from .space import as_vector
 
 __all__ = ["main", "cli_main"]
 
@@ -136,7 +137,8 @@ def _cmd_implicit(args) -> int:
     resolved, defaulted, digest = _resolve(args)
     problem = configio.build_problem(resolved)
     icfg = configio.build_implicit_config(resolved)
-    x1 = resolved["solver"]["x1"]
+    with configio._as_config_error("solver"):  # a malformed x1; one outside Q is a ConfigurationError
+        x1 = as_vector(resolved["solver"]["x1"], dim=problem.dim, name="x1")
     points = implicit_path(icfg, problem, x1=x1)
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)

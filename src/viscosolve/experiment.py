@@ -27,6 +27,7 @@ round-trip float formatting; reruns are byte-identical for fixed seeds.
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -110,15 +111,17 @@ class ExperimentConfig:
         object.__setattr__(self, "thetas", thetas)
         seeds = (0,) if self.deterministic else tuple(_integer(s, "seeds entry") for s in self.seeds)
         object.__setattr__(self, "seeds", seeds)
-        for name, values in (("thetas", thetas), ("seeds", seeds)):
-            if not values:
+        epsilons = tuple(float(e) for e in self.epsilons)
+        object.__setattr__(self, "epsilons", epsilons)
+        if not all(math.isfinite(e) and e > 0 for e in epsilons):  # a rel_err threshold: -1 or NaN is never met
+            raise ValueError(f"epsilons must be finite and > 0, got {epsilons}")
+        for name, values in (("thetas", thetas), ("seeds", seeds), ("epsilons", epsilons)):
+            if not values and name != "epsilons":  # no epsilons is a report without hit columns
                 raise ValueError(f"{name} must be nonempty")
-            if len(set(values)) != len(values):  # a repeat would count one cell twice
+            if len(set(values)) != len(values):  # a repeat would count one cell, or write one column, twice
                 raise ValueError(f"{name} must be distinct, got {values}")
-        object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
         object.__setattr__(self, "x1", as_vector(self.x1, dim=self.problem.dim, name="x1"))
-        if self.n_max < 1:
-            raise ValueError("n_max must be >= 1")
+        object.__setattr__(self, "n_max", _integer(self.n_max, "n_max", 1))
 
     @property
     def lam_value(self) -> float:

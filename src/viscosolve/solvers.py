@@ -10,9 +10,9 @@ contraction, u a fixed anchor in Q):
 * yao_outer:           x+ = b x + (1 - b) P(a u + (1 - a) S P(x - l A x))
 * yao_inner:           x+ = b x + (1 - b) S P(a u + (1 - a)(x - l A x))
 
-plus the implicit path x_t = t f(x_t) + (1 - t) S P(x_t - l A x_t) solved by
-safeguarded Anderson acceleration and the reference solver for the limit
-point (the fixed point of P_Omega . f).
+plus the implicit path x_t = t f(x_t) + (1 - t) S P(x_t - l A x_t) and the
+reference solver for the limit point (the fixed point of P_Omega . f), both
+solved by one safeguarded Anderson loop for contractions.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .schedules import (
     _block_steps,
     _check_horizon,
     _generator,
+    _integer,
     alpha_at,  # not called here: bench/tests reads solvers.alpha_at, with project, norm and run
     perturbation_stream,
     tabulate,
@@ -85,7 +86,7 @@ ALGORITHMS = (
 )
 
 _X1_TOL = 1e-10
-_AA_DEPTH = 5  # Anderson memory of the implicit solve
+_AA_DEPTH = 5  # Anderson memory of the contraction solver
 
 
 class ConfigurationError(ValueError):
@@ -102,7 +103,7 @@ class DivergenceError(RuntimeError):
 
 
 class NonConvergenceError(RuntimeError):
-    """An inner solve hit its iteration cap; carries the final residual."""
+    """A fixed-point solve hit its iteration cap; carries the final residual."""
 
     def __init__(self, message: str, residual: float, iterations: int):
         super().__init__(message)
@@ -132,23 +133,17 @@ class SolverConfig:
             raise ConfigurationError(
                 f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}"
             )
-        x1 = as_vector(self.x1, dim=self.problem.dim, name="x1")
+        x1 = _point_of_Q(self.problem, self.x1, "x1")
         x1.setflags(write=False)
         object.__setattr__(self, "x1", x1)
-        if not contains(self.problem.set_Q, x1, _X1_TOL):
-            raise ConfigurationError(f"x1 = {x1!r} is not in Q (tolerance {_X1_TOL})")
-        if self.n_max < 1:
-            raise ConfigurationError(f"n_max must be >= 1, got {self.n_max}")
-        if self.record_stride < 1:
-            raise ConfigurationError("record_stride must be >= 1")
+        object.__setattr__(self, "n_max", _count(self.n_max, "n_max"))
+        object.__setattr__(self, "record_stride", _count(self.record_stride, "record_stride"))
         if self.algorithm in (HALPERN, YAO_OUTER, YAO_INNER):
             if self.anchor is None:
                 raise ConfigurationError(f"algorithm {self.algorithm!r} needs an anchor point")
-            u = as_vector(self.anchor, dim=self.problem.dim, name="anchor")
+            u = _point_of_Q(self.problem, self.anchor, "anchor")
             u.setflags(write=False)
             object.__setattr__(self, "anchor", u)
-            if not contains(self.problem.set_Q, u, _X1_TOL):
-                raise ConfigurationError("anchor point is not in Q")
         if self.algorithm in (YAO_OUTER, YAO_INNER) and not (0 <= self.beta < 1):
             raise ConfigurationError(f"beta must be in [0, 1), got {self.beta}")
         if self.reference is not None:
@@ -164,6 +159,22 @@ class SolverConfig:
             if not (math.isfinite(target) and target >= 0):  # a NaN target would never stop the run
                 raise ConfigurationError(f"rel_err_target must be finite and >= 0, got {target}")
             object.__setattr__(self, "rel_err_target", target)
+
+
+def _point_of_Q(problem: ProblemSpec, x, name: str) -> np.ndarray:
+    """``x`` as a vector (:func:`~viscosolve.space.as_vector`) of Q up to ``_X1_TOL``, else a ConfigurationError."""
+    v = as_vector(x, dim=problem.dim, name=name)
+    if not contains(problem.set_Q, v, _X1_TOL):
+        raise ConfigurationError(f"{name} = {v!r} is not in Q (tolerance {_X1_TOL})")
+    return v
+
+
+def _count(value, name: str) -> int:
+    """``value`` as an int >= 1, by :func:`~viscosolve.schedules._integer`; else a ConfigurationError."""
+    try:
+        return _integer(value, name, 1)
+    except ValueError as exc:
+        raise ConfigurationError(str(exc)) from None
 
 
 _CSV_CHUNK = 1000  # trace rows formatted per write
@@ -654,8 +665,8 @@ class ImplicitConfig:
             raise ConfigurationError("t_values must be strictly decreasing")
         if not self.inner_tol > 0:
             raise ConfigurationError("inner_tol must be > 0")
-        if not self.inner_max_iter >= 1:  # a solve of no evaluations would end as a numerical failure
-            raise ConfigurationError(f"inner_max_iter must be >= 1, got {self.inner_max_iter}")
+        # a solve of no evaluations would end as a numerical failure
+        object.__setattr__(self, "inner_max_iter", _count(self.inner_max_iter, "inner_max_iter"))
         lam = float(self.lambda_of_t)
         if not (math.isfinite(lam) and lam >= 0):
             raise ConfigurationError(f"lambda_of_t must be finite and >= 0, got {lam}")
@@ -678,25 +689,25 @@ class PathPoint:
     dist_bound: float
 
 
-def _anderson_solve(t, lam, problem, x0, tol, max_iter):
-    """Safeguarded Anderson acceleration of T = viscosity_map(., problem, t, lam).
+def _anderson_solve(T, q, x0, tol, floor, max_iter, label):
+    """The fixed point x* of T, a contraction with factor q, by safeguarded Anderson acceleration.
 
     The candidate fits g = T(x) - x by least squares over the last
     ``_AA_DEPTH`` differences dx of accepted iterates and dg of their g, and
     moves T(x) by the fitted combination of dx + dg (Walker & Ni 2011). It is
-    kept only if it cuts ||g|| by the contraction factor q = 1 - sigma t;
-    else the Banach step T(x) is taken and the history cleared (Zhang,
-    O'Donoghue & Boyd 2020). Returns (T(x), viscosity_map evaluations) once
-    r = ||g(x)|| has r q / (1 - q) <= tol or r <= tol.
+    kept only if it cuts ||g|| by the factor q; else the Banach step T(x) is
+    taken and the history cleared (Zhang, O'Donoghue & Boyd 2020). Returns
+    (T(x), evaluations of T) once r = ||g(x)|| has r q / (1 - q) <= tol, which
+    certifies ||T(x) - x*|| <= tol, or r <= floor; ``label`` names the solve in
+    the NonConvergenceError that ``max_iter`` evaluations end in.
     """
-    q = 1.0 - problem.sigma * t
     post_factor = q / (1.0 - q)  # a-posteriori multiplier
     history = deque(maxlen=_AA_DEPTH)  # (dx, dg) pairs
     x = fx = g = None
     r = np.inf
     y, accelerated, evals = x0, False, 0
     while evals < max_iter:
-        fy = viscosity_map(y, problem, t, lam)
+        fy = T(y)
         evals += 1
         gy = fy - y
         ry = norm(gy)
@@ -707,7 +718,7 @@ def _anderson_solve(t, lam, problem, x0, tol, max_iter):
         if x is not None:
             history.append((y - x, gy - g))
         x, fx, g, r = y, fy, gy, ry
-        if r * post_factor <= tol or r <= tol:
+        if r * post_factor <= tol or r <= floor:
             return fx, evals
         # least squares by modified Gram-Schmidt over the dg, newest first; dropping
         # a dg nearly dependent on newer ones takes fewer evaluations than lstsq
@@ -723,15 +734,14 @@ def _anderson_solve(t, lam, problem, x0, tol, max_iter):
                 y = y - (w.dot(g) / ww) * u
         accelerated = bool(basis)
     raise NonConvergenceError(
-        f"implicit solve at t={t} did not converge in {max_iter} iterations "
-        f"(last residual {r:.3e})",
+        f"{label} did not converge in {max_iter} iterations (last residual {r:.3e})",
         residual=r,
         iterations=evals,
     )
 
 
 def implicit_path(cfg: ImplicitConfig, problem: ProblemSpec, x1=None) -> list[PathPoint]:
-    """Solve x_t along cfg.t_values, warm-starting each solve from the previous one.
+    """Solve x_t along cfg.t_values from ``x1`` in Q (default P_Q(0)), warm-starting each solve from the last.
 
     When the problem carries a closed-form target set, each point also
     reports its distance to the independently computed reference solution.
@@ -739,13 +749,13 @@ def implicit_path(cfg: ImplicitConfig, problem: ProblemSpec, x1=None) -> list[Pa
     ref = None
     if problem.reference_set_omega is not None:
         ref = reference_solution(problem, tol=1e-12)
-    x = as_vector(x1, dim=problem.dim, name="x1") if x1 is not None else project(
-        problem.set_Q, np.zeros(problem.dim)
-    )
+    x = _point_of_Q(problem, x1, "x1") if x1 is not None else project(problem.set_Q, np.zeros(problem.dim))
     points = []
     for t in cfg.t_values:
-        x, iters = _anderson_solve(t, cfg.lam_at(t), problem, x, cfg.inner_tol, cfg.inner_max_iter)
-        residual = norm(x - viscosity_map(x, problem, t, cfg.lam_at(t)))
+        lam = cfg.lam_at(t)
+        x, iters = _anderson_solve(lambda y: viscosity_map(y, problem, t, lam), 1.0 - problem.sigma * t, x,
+                                   cfg.inner_tol, cfg.inner_tol, cfg.inner_max_iter, f"implicit solve at t={t}")
+        residual = norm(x - viscosity_map(x, problem, t, lam))
         dist = norm(x - ref) if ref is not None else None
         bound = residual / (problem.sigma * t)
         points.append(PathPoint(t, x, residual, iterations=iters, dist_to_reference=dist, dist_bound=bound))
@@ -755,9 +765,9 @@ def implicit_path(cfg: ImplicitConfig, problem: ProblemSpec, x1=None) -> list[Pa
 def reference_solution(problem: ProblemSpec, tol: float = 1e-12, max_iter: int = 100_000) -> np.ndarray:
     """The target point: the unique fixed point of P_Omega . f.
 
-    Needs ``problem.reference_set_omega``. Banach iteration with the
-    contraction a-posteriori stop: once the step size drops below
-    tol * (1 - rho) / rho, the iterate is within tol of the fixed point.
+    Needs ``problem.reference_set_omega``. :func:`_anderson_solve` on P_Omega . f,
+    a contraction with factor rho, from P_Omega(0) and with no residual floor:
+    the a-posteriori bound alone certifies the result within tol of the point.
     """
     omega = problem.reference_set_omega
     if omega is None:
@@ -766,20 +776,9 @@ def reference_solution(problem: ProblemSpec, tol: float = 1e-12, max_iter: int =
         )
     if not tol > 0:
         raise ConfigurationError("tol must be > 0")
-    rho = problem.rho
-    x = project(omega, np.zeros(problem.dim))
-    step = np.inf
-    for _ in range(max_iter):
-        x_next = project(omega, np.asarray(problem.map_f(x), dtype=float))
-        step = norm(x_next - x)
-        x = x_next
-        if rho == 0.0 or step * rho / (1.0 - rho) <= tol:
-            return x
-    raise NonConvergenceError(
-        f"reference solve did not reach tol={tol} in {max_iter} iterations",
-        residual=step,
-        iterations=max_iter,
-    )
+    x0 = project(omega, np.zeros(problem.dim))
+    return _anderson_solve(lambda y: project(omega, np.asarray(problem.map_f(y), dtype=float)), problem.rho, x0,
+                           tol, 0.0, max_iter, "reference solve")[0]
 
 
 # --------------------------------------------------------------------------

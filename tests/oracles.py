@@ -1,11 +1,21 @@
-"""Oracles the tests share: one step of a run from any iterate, the scalar comparison recursion
-and the checked inner product."""
+"""Oracles the tests share: one step of a run from any iterate, the scalar comparison recursion,
+the checked inner product and the plain Banach reference solve."""
 
 import math
 
 import numpy as np
 
-from viscosolve import DimensionMismatchError, NonFiniteError, alpha_at, lambda_at, perturbation_stream
+from viscosolve import (
+    ConfigurationError,
+    DimensionMismatchError,
+    NonConvergenceError,
+    NonFiniteError,
+    alpha_at,
+    lambda_at,
+    norm,
+    perturbation_stream,
+    project,
+)
 from viscosolve.solvers import _build_step
 
 
@@ -54,3 +64,33 @@ def inner(x: np.ndarray, y: np.ndarray) -> float:
     if not math.isfinite(out):
         raise NonFiniteError("inner product is not finite (NaN/Inf or overflowing input)")
     return out
+
+
+def banach_reference_solution(problem, tol: float = 1e-12, max_iter: int = 100_000) -> np.ndarray:
+    """The target point, the unique fixed point of P_Omega . f, by plain Banach iteration.
+
+    Needs ``problem.reference_set_omega``. Stops with the contraction
+    a-posteriori rule: once the step size drops below tol * (1 - rho) / rho,
+    the iterate is within tol of the fixed point.
+    """
+    omega = problem.reference_set_omega
+    if omega is None:
+        raise ConfigurationError(
+            "reference_solution needs problem.reference_set_omega (the closed-form target set)"
+        )
+    if not tol > 0:
+        raise ConfigurationError("tol must be > 0")
+    rho = problem.rho
+    x = project(omega, np.zeros(problem.dim))
+    step = np.inf
+    for _ in range(max_iter):
+        x_next = project(omega, np.asarray(problem.map_f(x), dtype=float))
+        step = norm(x_next - x)
+        x = x_next
+        if rho == 0.0 or step * rho / (1.0 - rho) <= tol:
+            return x
+    raise NonConvergenceError(
+        f"reference solve did not reach tol={tol} in {max_iter} iterations",
+        residual=step,
+        iterations=max_iter,
+    )

@@ -182,6 +182,40 @@ def test_implicit_with_a_non_finite_or_negative_lambda_is_config_error(tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("x1, message", [
+    ([1, 2, 3], "solver: x1 has dimension 3, expected 2"),
+    ("ab", "solver: could not convert string to float: 'ab'"),
+    ([-1, 2], "x1 = array([-1.,  2.]) is not in Q (tolerance 1e-10)"),
+], ids=["wrong_dimension", "not_numeric", "outside_Q"])
+def test_implicit_with_a_bad_start_point_is_config_error(tmp_path, capsys, x1, message):
+    # the first two ended in a traceback, the third ran from outside Q
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"solver": {"x1": x1}}))
+    out = tmp_path / "implicit"
+    assert run_cli("implicit", "--config", cfg_path, "--out", out) == EXIT_CONFIG
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+    for command in ("solve", "experiment"):  # as the other commands that read x1 do
+        assert run_cli(command, "--config", cfg_path, "--nmax", "50", "--out", tmp_path / command) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("epsilons, message", [
+    ([0.1, 0.1], "epsilons must be distinct, got (0.1, 0.1)"),
+    ([0.1, -1], "epsilons must be finite and > 0, got (0.1, -1.0)"),
+    ([0.1, 0.0], "epsilons must be finite and > 0, got (0.1, 0.0)"),
+    ([0.1, float("nan")], "epsilons must be finite and > 0, got (0.1, nan)"),
+    ([float("inf")], "epsilons must be finite and > 0, got (inf,)"),
+], ids=["repeated", "negative", "zero", "nan", "inf"])
+def test_bad_epsilons_are_config_error(tmp_path, capsys, epsilons, message):
+    # a repeat wrote two hit columns and two equal table rows; -1 and NaN gave a silent all-ND row
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"experiment": {"epsilons": epsilons, "nmax": 50}}))
+    out = tmp_path / "out"
+    assert run_cli("experiment", "--config", cfg_path, "--out", out) == EXIT_CONFIG
+    assert f"config error: experiment: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_check_command_benchmark_passes(capsys):
     assert run_cli("check", "--nmax", "1000") == EXIT_OK
     out = capsys.readouterr().out

@@ -172,7 +172,13 @@ def test_experiment_config_validation():
         ExperimentConfig(thetas=(0.9,), n_max=0)
 
 
-@pytest.mark.parametrize("field, values", [("thetas", (0.9, 0.4, 0.9)), ("seeds", (1, 1))])
+def test_experiment_config_refuses_a_non_integral_n_max():
+    # 20.5 used to pass and leave every cell failed
+    with pytest.raises(ValueError, match="n_max must be an integer >= 1, got 20.5"):
+        ExperimentConfig(thetas=(0.9,), n_max=20.5)
+
+
+@pytest.mark.parametrize("field, values", [("thetas", (0.9, 0.4, 0.9)), ("seeds", (1, 1)), ("epsilons", (0.1, 0.1))])
 def test_experiment_config_refuses_repeated_thetas_and_seeds(field, values):
     kwargs = {"thetas": (0.9,), field: values}
     with pytest.raises(ValueError, match=f"{field} must be distinct"):

@@ -3,8 +3,9 @@
 The digests were recorded once and must never move: any change to the
 stepping, the projections, the recording or the CSV writers that alters a
 single byte of the sweep directory, of a strided, early-stopped ``solve``
-trace, or of a d = 64 ``solve`` trace over a simplex, ball, box or halfspace
-fails here. Run this file as a script to print the current digests.
+trace, of a d = 64 ``solve`` trace over a simplex, ball, box or halfspace, or
+of the benchmark's ``implicit_path.csv`` (which also pins the reference point
+its distances are measured to) fails here. Run this file as a script to print the current digests.
 
 The two experiment digests were re-pinned once, on purpose, when meta.txt
 took its ``config_digest`` from the command's config.json instead of a digest
@@ -34,6 +35,7 @@ SOLVE_TRACE_DIGESTS = {
     "yao_outer": "a58c4d10de3984ea5dfeefd443b335c2f00fb32fb00a91aa3f45453c8876a3a5",
     "yao_inner": "a58c4d10de3984ea5dfeefd443b335c2f00fb32fb00a91aa3f45453c8876a3a5",
 }
+IMPLICIT_DIGEST = "8c14ef692b0f36afd42229c4d52b0802c77c4414499e5a23024deee2c081ab24"
 
 # d = 64 problems shaped like the benchmark's mixed workload: least-squares A,
 # constant f (the anchor), identity S, strided records, no reference
@@ -92,6 +94,11 @@ def solve_trace_digest(tmp: Path, algorithm: str) -> str:
     out = tmp / algorithm
     assert main(["solve", "--config", str(cfg_path), "--algorithm", algorithm, "--out", str(out)]) == EXIT_OK
     return hashlib.sha256((out / "trace.csv").read_bytes()).hexdigest()
+
+
+def implicit_digest(out: Path) -> str:
+    assert main(["implicit", "--config", str(CONFIG), "--out", str(out)]) == EXIT_OK
+    return hashlib.sha256((out / "implicit_path.csv").read_bytes()).hexdigest()
 
 
 def mix_set(kind: str, rng: np.random.Generator, d: int):
@@ -154,6 +161,10 @@ def test_solve_trace_digest(tmp_path, algorithm):
     assert solve_trace_digest(tmp_path, algorithm) == SOLVE_TRACE_DIGESTS[algorithm]
 
 
+def test_implicit_path_digest(tmp_path):
+    assert implicit_digest(tmp_path / "implicit") == IMPLICIT_DIGEST
+
+
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 @pytest.mark.parametrize("kind", MIX_KINDS)
 def test_d64_trace_digest(tmp_path, kind, algorithm):
@@ -171,6 +182,7 @@ if __name__ == "__main__":
         for algorithm in ALGORITHMS:
             print(f"    {algorithm!r}: {solve_trace_digest(tmp, algorithm)!r},")
         print("}")
+        print("IMPLICIT_DIGEST =", repr(implicit_digest(tmp / "implicit")))
         print("MIX_TRACE_DIGESTS = {")
         for kind in MIX_KINDS:
             for algorithm in ALGORITHMS:

@@ -12,6 +12,7 @@ from viscosolve import configio, schedules
 from viscosolve.experiment import ExperimentConfig, emit_report, run_experiment
 from viscosolve.operators import _jsonable
 from viscosolve import (
+    AffineMap,
     Ball,
     Box,
     ConfigurationError,
@@ -32,6 +33,7 @@ from viscosolve import (
     ProblemSpec,
     RunTrace,
     ScheduleSpec,
+    Simplex,
     SolverConfig,
     TAKAHASHI_TOYODA,
     TableAlpha,
@@ -51,7 +53,7 @@ from viscosolve import (
     viscosity_map,
 )
 
-from oracles import inner, step_at, xu_recursion
+from oracles import banach_reference_solution, inner, step_at, xu_recursion
 
 
 def make_cfg(problem, qstar=None, **kw):
@@ -377,8 +379,16 @@ def test_implicit_path_single_t_equals_solve(problem):
     pts = implicit_path(icfg, problem)
     assert len(pts) == 1
     x0 = project(problem.set_Q, np.zeros(problem.dim))  # the path's default start
-    x, _ = solvers._anderson_solve(1.0, 0.1, problem, x0, icfg.inner_tol, icfg.inner_max_iter)
+    q = 1.0 - problem.sigma  # the factor of T_t at t = 1
+    x, _ = solvers._anderson_solve(lambda y: viscosity_map(y, problem, 1.0, 0.1), q, x0,
+                                   icfg.inner_tol, icfg.inner_tol, icfg.inner_max_iter, "implicit solve at t=1.0")
     assert np.array_equal(pts[0].x, x)
+
+
+def test_implicit_path_refuses_a_start_outside_Q(problem):
+    icfg = ImplicitConfig(t_values=(1.0,), lambda_of_t=0.1)
+    with pytest.raises(ConfigurationError, match=r"x1 = .* is not in Q \(tolerance 1e-10\)"):
+        implicit_path(icfg, problem, x1=[-1.0, 2.0])
 
 
 def test_implicit_path_distance_decreasing(problem):
@@ -398,7 +408,7 @@ def test_implicit_solve_iteration_cap(problem):
 
 def test_implicit_solve_zero_iteration_cap(problem):
     # a cap of 0 evaluations is a configuration error, not a solve that fails to converge
-    with pytest.raises(ConfigurationError, match="inner_max_iter must be >= 1, got 0"):
+    with pytest.raises(ConfigurationError, match="inner_max_iter must be an integer >= 1, got 0"):
         ImplicitConfig(t_values=(1.0,), lambda_of_t=0.1, inner_max_iter=0)
     icfg = ImplicitConfig(t_values=(1.0,), lambda_of_t=0.1, inner_max_iter=1)
     with pytest.raises(NonConvergenceError) as exc_info:
@@ -508,6 +518,18 @@ def test_accelerated_solve_on_active_constraint(set_Q, anchor, x1, min_rejection
     assert n_rejected >= min_rejections
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda p: make_cfg(p, n_max=10.5), "n_max must be an integer >= 1, got 10.5"),
+    (lambda p: make_cfg(p, record_stride=2.5), "record_stride must be an integer >= 1, got 2.5"),
+    (lambda p: ImplicitConfig(t_values=(1.0,), lambda_of_t=0.1, inner_max_iter=2.5),
+     "inner_max_iter must be an integer >= 1, got 2.5"),
+], ids=["n_max", "record_stride", "inner_max_iter"])
+def test_library_configs_refuse_non_integral_counts(problem, build, message):
+    # run would stop in the block loop (n_max) or in the record index (record_stride)
+    with pytest.raises(ConfigurationError, match=message):
+        build(problem)
+
+
 def test_implicit_config_validation():
     with pytest.raises(ConfigurationError):
         ImplicitConfig(t_values=(), lambda_of_t=0.1)
@@ -532,6 +554,46 @@ def test_reference_solution_zero_iteration_cap(problem):
     with pytest.raises(NonConvergenceError) as exc_info:
         reference_solution(problem, max_iter=0)
     assert exc_info.value.iterations == 0
+
+
+def test_benchmark_reference_equals_the_banach_oracle_bit_for_bit(problem, qstar):
+    # f depends only on x1 + x2, which is 2.6 on the target set: both solves stop after two evaluations
+    assert qstar.tobytes() == banach_reference_solution(problem, tol=1e-12).tobytes()
+
+
+REFERENCE_OMEGA_KINDS = ("ball", "box", "simplex", "hyperplane")
+
+
+def reference_omega(kind, rng, d):
+    if kind == "ball":
+        return Ball(center=rng.normal(size=d), radius=float(rng.uniform(0.5, 2.0)))
+    if kind == "box":
+        lo = rng.uniform(-2.0, 0.0, size=d)
+        return Box(lo=lo, hi=lo + rng.uniform(0.1, 2.0, size=d))
+    if kind == "simplex":
+        return Simplex(total=float(rng.uniform(1.0, 3.0)), dim=d)
+    return Hyperplane(normal=rng.normal(size=d), offset=float(rng.uniform(-1.0, 1.0)))
+
+
+@pytest.mark.parametrize("rho", [0.1, 0.5, 0.8, 0.95])
+@pytest.mark.parametrize("kind", REFERENCE_OMEGA_KINDS)
+def test_reference_solution_is_within_tol_of_a_tight_banach_oracle(kind, rho):
+    d, radius, oracle_tol = 6, 10.0, 1e-13
+    for seed in range(3):
+        rng = np.random.default_rng([REFERENCE_OMEGA_KINDS.index(kind), round(100 * rho), seed])
+        G = rng.normal(size=(d, d))
+        c = rng.normal(size=d)
+        # ||M|| = rho and ||c|| <= (1 - rho) radius: f maps the ball Q into itself
+        f = AffineMap(M=rho * G / np.linalg.norm(G, 2), c=(1.0 - rho) * radius * c / (2.0 * norm(c)))
+        problem = ProblemSpec(
+            set_Q=Ball(center=np.zeros(d), radius=radius), map_S=Identity(d),
+            map_A=LeastSquaresGradient(B=np.eye(d), b=np.zeros(d)), map_f=f,
+            reference_set_omega=reference_omega(kind, rng, d),
+        )
+        assert problem.rho == pytest.approx(rho)
+        oracle = banach_reference_solution(problem, tol=oracle_tol)
+        for tol in (1e-4, 1e-8, 1e-12):
+            assert norm(reference_solution(problem, tol=tol) - oracle) <= tol + oracle_tol
 
 
 def test_reference_solution_values(problem, qstar):
