@@ -36,7 +36,6 @@ from .operators import (
     TrigContraction,
     ls_lipschitz,
     register_mapping,
-    viscosity_map,
 )
 from .schedules import (
     ConstantLambda,
@@ -73,6 +72,7 @@ from .solvers import (
     reference_solution,
     run,
     run_batch,
+    viscosity_map,
 )
 from .experiment import (
     BENCHMARK_X1,

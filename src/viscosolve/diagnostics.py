@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import LeastSquaresGradient, ProblemSpec, rows_of, viscosity_map
+from .operators import LeastSquaresGradient, ProblemSpec, rows_of
 from .projections import project_rows, sample
-from .solvers import reference_solution
+from .solvers import reference_solution, viscosity_map
 from .space import NonFiniteError, row_inners, row_norms
 
 __all__ = ["CheckResult", "run_property_checks"]

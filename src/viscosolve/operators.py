@@ -14,23 +14,20 @@ and :class:`LeastSquaresGradient`) also evaluate a (C, d) array through
 over the rows for every other callable, since no workload batches it.
 
 :class:`ProblemSpec` bundles a constraint set Q with a nonexpansive S, a
-cocoercive A and a contraction f. The composite operator built here is
-:func:`viscosity_map`, t f(x) + (1 - t) S(P_Q(x - mu A(x))), a contraction
-with factor <= 1 - (1 - rho) t; the step rules of :mod:`viscosolve.solvers`
-apply the same forward-backward map P_Q(x - lam A(x)).
+cocoercive A and a contraction f, with their certified moduli. The
+operators built from them, the step rules and the composite viscosity map
+T_t (the explicit rule's step at alpha = t), live in :mod:`viscosolve.solvers`.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Callable, ClassVar
 
 import numpy as np
 
-from .projections import ConvexSet, contains, project, project_rows, sample
-from .schedules import ScheduleViolationWarning
+from .projections import ConvexSet, contains, sample
 from .space import DimensionMismatchError, NonFiniteError, as_vector
 
 __all__ = [
@@ -44,7 +41,6 @@ __all__ = [
     "register_mapping",
     "ProblemSpec",
     "rows_of",
-    "viscosity_map",
     "ls_lipschitz",
 ]
 
@@ -363,27 +359,6 @@ def rows_of(mapping) -> Callable[[np.ndarray], np.ndarray]:
     if rows is not None:
         return rows
     return lambda X: np.array([np.asarray(mapping(x), dtype=float) for x in X]).reshape(np.shape(X))
-
-
-def viscosity_map(x, problem: ProblemSpec, t: float, mu: float) -> np.ndarray:
-    """t f(x) + (1 - t) S(P_Q(x - mu A(x))).
-
-    Lipschitz with factor <= 1 - sigma * t where sigma = 1 - rho, hence a
-    strict contraction for every t in (0, 1]. A (C, d) array ``x`` is mapped
-    row by row through the row kernels, each row bit-identical to its 1-D call.
-    """
-    if not (0 < t <= 1):
-        raise ParameterError(f"t must be in (0, 1], got {t}")
-    nu = problem.nu
-    if mu < 0 or mu > 2 * nu:
-        msg = f"lambda = {mu} outside [0, 2*nu = {2 * nu}]"
-        warnings.warn(msg, ScheduleViolationWarning, stacklevel=2)
-    if np.ndim(x) == 2:
-        f, A, S = (rows_of(m) for m in (problem.map_f, problem.map_A, problem.map_S))
-        return t * f(x) + (1.0 - t) * S(project_rows(problem.set_Q, x - mu * A(x)))
-    fx = problem.map_f(x)
-    z = project(problem.set_Q, x - mu * problem.map_A(x))
-    return t * fx + (1.0 - t) * problem.map_S(z)
 
 
 def ls_lipschitz(B) -> float:

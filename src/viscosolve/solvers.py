@@ -10,9 +10,9 @@ contraction, u a fixed anchor in Q):
 * yao_outer:           x+ = b x + (1 - b) P(a u + (1 - a) S P(x - l A x))
 * yao_inner:           x+ = b x + (1 - b) S P(a u + (1 - a)(x - l A x))
 
-plus the implicit path x_t = t f(x_t) + (1 - t) S P(x_t - l A x_t) and the
-reference solver for the limit point (the fixed point of P_Omega . f), both
-solved by one safeguarded Anderson loop for contractions.
+plus the implicit path x_t = T_t(x_t), T_t (:func:`viscosity_map`) being the
+explicit_viscosity step at a = t, and the reference solver for the limit point
+(the fixed point of P_Omega . f), both solved by one safeguarded Anderson loop.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .__about__ import __version__ as _VERSION
-from .operators import ProblemSpec, _jsonable, rows_of, viscosity_map
+from .operators import ParameterError, ProblemSpec, _jsonable, rows_of
 from .projections import contains, project, project_rows
 from .schedules import (
     NoPerturbation,
@@ -65,6 +65,7 @@ __all__ = [
     "PathPoint",
     "run",
     "run_batch",
+    "viscosity_map",
     "implicit_path",
     "reference_solution",
     "config_digest",
@@ -334,6 +335,22 @@ def _build_step(problem: ProblemSpec, rule: str, rows: bool = False) -> Callable
         P = getattr(Q, "project_rows", None) or partial(project_rows, Q)
         return _RULES[rule](P, *(rows_of(m) for m in maps))
     return _RULES[rule](partial(project, Q), *maps)
+
+
+def viscosity_map(x, problem: ProblemSpec, t: float, mu: float) -> np.ndarray:
+    """T_t(x) = t f(x) + (1 - t) S(P_Q(x - mu A(x))): the explicit_viscosity step at alpha = t, lambda = mu.
+
+    Lipschitz with factor <= 1 - sigma * t where sigma = 1 - rho, hence a
+    strict contraction for every t in (0, 1] and mu in [0, 2 nu]; a mu
+    outside that interval warns. A (C, d) array ``x`` is mapped row by row
+    through the row kernels, each row bit-identical to its 1-D call.
+    """
+    if not (0 < t <= 1):
+        raise ParameterError(f"t must be in (0, 1], got {t}")
+    nu = problem.nu
+    if mu < 0 or mu > 2 * nu:
+        warnings.warn(f"lambda = {mu} outside [0, 2*nu = {2 * nu}]", ScheduleViolationWarning, stacklevel=2)
+    return _build_step(problem, EXPLICIT_VISCOSITY, rows=np.ndim(x) == 2)(x, t, 1.0 - t, mu, None, None, None, None)
 
 
 # --------------------------------------------------------------------------
@@ -640,13 +657,14 @@ def _lockstep(cfgs: list, extras: list) -> list:
 class ImplicitConfig:
     """Settings for the implicit curve t -> x_t.
 
-    ``lambda_of_t`` is the relaxation step at every t, a finite float >= 0,
-    expected in (0, 2*nu). Each solve runs safeguarded Anderson acceleration
-    on the viscosity map and stops once either the contraction a-posteriori
-    bound certifies ||x - x_t|| <= inner_tol or the fixed-point residual
-    itself drops below inner_tol (for very small t the bound alone would
-    demand residuals below the float64 rounding floor).
-    ``inner_max_iter`` caps the viscosity_map evaluations of one solve.
+    ``lambda_of_t`` is the relaxation step at every t, a finite float in
+    [0, 2*nu]: :func:`implicit_path` refuses a larger one, for which T_t is
+    not certified to contract. Each solve runs safeguarded Anderson on T_t
+    and stops once either the contraction a-posteriori bound certifies
+    ||x - x_t|| <= inner_tol or the fixed-point residual itself drops below
+    inner_tol (for very small t the bound alone would demand residuals below
+    the float64 rounding floor). ``inner_max_iter`` caps the evaluations of
+    T_t in one solve.
     """
 
     t_values: tuple[float, ...]
@@ -679,7 +697,7 @@ class ImplicitConfig:
 
 @dataclass(frozen=True, eq=False)
 class PathPoint:
-    """x_t; iterations counts viscosity_map calls, dist_bound = residual / (sigma t) >= ||x - x_t||."""
+    """x_t; iterations counts evaluations of T_t, dist_bound = residual / (sigma t) >= ||x - x_t||."""
 
     t: float
     x: np.ndarray
@@ -743,19 +761,24 @@ def _anderson_solve(T, q, x0, tol, floor, max_iter, label):
 def implicit_path(cfg: ImplicitConfig, problem: ProblemSpec, x1=None) -> list[PathPoint]:
     """Solve x_t along cfg.t_values from ``x1`` in Q (default P_Q(0)), warm-starting each solve from the last.
 
+    T_t is the explicit_viscosity step, built once, at 0-d float64 operands
+    t, 1 - t and lambda. A lambda above 2 nu is a :class:`ConfigurationError`.
     When the problem carries a closed-form target set, each point also
     reports its distance to the independently computed reference solution.
     """
+    if cfg.lambda_of_t > 2 * problem.nu:  # then neither the factor 1 - sigma t nor dist_bound holds
+        raise ConfigurationError(f"implicit lambda = {cfg.lambda_of_t} exceeds 2*nu = {2 * problem.nu}")
     ref = None
     if problem.reference_set_omega is not None:
         ref = reference_solution(problem, tol=1e-12)
     x = _point_of_Q(problem, x1, "x1") if x1 is not None else project(problem.set_Q, np.zeros(problem.dim))
+    step, lam = _build_step(problem, EXPLICIT_VISCOSITY), np.array(cfg.lambda_of_t)
     points = []
     for t in cfg.t_values:
-        lam = cfg.lam_at(t)
-        x, iters = _anderson_solve(lambda y: viscosity_map(y, problem, t, lam), 1.0 - problem.sigma * t, x,
-                                   cfg.inner_tol, cfg.inner_tol, cfg.inner_max_iter, f"implicit solve at t={t}")
-        residual = norm(x - viscosity_map(x, problem, t, lam))
+        a, ca = np.array(t), np.array(1.0 - t)
+        x, iters = _anderson_solve(lambda y: step(y, a, ca, lam, None, None, None, None), 1.0 - problem.sigma * t,
+                                   x, cfg.inner_tol, cfg.inner_tol, cfg.inner_max_iter, f"implicit solve at t={t}")
+        residual = norm(x - step(x, a, ca, lam, None, None, None, None))
         dist = norm(x - ref) if ref is not None else None
         bound = residual / (problem.sigma * t)
         points.append(PathPoint(t, x, residual, iterations=iters, dist_to_reference=dist, dist_bound=bound))

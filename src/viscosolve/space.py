@@ -45,7 +45,7 @@ def as_vector(x, dim: int | None = None, name: str = "vector") -> np.ndarray:
 
 def norm(x: np.ndarray) -> float:
     """Norm induced by the standard inner product; zero iff x is the zero vector."""
-    out = math.sqrt(np.dot(x, x))
+    out = math.sqrt(x.dot(x))  # ndarray.dot: the ddot of np.dot, with less dispatch
     if not math.isfinite(out):
         raise NonFiniteError("norm is not finite (NaN/Inf or overflowing input)")
     return out

@@ -1,7 +1,8 @@
 """Oracles the tests share: one step of a run from any iterate, the scalar comparison recursion,
-the checked inner product and the plain Banach reference solve."""
+the checked inner product, the plain Banach reference solve and the viscosity map written out."""
 
 import math
+import warnings
 
 import numpy as np
 
@@ -10,12 +11,16 @@ from viscosolve import (
     DimensionMismatchError,
     NonConvergenceError,
     NonFiniteError,
+    ParameterError,
+    ScheduleViolationWarning,
     alpha_at,
     lambda_at,
     norm,
     perturbation_stream,
     project,
+    project_rows,
 )
+from viscosolve.operators import rows_of
 from viscosolve.solvers import _build_step
 
 
@@ -94,3 +99,24 @@ def banach_reference_solution(problem, tol: float = 1e-12, max_iter: int = 100_0
         residual=step,
         iterations=max_iter,
     )
+
+
+def viscosity_map(x, problem, t: float, mu: float) -> np.ndarray:
+    """t f(x) + (1 - t) S(P_Q(x - mu A(x))), with its own arithmetic rather than the explicit step's.
+
+    Lipschitz with factor <= 1 - sigma * t where sigma = 1 - rho, hence a
+    strict contraction for every t in (0, 1]. A (C, d) array ``x`` is mapped
+    row by row through the row kernels, each row bit-identical to its 1-D call.
+    """
+    if not (0 < t <= 1):
+        raise ParameterError(f"t must be in (0, 1], got {t}")
+    nu = problem.nu
+    if mu < 0 or mu > 2 * nu:
+        msg = f"lambda = {mu} outside [0, 2*nu = {2 * nu}]"
+        warnings.warn(msg, ScheduleViolationWarning, stacklevel=2)
+    if np.ndim(x) == 2:
+        f, A, S = (rows_of(m) for m in (problem.map_f, problem.map_A, problem.map_S))
+        return t * f(x) + (1.0 - t) * S(project_rows(problem.set_Q, x - mu * A(x)))
+    fx = problem.map_f(x)
+    z = project(problem.set_Q, x - mu * problem.map_A(x))
+    return t * fx + (1.0 - t) * problem.map_S(z)

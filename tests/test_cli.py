@@ -182,6 +182,20 @@ def test_implicit_with_a_non_finite_or_negative_lambda_is_config_error(tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("lam, code", [(0.2, EXIT_OK), (0.25, EXIT_CONFIG), (0.5, EXIT_CONFIG)])
+def test_implicit_with_a_lambda_above_2nu_is_config_error(tmp_path, capsys, lam, code):
+    # 2 nu = 0.2 on the benchmark: above it neither the contraction factor nor dist_bound holds
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"implicit": {"t_values": [1.0, 1e-5], "lambda": lam}}))
+    out = tmp_path / "out"
+    assert run_cli("implicit", "--config", cfg_path, "--out", out) == code
+    if code == EXIT_CONFIG:
+        assert f"config error: implicit lambda = {lam} exceeds 2*nu = 0.2" in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        assert len((out / "implicit_path.csv").read_text().strip().split("\n")) == 3
+
+
 @pytest.mark.parametrize("x1, message", [
     ([1, 2, 3], "solver: x1 has dimension 3, expected 2"),
     ("ab", "solver: could not convert string to float: 'ab'"),

@@ -5,7 +5,9 @@ stepping, the projections, the recording or the CSV writers that alters a
 single byte of the sweep directory, of a strided, early-stopped ``solve``
 trace, of a d = 64 ``solve`` trace over a simplex, ball, box or halfspace, or
 of the benchmark's ``implicit_path.csv`` (which also pins the reference point
-its distances are measured to) fails here. Run this file as a script to print the current digests.
+its distances are measured to) fails here; so does any change to the
+property battery's results on the benchmark problem (name, verdict and the
+repr of its worst value, per check). Run this file as a script to print the current digests.
 
 The two experiment digests were re-pinned once, on purpose, when meta.txt
 took its ``config_digest`` from the command's config.json instead of a digest
@@ -20,8 +22,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from viscosolve import ALGORITHMS
+from viscosolve import ALGORITHMS, build_benchmark_problem
 from viscosolve.cli import EXIT_OK, main
+from viscosolve.diagnostics import run_property_checks
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "benchmark.json"
 
@@ -36,6 +39,7 @@ SOLVE_TRACE_DIGESTS = {
     "yao_inner": "a58c4d10de3984ea5dfeefd443b335c2f00fb32fb00a91aa3f45453c8876a3a5",
 }
 IMPLICIT_DIGEST = "8c14ef692b0f36afd42229c4d52b0802c77c4414499e5a23024deee2c081ab24"
+PROPERTY_CHECKS_DIGEST = "5a8934baabb8768bf914d7e97af39bd75a2644428f52155956dda40731b8feda"
 
 # d = 64 problems shaped like the benchmark's mixed workload: least-squares A,
 # constant f (the anchor), identity S, strided records, no reference
@@ -99,6 +103,11 @@ def solve_trace_digest(tmp: Path, algorithm: str) -> str:
 def implicit_digest(out: Path) -> str:
     assert main(["implicit", "--config", str(CONFIG), "--out", str(out)]) == EXIT_OK
     return hashlib.sha256((out / "implicit_path.csv").read_bytes()).hexdigest()
+
+
+def property_checks_digest() -> str:
+    results = run_property_checks(build_benchmark_problem())
+    return hashlib.sha256("".join(f"{r.name},{r.passed},{r.worst!r}\n" for r in results).encode()).hexdigest()
 
 
 def mix_set(kind: str, rng: np.random.Generator, d: int):
@@ -165,6 +174,10 @@ def test_implicit_path_digest(tmp_path):
     assert implicit_digest(tmp_path / "implicit") == IMPLICIT_DIGEST
 
 
+def test_property_checks_digest():
+    assert property_checks_digest() == PROPERTY_CHECKS_DIGEST
+
+
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 @pytest.mark.parametrize("kind", MIX_KINDS)
 def test_d64_trace_digest(tmp_path, kind, algorithm):
@@ -183,6 +196,7 @@ if __name__ == "__main__":
             print(f"    {algorithm!r}: {solve_trace_digest(tmp, algorithm)!r},")
         print("}")
         print("IMPLICIT_DIGEST =", repr(implicit_digest(tmp / "implicit")))
+        print("PROPERTY_CHECKS_DIGEST =", repr(property_checks_digest()))
         print("MIX_TRACE_DIGESTS = {")
         for kind in MIX_KINDS:
             for algorithm in ALGORITHMS:

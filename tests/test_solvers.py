@@ -391,6 +391,19 @@ def test_implicit_path_refuses_a_start_outside_Q(problem):
         implicit_path(icfg, problem, x1=[-1.0, 2.0])
 
 
+def test_implicit_path_refuses_a_lambda_above_2nu_before_any_solve(problem, monkeypatch):
+    # 2 nu = 0.2 is accepted and certified; above it I - lambda A is not nonexpansive
+    assert problem.nu == 0.1
+    for x in (None, [2.0, 3.0]):
+        (p,) = implicit_path(ImplicitConfig(t_values=(1e-3,), lambda_of_t=0.2), problem, x1=x)
+        assert p.residual <= 1e-10
+        assert norm(p.x - viscosity_map(p.x, problem, 1e-3, 0.2)) <= 1e-10
+    monkeypatch.setattr(solvers, "_anderson_solve", None)  # a solve, or the reference solve, would call it
+    for lam in (0.25, 0.5):
+        with pytest.raises(ConfigurationError, match=rf"implicit lambda = {lam} exceeds 2\*nu = 0.2"):
+            implicit_path(ImplicitConfig(t_values=(1.0, 1e-5), lambda_of_t=lam), problem)
+
+
 def test_implicit_path_distance_decreasing(problem):
     icfg = ImplicitConfig(t_values=(1.0, 0.5, 0.1, 0.01, 0.001), lambda_of_t=0.1)
     pts = implicit_path(icfg, problem, x1=[2.0, 3.0])
@@ -417,16 +430,24 @@ def test_implicit_solve_zero_iteration_cap(problem):
 
 
 def counting_viscosity_map(monkeypatch):
-    """Patch the solver's viscosity_map; returns the list of (t, x, T(x)) calls."""
+    """Count the evaluations of T_t, the explicit step at alpha = t, by patching the solver's step builder.
+
+    Returns the list of (t, x, T(x)) calls, t read from the step's alpha.
+    """
     calls = []
-    inner_map = solvers.viscosity_map
+    build = solvers._build_step
 
-    def counted(x, problem, t, mu, **kw):
-        tx = inner_map(x, problem, t, mu, **kw)
-        calls.append((t, np.array(x, dtype=float), tx))
-        return tx
+    def counting_build(*args, **kw):
+        step = build(*args, **kw)
 
-    monkeypatch.setattr(solvers, "viscosity_map", counted)
+        def counted(x, a, *rest):
+            tx = step(x, a, *rest)
+            calls.append((float(a), np.array(x, dtype=float), tx))
+            return tx
+
+        return counted
+
+    monkeypatch.setattr(solvers, "_build_step", counting_build)
     return calls
 
 
@@ -554,6 +575,24 @@ def test_reference_solution_zero_iteration_cap(problem):
     with pytest.raises(NonConvergenceError) as exc_info:
         reference_solution(problem, max_iter=0)
     assert exc_info.value.iterations == 0
+
+
+def test_reference_solution_has_no_residual_floor():
+    # from P_Omega(0) = 0 the first residual r1 = ||P_Omega(f(0))|| is 0.1414, within tol = 2 r1; the
+    # certificate r1 rho / (1 - rho) = 1.27 is not, so one evaluation certifies nothing and the solve fails
+    problem = ProblemSpec(
+        set_Q=NonnegOrthant(2),
+        map_S=Identity(2),
+        map_A=LeastSquaresGradient(np.eye(2), [1.0, 1.0]),
+        map_f=AffineMap(0.9 * np.eye(2), [0.1, 0.1]),
+        reference_set_omega=Box([0.0, 0.0], [0.5, 0.5]),
+    )
+    r1 = norm(np.array([0.1, 0.1]))
+    assert r1 == pytest.approx(0.1414, abs=1e-4)
+    with pytest.raises(NonConvergenceError) as exc_info:
+        reference_solution(problem, tol=2 * r1, max_iter=1)
+    assert exc_info.value.iterations == 1
+    assert exc_info.value.residual == pytest.approx(r1, rel=1e-15)
 
 
 def test_benchmark_reference_equals_the_banach_oracle_bit_for_bit(problem, qstar):

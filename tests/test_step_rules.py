@@ -1,4 +1,7 @@
-"""The step rules' builders: bit for bit the rules they replaced, and the call contract of the 1-D step."""
+"""The step rules' builders: bit for bit the rules they replaced, and the call contract of the 1-D step.
+
+The viscosity map T_t is the explicit_viscosity step at alpha = t: bit for
+bit the map it replaced, which wrote the same expression out again."""
 
 from functools import partial
 from typing import Callable, NamedTuple
@@ -31,7 +34,9 @@ from viscosolve import (
 )
 from viscosolve.operators import rows_of
 
+import oracles
 from test_batch import SET_KINDS, make_set, same_bits
+from test_diagnostics import make_problem as make_map_family_problem
 
 # ---- the oracle: the step rules as they were written before the builders, verbatim
 
@@ -148,6 +153,29 @@ def test_built_steps_equal_the_old_rules_bit_for_bit(kind, d):
                 assert same_bits(got[0], want), label + (c,)
 
 
+@pytest.mark.parametrize("d", [1, 2, 5, 64])
+@pytest.mark.parametrize("kind", SET_KINDS)
+def test_viscosity_map_is_the_map_it_replaced_bit_for_bit(kind, d):
+    rng = np.random.default_rng([d, SET_KINDS.index(kind), 18])
+    # maps with row kernels and the row loop (make_problem), and every map family of the battery's problems
+    problems = [make_problem(kind, rng, d)]
+    problems += [make_map_family_problem(kind, d, variant, False, 100 * d + variant) for variant in range(3)]
+    for i, problem in enumerate(problems):
+        mus = (0.0, float(rng.uniform(0.0, 2.0 * problem.nu)), 2.0 * problem.nu)
+        for where, X in points(problem, rng, 3).items():
+            for t in (1.0, 0.5, 0.1, 1e-5, float(rng.uniform(0.0, 1.0))):
+                for mu in mus:
+                    label = (i, where, t, mu)
+                    want = oracles.viscosity_map(X, problem, t, mu)
+                    assert same_bits(viscosolve.viscosity_map(X, problem, t, mu), want), label
+                    for c in (1, 3):
+                        assert same_bits(viscosolve.viscosity_map(X[:c], problem, t, mu), want[:c]), label + (c,)
+                    for x, w in zip(X, want):  # each row is its 1-D map
+                        want_x = oracles.viscosity_map(x, problem, t, mu)
+                        assert same_bits(viscosolve.viscosity_map(x, problem, t, mu), want_x), label
+                        assert same_bits(w, want_x), label
+
+
 def test_the_tabulated_complement_rounds_as_python_does():
     alpha = np.random.default_rng(15).uniform(0.0, 1.0, 10_000)
     alpha[:4] = [1.0, 0.5, 1e-300, 5e-324]
@@ -204,4 +232,6 @@ def test_the_names_the_benchmark_reads_from_solvers_are_the_packages_own():
     assert solvers.norm is space.norm
     assert solvers.alpha_at is schedules.alpha_at
     assert solvers.run is viscosolve.run and solvers.run.__module__ == "viscosolve.solvers"
+    # the benchmark's implicit check and its viscosity_map_us layer call the package's map
+    assert viscosolve.viscosity_map is solvers.viscosity_map
     assert ImplicitConfig(t_values=(1.0, 0.1), lambda_of_t=0.1).lam_at(0.1) == 0.1
