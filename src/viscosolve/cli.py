@@ -9,7 +9,7 @@ Subcommands::
     check        grade the schedule hypotheses and run the property battery
 
 Exit codes: 0 ok, 1 check found violations, 2 configuration error,
-3 numerical divergence, 4 I/O failure. The default output directory is
+3 numerical failure, 4 I/O failure. The default output directory is
 $VISCOSOLVE_OUT, falling back to ./runs.
 """
 
@@ -34,7 +34,7 @@ from .solvers import (
     implicit_path,
     run,
 )
-from .space import as_vector
+from .space import NonFiniteError, as_vector
 
 __all__ = ["main", "cli_main"]
 
@@ -214,7 +214,7 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DivergenceError, NonConvergenceError) as exc:
+    except (DivergenceError, NonConvergenceError, NonFiniteError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
     except OSError as exc:

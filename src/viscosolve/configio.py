@@ -215,7 +215,7 @@ def build_set(d: dict, path: str):
     kind = _need(d, "kind", path)
     with _as_config_error(path):
         if kind == "orthant":
-            return NonnegOrthant(dim=_integer(_need(d, "dim", path), "dim", 1))
+            return NonnegOrthant(dim=_need(d, "dim", path))
         if kind == "box":
             return Box(lo=_need(d, "lo", path), hi=_need(d, "hi", path))
         if kind == "ball":
@@ -225,7 +225,7 @@ def build_set(d: dict, path: str):
         if kind == "hyperplane":
             return Hyperplane(normal=_need(d, "normal", path), offset=float(_need(d, "offset", path)))
         if kind == "simplex":
-            return Simplex(total=float(_need(d, "total", path)), dim=_integer(_need(d, "dim", path), "dim", 1))
+            return Simplex(total=float(_need(d, "total", path)), dim=_need(d, "dim", path))
     raise ConfigurationError(f"{path}.kind: unknown set kind {kind!r}")
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -44,8 +44,8 @@ from .schedules import (
     UniformSquarePerturbation,
     _integer,
 )
+# run is not called here: the benchmark's self-test calls viscosolve.experiment.run
 from .solvers import PERTURBED, RunTrace, SolverConfig, reference_solution, run, run_batch
-from .space import as_vector
 
 __all__ = [
     "build_benchmark_problem",
@@ -95,7 +95,11 @@ def benchmark_schedule(theta: float, lam: float | None = None, problem: ProblemS
 
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
-    """The (theta, seed) sweep of the perturbed rule on one problem."""
+    """The (theta, seed) sweep of the perturbed rule on one problem.
+
+    ``template`` (not a field) is the first cell's :class:`SolverConfig`: it checks ``x1``, ``n_max`` and
+    ``lam`` (default nu), which are read back from it, and every cell is it with its own schedule and seed.
+    """
 
     thetas: tuple[float, ...]
     seeds: tuple[int, ...] = DEFAULT_SEEDS
@@ -120,12 +124,15 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be nonempty")
             if len(set(values)) != len(values):  # a repeat would count one cell, or write one column, twice
                 raise ValueError(f"{name} must be distinct, got {values}")
-        object.__setattr__(self, "x1", as_vector(self.x1, dim=self.problem.dim, name="x1"))
-        object.__setattr__(self, "n_max", _integer(self.n_max, "n_max", 1))
-
-    @property
-    def lam_value(self) -> float:
-        return self.problem.nu if self.lam is None else float(self.lam)
+        template = SolverConfig(
+            problem=self.problem, schedule=benchmark_schedule(thetas[0], self.lam, self.problem), x1=self.x1,
+            n_max=self.n_max, algorithm=PERTURBED,
+            perturbation=NoPerturbation() if self.deterministic else UniformSquarePerturbation(seeds[0]),
+        )
+        object.__setattr__(self, "template", template)
+        object.__setattr__(self, "x1", template.x1)
+        object.__setattr__(self, "n_max", template.n_max)
+        object.__setattr__(self, "lam", template.schedule.lam.value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,38 +189,20 @@ class ExperimentReport:
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Run the perturbed rule for each (theta, seed) cell.
 
-    Each cell starts from cfg.x1, runs n_max iterations and measures
-    rel_err against the reference solution computed once at tolerance 1e-12.
-    All cells step in lockstep as one batch (:func:`run_batch`); each cell's
-    trace equals its own :func:`run` bit for bit. Per-cell solver failures
-    are recorded without aborting the sweep. Deterministic per (theta, seed).
+    Each cell is ``cfg.template`` with its theta's schedule (one per theta, so a block tabulates once per
+    theta), its seed's perturbation and the reference solution, computed once at tolerance 1e-12. The
+    cells step as one :func:`run_batch`, each trace equal to its own :func:`run` bit for bit; a cell that
+    diverges or meets a non-finite value is recorded with its error while the others go on.
     """
     qref = reference_solution(cfg.problem, tol=1e-12)
     grid, solver_cfgs = [], []
     for theta in cfg.thetas:
-        schedule = benchmark_schedule(theta, lam=cfg.lam_value, problem=cfg.problem)
+        schedule = benchmark_schedule(theta, cfg.lam)
         for seed in cfg.seeds:
-            perturbation = NoPerturbation() if cfg.deterministic else UniformSquarePerturbation(seed)
+            perturbation = cfg.template.perturbation if cfg.deterministic else UniformSquarePerturbation(seed)
             grid.append((theta, seed))
-            solver_cfgs.append(SolverConfig(
-                problem=cfg.problem,
-                schedule=schedule,
-                x1=cfg.x1,
-                n_max=cfg.n_max,
-                algorithm=PERTURBED,
-                perturbation=perturbation,
-                reference=qref,
-            ))
-    extras = [{"theta": theta, "cell_seed": seed} for theta, seed in grid]
-    try:
-        outcomes = run_batch(solver_cfgs, extras)
-    except Exception:  # a failure not tied to one row: run the cells one by one
-        outcomes = []
-        for solver_cfg, extra in zip(solver_cfgs, extras):
-            try:
-                outcomes.append(run(solver_cfg, extra_metadata=extra))
-            except Exception as exc:
-                outcomes.append(exc)
+            solver_cfgs.append(replace(cfg.template, schedule=schedule, perturbation=perturbation, reference=qref))
+    outcomes = run_batch(solver_cfgs, [{"theta": theta, "cell_seed": seed} for theta, seed in grid])
     cells = []
     for (theta, seed), trace in zip(grid, outcomes):
         if isinstance(trace, Exception):  # record the failure, keep sweeping
@@ -315,7 +304,7 @@ def emit_report(report: ExperimentReport, out_dir, extra_metadata: dict | None =
         )
     (out_dir / "report.csv").write_text("\n".join(lines) + "\n")
 
-    perturbation = NoPerturbation if report.config.deterministic else UniformSquarePerturbation
+    perturbation = report.config.template.perturbation
     meta = {
         "algorithm": PERTURBED,
         "perturbation": perturbation.kind,
@@ -324,7 +313,7 @@ def emit_report(report: ExperimentReport, out_dir, extra_metadata: dict | None =
         "thetas": list(report.config.thetas),
         "epsilons": list(report.config.epsilons),
         "n_max": report.config.n_max,
-        "lambda": report.config.lam_value,
+        "lambda": report.config.lam,
         "x1": report.config.x1.tolist(),
         "deterministic": report.config.deterministic,
         "reference": report.reference.tolist(),

@@ -77,12 +77,18 @@ class TrigContraction:
 
     def __call__(self, x):
         s = float(x[0]) + float(x[1])
-        return np.array([(5.0 + math.cos(s)) / 2.0, (6.0 - math.sin(s)) / 2.0])
+        try:
+            return np.array([(5.0 + math.cos(s)) / 2.0, (6.0 - math.sin(s)) / 2.0])
+        except ValueError:  # math.cos of an infinite sum
+            raise NonFiniteError(f"coordinate sum {s} is not finite") from None
 
     def rows(self, X):
         # the __call__ formula per row, with math.cos / math.sin (np.cos may round differently)
         s = (X[:, 0] + X[:, 1]).tolist()
-        return np.array([[(5.0 + math.cos(v)) / 2.0 for v in s], [(6.0 - math.sin(v)) / 2.0 for v in s]]).T
+        try:
+            return np.array([[(5.0 + math.cos(v)) / 2.0 for v in s], [(6.0 - math.sin(v)) / 2.0 for v in s]]).T
+        except ValueError:
+            raise NonFiniteError("a coordinate sum is not finite") from None
 
 
 @dataclass(frozen=True, eq=False)

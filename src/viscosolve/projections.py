@@ -39,6 +39,7 @@ from typing import Union
 
 import numpy as np
 
+from .schedules import _integer
 from .space import DimensionMismatchError, as_vector
 
 __all__ = [
@@ -76,8 +77,7 @@ class NonnegOrthant:
     dim: int
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise InvalidDescriptorError("orthant dimension must be >= 1")
+        object.__setattr__(self, "dim", _integer(self.dim, "dim", 1, InvalidDescriptorError))
 
     def project(self, x):
         return np.maximum(x, _ZERO)
@@ -211,8 +211,7 @@ class Simplex:
         object.__setattr__(self, "total", float(self.total))
         if not self.total > 0:
             raise InvalidDescriptorError(f"simplex total must be > 0, got {self.total}")
-        if self.dim < 1:
-            raise InvalidDescriptorError("simplex dimension must be >= 1")
+        object.__setattr__(self, "dim", _integer(self.dim, "dim", 1, InvalidDescriptorError))
 
     def project(self, x):
         threshold = _threshold(x, self.total)

@@ -225,15 +225,15 @@ class UniformSquarePerturbation:
 Perturbation = Union[NoPerturbation, UniformSquarePerturbation]
 
 
-def _integer(value, name: str, minimum: int = 0) -> int:
+def _integer(value, name: str, minimum: int = 0, error: type[ValueError] = ValueError) -> int:
     """``value`` as an int >= ``minimum``, refusing what ``int()`` would cut: with minimum 0, ``1.0``
-    passes and ``1.5`` and ``-1`` do not. Checks seeds, step counts, strides and dimensions."""
+    passes and ``1.5`` and ``-1`` do not; else ``error``. Checks seeds, step counts, strides and dimensions."""
     try:
         number = int(value)
     except (TypeError, ValueError, OverflowError):  # a list, "x", nan, inf
         number = None
     if number is None or number != value or number < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+        raise error(f"{name} must be an integer >= {minimum}, got {value!r}")
     return number
 
 

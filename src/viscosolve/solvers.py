@@ -17,6 +17,7 @@ explicit_viscosity step at a = t, and the reference solver for the limit point
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -46,7 +47,7 @@ from .schedules import (
     perturbation_stream,
     tabulate,
 )
-from .space import as_vector, norm, row_norms
+from .space import NonFiniteError, as_vector, norm, row_norms
 
 __all__ = [
     "EXPLICIT_VISCOSITY",
@@ -137,8 +138,8 @@ class SolverConfig:
         x1 = _point_of_Q(self.problem, self.x1, "x1")
         x1.setflags(write=False)
         object.__setattr__(self, "x1", x1)
-        object.__setattr__(self, "n_max", _count(self.n_max, "n_max"))
-        object.__setattr__(self, "record_stride", _count(self.record_stride, "record_stride"))
+        object.__setattr__(self, "n_max", _integer(self.n_max, "n_max", 1, ConfigurationError))
+        object.__setattr__(self, "record_stride", _integer(self.record_stride, "record_stride", 1, ConfigurationError))
         if self.algorithm in (HALPERN, YAO_OUTER, YAO_INNER):
             if self.anchor is None:
                 raise ConfigurationError(f"algorithm {self.algorithm!r} needs an anchor point")
@@ -168,14 +169,6 @@ def _point_of_Q(problem: ProblemSpec, x, name: str) -> np.ndarray:
     if not contains(problem.set_Q, v, _X1_TOL):
         raise ConfigurationError(f"{name} = {v!r} is not in Q (tolerance {_X1_TOL})")
     return v
-
-
-def _count(value, name: str) -> int:
-    """``value`` as an int >= 1, by :func:`~viscosolve.schedules._integer`; else a ConfigurationError."""
-    try:
-        return _integer(value, name, 1)
-    except ValueError as exc:
-        raise ConfigurationError(str(exc)) from None
 
 
 _CSV_CHUNK = 1000  # trace rows formatted per write
@@ -476,6 +469,10 @@ class _Rows:
 
 
 def _lockstep(cfgs: list, extras: list) -> list:
+    """The engine of :func:`run` and :func:`run_batch`: each config's trace, or the exception that ended its row.
+
+    A row whose next iterate is not finite, or that a kernel refuses with :class:`NonFiniteError` (found by
+    stepping each row alone), ends in a :class:`DivergenceError` at that step; the others go on bit for bit."""
     results = [None] * len(cfgs)
     if not cfgs:
         return results
@@ -628,8 +625,14 @@ def _lockstep(cfgs: list, extras: list) -> list:
             if k == n:
                 break
             a = alpha[i]
-            x_next = step(x, a, 1.0 - a if calpha is None else calpha[i], lam[i], None if e is None else e[i], u,
-                          beta, cbeta)
+            ca, ei = 1.0 - a if calpha is None else calpha[i], None if e is None else e[i]
+            try:
+                x_next = step(x, a, ca, lam[i], ei, u, beta, cbeta)
+            except NonFiniteError:  # a kernel refused a row: step each row alone, NaN for those it still refuses
+                x_next, args = np.full_like(x, np.nan), (x, a, ca, lam[i], ei, u, beta, cbeta)
+                for j in range(x.shape[0] if x.ndim == 2 else 0):  # none for one vector, whose step raised
+                    with contextlib.suppress(NonFiniteError):  # a one-row slice of every 2-D argument
+                        x_next[j:j + 1] = step(*(v[j:j + 1] if np.ndim(v) == 2 else v for v in args))
             # exact and warning-free, unlike a test of a sum or dot product, which may overflow
             if count_nonzero(isfinite(x_next)) != x_next.size:
                 bad = ~isfinite(x_next.reshape(-1, d)).all(axis=1)
@@ -681,10 +684,10 @@ class ImplicitConfig:
             raise ConfigurationError(f"t values must be in (0, 1], got {ts}")
         if any(t2 >= t1 for t1, t2 in zip(ts, ts[1:])):
             raise ConfigurationError("t_values must be strictly decreasing")
-        if not self.inner_tol > 0:
-            raise ConfigurationError("inner_tol must be > 0")
+        if not (math.isfinite(self.inner_tol) and self.inner_tol > 0):  # an infinite tol stops every solve at once
+            raise ConfigurationError(f"inner_tol must be finite and > 0, got {self.inner_tol}")
         # a solve of no evaluations would end as a numerical failure
-        object.__setattr__(self, "inner_max_iter", _count(self.inner_max_iter, "inner_max_iter"))
+        object.__setattr__(self, "inner_max_iter", _integer(self.inner_max_iter, "inner_max_iter", 1, ConfigurationError))
         lam = float(self.lambda_of_t)
         if not (math.isfinite(lam) and lam >= 0):
             raise ConfigurationError(f"lambda_of_t must be finite and >= 0, got {lam}")
@@ -797,8 +800,8 @@ def reference_solution(problem: ProblemSpec, tol: float = 1e-12, max_iter: int =
         raise ConfigurationError(
             "reference_solution needs problem.reference_set_omega (the closed-form target set)"
         )
-    if not tol > 0:
-        raise ConfigurationError("tol must be > 0")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ConfigurationError(f"tol must be finite and > 0, got {tol}")
     x0 = project(omega, np.zeros(problem.dim))
     return _anderson_solve(lambda y: project(omega, np.asarray(problem.map_f(y), dtype=float)), problem.rho, x0,
                            tol, 0.0, max_iter, "reference solve")[0]

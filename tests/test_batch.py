@@ -244,13 +244,22 @@ class AnchorUntilEdge:
         return np.full(self.dim, self.bad if x[0] > self.edge else HUGE)
 
 
-def huge_batch(cells, edge=np.inf, bad=np.inf, d=3, n=15):
+class RefuseBeyondEdge(AnchorUntilEdge):
+    """AnchorUntilEdge that refuses an x with x[0] > edge (NonFiniteError), as the simplex projection refuses inf."""
+
+    def __call__(self, x):
+        if x[0] > self.edge:
+            raise NonFiniteError(f"x[0] = {x[0]!r} is beyond the edge")
+        return super().__call__(x)
+
+
+def huge_batch(cells, edge=np.inf, bad=np.inf, d=3, n=15, f=AnchorUntilEdge):
     """Explicit runs toward (HUGE, ..., HUGE) from below; row i starts at ``starts[i] * HUGE``."""
     problem = ProblemSpec(
         set_Q=NonnegOrthant(d),
         map_S=Identity(d),
         map_A=LeastSquaresGradient(np.eye(d), np.full(d, HUGE)),
-        map_f=AnchorUntilEdge(d, edge, bad),
+        map_f=f(d, edge, bad),
     )
     sched = ScheduleSpec(TableAlpha(np.full(n, 0.1)), ConstantLambda(0.5), (0.5, 0.5))
     starts = (0.0, 0.999, 0.99)[:cells]
@@ -296,6 +305,54 @@ def test_a_row_whose_map_turns_non_finite_stops_where_the_oracle_does(cells, bad
             assert k == cfg.n_max and same_bits(got.x, xs)
     assert [type(r) for r in batch] == [RunTrace, DivergenceError, DivergenceError][:cells]
     assert [getattr(r, "step", None) for r in batch] == [None, 10, 13][:cells]
+
+
+def run_or_error(cfg):
+    try:
+        return run(cfg)
+    except DivergenceError as err:
+        return err
+
+
+@pytest.mark.parametrize("cells", (2, 3))
+def test_rows_a_kernel_refuses_end_alone_at_their_own_steps(cells):
+    # the map refuses (NonFiniteError) the points where AnchorUntilEdge turns inf: the batch steps each row
+    # alone at that step, so the refused rows end where the inf rows end (steps 10 and 13), each with the
+    # last state of its own run, and the row that is never refused is its own run bit for bit
+    edge = HUGE * (1 - 1e-6)
+    cfgs = huge_batch(cells, edge=edge, f=RefuseBeyondEdge)
+    batch = run_batch(cfgs)
+    for cfg, got, twin in zip(cfgs, batch, run_batch(huge_batch(cells, edge=edge))):
+        solo = run_or_error(cfg)  # one vector: the step that raised is the row's
+        if isinstance(got, DivergenceError):
+            for want in (twin, solo):
+                assert (got.step, str(got)) == (want.step, str(want))
+                assert same_bits(got.last_state, want.last_state)
+            assert np.isfinite(got.last_state).all() and got.last_state[0] > edge
+        else:
+            assert_same_trace(got, solo)
+    assert [getattr(r, "step", None) for r in batch] == [None, 10, 13][:cells]
+
+
+def test_a_row_the_trig_contraction_refuses_ends_at_step_1(problem):
+    # the sweep's kernels: a coordinate sum of 1e308 + 1e308 is refused in the rows' f; the other rows go on
+    starts = ([2.0, 3.0], [1e308, 1e308], [0.5, 4.0], [1e308, 1e308])
+    cfgs = [
+        SolverConfig(problem=problem, schedule=benchmark_schedule(0.9, problem=problem), x1=x1, n_max=300,
+                     algorithm=PERTURBED, perturbation=UniformSquarePerturbation(seed))
+        for seed, x1 in enumerate(starts, 1)
+    ]
+    with np.errstate(over="ignore"):  # numpy's sum of the rows' coordinates warns where it overflows
+        batch = run_batch(cfgs)
+    for cfg, got in zip(cfgs, batch):
+        solo = run_or_error(cfg)
+        if isinstance(got, DivergenceError):
+            message = "non-finite iterate at step 1 (algorithm 'perturbed')"
+            assert (got.step, str(got)) == (solo.step, str(solo)) == (1, message)
+            assert same_bits(got.last_state, cfg.x1) and same_bits(solo.last_state, cfg.x1)
+        else:
+            assert_same_trace(got, solo)
+    assert [type(r) for r in batch] == [RunTrace, DivergenceError, RunTrace, DivergenceError]
 
 
 def test_rel_err_in_a_batch_with_one_target_is_exact_on_every_row():
@@ -545,23 +602,6 @@ def test_import_does_not_load_the_trace_formatter():
     code = f"import sys; sys.path.insert(0, {src!r}); import viscosolve; print('orjson' in sys.modules)"
     out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
-
-
-def test_sweep_falls_back_to_one_cell_at_a_time(monkeypatch):
-    # a failure the batch cannot pin on one row reruns every cell alone
-    from viscosolve import ExperimentConfig, experiment, run_experiment
-
-    cfg = ExperimentConfig(thetas=(0.3, 0.9), seeds=(1, 2), n_max=200)
-    want = run_experiment(cfg)
-
-    def fail(*args, **kwargs):
-        raise RuntimeError("not tied to one row")
-
-    monkeypatch.setattr(experiment, "run_batch", fail)
-    got = run_experiment(cfg)
-    for a, b in zip(got.cells, want.cells):
-        assert (a.theta, a.seed, a.min_rel_err, a.first_hit, a.error) == (b.theta, b.seed, b.min_rel_err, b.first_hit, b.error)
-        assert_same_trace(a.trace, b.trace)
 
 
 def test_map_rows_equal_calls_on_each_row():

@@ -1,5 +1,7 @@
 import json
+import warnings
 
+import numpy as np
 import pytest
 
 from viscosolve.cli import EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_IO, EXIT_OK, main
@@ -319,6 +321,16 @@ def test_bounds_other_than_a_pair_is_config_error(tmp_path, capsys, command, bou
     assert "config error: schedule: bounds must be a pair (a, b)" in capsys.readouterr().err
 
 
+# a simplex Q whose step overflows to inf before the simplex projection, which refuses it
+SIMPLEX_OVERFLOW = {
+    "problem": {"set": {"kind": "simplex", "total": 1.0, "dim": 2}, "f": {"kind": "constant", "value": [0.5, 0.5]}},
+    "schedule": {"lambda": {"constant": 1e308}},
+    "solver": {"x1": [0.5, 0.5]},
+}
+# a start in the orthant whose coordinate sum overflows in the trigonometric contraction
+X1_OVERFLOW = {"solver": {"x1": [1e308, 1e308]}}
+
+
 def test_divergence_exit_code(tmp_path, capsys):
     cfg = {
         "problem": {
@@ -338,6 +350,79 @@ def test_divergence_exit_code(tmp_path, capsys):
         code = run_cli("solve", "--config", cfg_path, "--out", tmp_path / "out")
     assert code == EXIT_DIVERGENCE
     assert "numerical failure" in capsys.readouterr().err
+    # a value a kernel refuses (NonFiniteError) ends the run the same way; both used to end in a traceback, exit 1
+    for name, cfg, warns in (("simplex", SIMPLEX_OVERFLOW, True), ("x1", X1_OVERFLOW, False)):
+        cfg_path = tmp_path / f"{name}.json"
+        cfg_path.write_text(json.dumps(cfg))
+        with pytest.warns(Warning) if warns else warnings.catch_warnings():  # lambda = 1e308 is above 2 nu
+            code = run_cli("solve", "--config", cfg_path, "--nmax", "50", "--out", tmp_path / name)
+        assert code == EXIT_DIVERGENCE, name
+        assert "numerical failure: non-finite iterate at step 1 (algorithm 'perturbed')" in capsys.readouterr().err
+        assert not (tmp_path / name).exists()
+
+
+@pytest.mark.parametrize("name, cfg", [("simplex", SIMPLEX_OVERFLOW), ("x1", X1_OVERFLOW)])
+def test_experiment_records_a_refused_cell_without_rerunning_it(tmp_path, monkeypatch, name, cfg):
+    from viscosolve import experiment, solvers
+
+    calls = []
+
+    def batch(*args, **kwargs):
+        calls.append(len(args[0]))
+        return solvers.run_batch(*args, **kwargs)
+
+    def no_rerun(*args, **kwargs):
+        raise AssertionError("a cell was rerun on its own")
+
+    monkeypatch.setattr(experiment, "run_batch", batch)
+    monkeypatch.setattr(experiment, "run", no_rerun)
+    monkeypatch.setattr(solvers, "run", no_rerun)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**cfg, "experiment": {"thetas": [0.5, 0.9], "seeds": [1, 2]}}))
+    out = tmp_path / "out"
+    with warnings.catch_warnings(), np.errstate(over="ignore"):
+        warnings.simplefilter("ignore")  # lambda = 1e308 is above 2 nu; numpy's overflowing sums warn
+        assert run_cli("experiment", "--config", cfg_path, "--nmax", "50", "--out", out) == EXIT_OK
+    assert calls == [4]
+    rows = (out / "report.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[-1] for row in rows] == ["non-finite iterate at step 1 (algorithm 'perturbed')"] * 4
+
+
+def test_implicit_non_finite_evaluation_exit_code(tmp_path, capsys):
+    # the first evaluation of T_t takes cos of an infinite coordinate sum: exit 3, not a traceback with exit 1
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(X1_OVERFLOW))
+    out = tmp_path / "out"
+    assert run_cli("implicit", "--config", cfg_path, "--out", out) == EXIT_DIVERGENCE
+    assert "numerical failure: coordinate sum inf is not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["1e999", "-1e999"])
+def test_implicit_with_an_infinite_inner_tol_is_config_error(tmp_path, capsys, tol):
+    # inf used to stop every solve after one evaluation (residual 0.141 at t = 1)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"implicit": {"inner_tol": %s}}' % tol)
+    out = tmp_path / "out"
+    assert run_cli("implicit", "--config", cfg_path, "--out", out) == EXIT_CONFIG
+    assert "config error: inner_tol must be finite and > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_experiment_with_x1_outside_Q_stops_before_the_reference_solve(tmp_path, capsys, monkeypatch):
+    from viscosolve import configio, experiment
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("reference solve before the config check")
+
+    monkeypatch.setattr(experiment, "reference_solution", no_solve)
+    monkeypatch.setattr(configio, "reference_solution", no_solve)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"solver": {"x1": [-1.0, 3.0]}}))
+    out = tmp_path / "out"
+    assert run_cli("experiment", "--config", cfg_path, "--out", out) == EXIT_CONFIG
+    assert "is not in Q" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_io_failure_exit_code(tmp_path):

@@ -185,6 +185,39 @@ def test_experiment_config_refuses_repeated_thetas_and_seeds(field, values):
         ExperimentConfig(**kwargs)
 
 
+def test_experiment_config_refuses_x1_outside_Q_before_any_reference_solve(monkeypatch):
+    from viscosolve import ConfigurationError, experiment
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("reference solve before the config check")
+
+    monkeypatch.setattr(experiment, "reference_solution", no_solve)
+    with pytest.raises(ConfigurationError, match=r"x1 = .* is not in Q"):
+        ExperimentConfig(thetas=(0.9,), seeds=(1,), n_max=20, x1=[-1.0, 3.0])
+
+
+def test_experiment_cells_are_the_template_with_their_schedule_and_seed():
+    from dataclasses import fields
+
+    from viscosolve import PERTURBED, NoPerturbation, SolverConfig, UniformSquarePerturbation
+
+    cfg = ExperimentConfig(thetas=(0.4, 0.9), seeds=(3, 5), n_max=40.0, x1=[2, 3])
+    template = cfg.template
+    assert isinstance(template, SolverConfig) and "template" not in {f.name for f in fields(cfg)}
+    assert (template.algorithm, template.perturbation, template.n_max) == (PERTURBED, UniformSquarePerturbation(3), 40)
+    assert template.schedule.alpha.theta == 0.4 and template.reference is None
+    # x1, n_max and lam are the template's, lam defaulting to nu
+    assert cfg.x1 is template.x1 and cfg.x1.dtype == np.float64
+    assert cfg.n_max == 40 and type(cfg.n_max) is int
+    assert cfg.lam == template.schedule.lam.value == cfg.problem.nu
+    assert isinstance(ExperimentConfig(thetas=(0.9,), deterministic=True).template.perturbation, NoPerturbation)
+    report = run_experiment(cfg)
+    for cell in report.cells:
+        meta = cell.trace.metadata
+        assert (meta["theta"], meta["cell_seed"], meta["seed"], meta["n_max"]) == (cell.theta, cell.seed, cell.seed, 40)
+        assert cell.trace.alpha[1] == 2.0 ** -cell.theta and cell.trace.x[0].tolist() == [2.0, 3.0]
+
+
 def test_cell_failure_recorded_without_aborting_sweep():
     # an exploding relaxation step on an unbounded set diverges; the sweep
     # keeps going and records the failure in the cell

@@ -9,6 +9,7 @@ from viscosolve import (
     ConstantAnchor,
     Identity,
     LeastSquaresGradient,
+    NonFiniteError,
     NonnegOrthant,
     ParameterError,
     ProblemSpec,
@@ -39,6 +40,17 @@ def test_apply_gradient_example(problem):
 def test_apply_identity():
     x = np.array([0.3, -1.7, 4.0])
     assert np.array_equal(Identity(3)(x), x)
+
+
+def test_trig_contraction_refuses_an_infinite_coordinate_sum():
+    # math.cos used to raise a bare "ValueError: math domain error" here
+    f = TrigContraction()
+    for x in ([1e308, 1e308], [np.inf, 0.0], [-1e308, -1e308]):
+        with pytest.raises(NonFiniteError, match="not finite"):
+            f(np.array(x))
+        with pytest.raises(NonFiniteError, match="not finite"), np.errstate(over="ignore"):  # numpy's sum warns
+            f.rows(np.array([[2.0, 3.0], x]))
+    assert np.isnan(f(np.array([np.nan, 0.0]))).all()  # a NaN sum is no refusal: the step's test finds it
 
 
 def test_apply_trig_contraction():

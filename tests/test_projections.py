@@ -313,6 +313,17 @@ def test_invalid_descriptors():
         Halfspace(normal=[0.0, 0.0], offset=1.0)
 
 
+@pytest.mark.parametrize("make", [NonnegOrthant, lambda dim: Simplex(1.0, dim)], ids=["orthant", "simplex"])
+def test_sets_check_their_own_dimension(make):
+    # a dim of 2.5 used to pass, and every projection then failed with "set lives in dimension 2.5"
+    for bad in (2.5, 0, -1, "2", None, float("nan")):
+        with pytest.raises(InvalidDescriptorError, match=f"dim must be an integer >= 1, got {bad!r}"):
+            make(bad)
+    cset = make(2.0)
+    assert cset.dim == 2 and type(cset.dim) is int
+    assert project(cset, [0.5, 0.5]).shape == (2,)
+
+
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         project(NonnegOrthant(3), [1.0, 2.0])

@@ -666,6 +666,16 @@ def test_reference_solution_requires_target_set(problem):
         reference_solution(prob)
 
 
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-12])
+def test_non_finite_or_non_positive_tolerances_are_refused(problem, tol):
+    # tol = inf used to return P_Omega f(P_Omega 0) after one evaluation, and inner_tol = inf to stop
+    # every implicit solve after one evaluation
+    with pytest.raises(ConfigurationError, match="tol must be finite and > 0"):
+        reference_solution(problem, tol=tol)
+    with pytest.raises(ConfigurationError, match="inner_tol must be finite and > 0"):
+        ImplicitConfig(t_values=(1.0,), lambda_of_t=0.1, inner_tol=tol)
+
+
 def test_target_variational_inequality_certificate(problem, qstar, rng):
     # <f(q*) - q*, x - q*> <= 0 over the target set
     gap = np.asarray(problem.map_f(qstar)) - qstar

@@ -235,3 +235,8 @@ def test_the_names_the_benchmark_reads_from_solvers_are_the_packages_own():
     # the benchmark's implicit check and its viscosity_map_us layer call the package's map
     assert viscosolve.viscosity_map is solvers.viscosity_map
     assert ImplicitConfig(t_values=(1.0, 0.1), lambda_of_t=0.1).lam_at(0.1) == 0.1
+    # its self-test calls viscosolve.experiment.run, which the experiment module imports but no longer calls,
+    # and its sweep builds an ExperimentConfig from these keywords
+    assert viscosolve.experiment.run is solvers.run
+    cfg = viscosolve.ExperimentConfig(thetas=(0.9,), seeds=(1,), n_max=50)
+    assert (cfg.thetas, cfg.seeds, cfg.n_max) == ((0.9,), (1,), 50)
