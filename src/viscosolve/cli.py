@@ -9,7 +9,8 @@ Subcommands::
     check        grade the schedule hypotheses and run the property battery
 
 Exit codes: 0 ok, 1 check found violations, 2 configuration error,
-3 numerical failure, 4 I/O failure. The default output directory is
+3 numerical failure (for experiment and tables: every cell failed),
+4 I/O failure. The default output directory is
 $VISCOSOLVE_OUT, falling back to ./runs.
 """
 
@@ -178,6 +179,9 @@ def _cmd_experiment(args, tables_only: bool = False) -> int:
         for theta, (med, lo, hi) in sorted(report.aggregate().items()):
             print(f"experiment: theta={theta:g} median min rel_err = {med!r} (spread [{lo!r}, {hi!r}])")
     _write_resolved(out, resolved, defaulted, digest)
+    if all(c.trace is None for c in report.cells):  # the files say why; the exit code says it failed
+        print(f"{args.command}: every cell failed ({len(report.cells)} cells)", file=sys.stderr)
+        return EXIT_DIVERGENCE
     return EXIT_OK
 
 

@@ -202,11 +202,16 @@ def _need(d: dict, key: str, path: str):
 
 @contextmanager
 def _as_config_error(path: str, errors=(ValueError, TypeError)):
-    """Re-raise ``errors`` from the body as ConfigurationError("<path>: <message>")."""
+    """Re-raise ``errors`` and ConfigurationError from the body as ConfigurationError("<path>: <message>").
+
+    A message that already starts with ``path`` (``schedule.alpha: ...`` in ``schedule``) is kept as it is.
+    """
     try:
         yield
-    except ConfigurationError:
-        raise
+    except ConfigurationError as exc:
+        if str(exc).startswith(path):
+            raise
+        raise ConfigurationError(f"{path}: {exc}") from None
     except errors as exc:
         raise ConfigurationError(f"{path}: {exc}") from None
 
@@ -303,14 +308,15 @@ def build_solver_config(resolved: dict, problem: ProblemSpec | None = None) -> S
             if problem.reference_set_omega is not None
             else None
         )
+    schedule, perturbation = build_schedule(resolved), build_perturbation(resolved)  # errors of their own sections
     with _as_config_error("solver"):
         return SolverConfig(
             problem=problem,
-            schedule=build_schedule(resolved),
+            schedule=schedule,
             x1=body["x1"],
             n_max=_integer(body["nmax"], "nmax", 1),
             algorithm=str(body["algorithm"]),
-            perturbation=build_perturbation(resolved),
+            perturbation=perturbation,
             anchor=body.get("anchor"),
             beta=float(body.get("beta", 0.5)),
             reference=reference,

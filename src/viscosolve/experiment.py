@@ -45,7 +45,7 @@ from .schedules import (
     _integer,
 )
 # run is not called here: the benchmark's self-test calls viscosolve.experiment.run
-from .solvers import PERTURBED, RunTrace, SolverConfig, reference_solution, run, run_batch
+from .solvers import PERTURBED, RunTrace, SolverConfig, _write_traces, reference_solution, run, run_batch
 
 __all__ = [
     "build_benchmark_problem",
@@ -283,17 +283,22 @@ def emit_tables(report: ExperimentReport, out_dir) -> list[Path]:
 
 
 def emit_report(report: ExperimentReport, out_dir, extra_metadata: dict | None = None) -> Path:
-    """Write report.csv, all traces and meta.txt under ``out_dir``; ``extra_metadata`` joins meta.txt."""
+    """Write report.csv, all traces and meta.txt under ``out_dir``; ``extra_metadata`` joins meta.txt.
+
+    Each trace file holds the bytes :func:`emit_trace` writes. The traces are
+    written seed by seed, so that a seed's cells reuse each other's k, lambda
+    and e_norm cells; report.csv keeps the cells' order.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     eps = report.config.epsilons
 
     header = "theta,seed,min_rel_err," + ",".join(f"hit_{_fmt(e)}" for e in eps) + ",trace,error"
-    lines = [header]
+    lines, traces = [header], []
     for c in report.cells:
         trace_name = f"traces/theta_{_fmt(c.theta)}_seed_{c.seed}.csv"
         if c.trace is not None:
-            emit_trace(c.trace, out_dir / trace_name)
+            traces.append((c.seed, c.trace, out_dir / trace_name))
         hit_cells = [_ND if c.first_hit[e] is None else str(c.first_hit[e]) for e in eps]
         lines.append(
             ",".join(
@@ -302,6 +307,9 @@ def emit_report(report: ExperimentReport, out_dir, extra_metadata: dict | None =
                 + [trace_name if c.trace is not None else "", c.error or ""]
             )
         )
+    if traces:
+        (out_dir / "traces").mkdir(exist_ok=True)
+    _write_traces((trace, path) for _, trace, path in sorted(traces, key=lambda item: item[0]))
     (out_dir / "report.csv").write_text("\n".join(lines) + "\n")
 
     perturbation = report.config.template.perturbation

@@ -177,22 +177,26 @@ _CSV_CHUNK = 1000  # trace rows formatted per write
 def _csv_cells(values: np.ndarray) -> list[str]:
     """repr of each entry of a 1-D array (str for ints).
 
-    float64 arrays go through orjson's shortest round-trip formatter, which
-    picks the same digits as repr. Its layout is repr's for 0 and for
-    1e-4 <= |v| < 1e16; below 1e-5 and from 1e16 up both write exponent form
-    and differ only in its text, which is rewritten on the joined column:
-    repr pads one-digit exponents, which occur exactly for 1e-9 <= |v| < 1e-5
-    (orjson's ``5e-7`` is ``5e-07``), and signs positive ones (``1e16`` is
+    float64 and int64 arrays go through orjson's compiled formatter. For
+    int64 it writes repr's digits, at about a third of the cost of one repr
+    of the list. For float64 it picks the same shortest round-trip digits as
+    repr, and its layout is repr's for 0 and for 1e-4 <= |v| < 1e16; below
+    1e-5 and from 1e16 up both write exponent form and differ only in its
+    text, which is rewritten on the joined column: repr pads one-digit
+    exponents, which occur exactly for 1e-9 <= |v| < 1e-5 (orjson's
+    ``5e-7`` is ``5e-07``), and signs positive ones (``1e16`` is
     ``1e+16``). Only the 0.0000d... band (1e-5 <= |v| < 1e-4, repr's
     ``3.21e-05``) and inf / nan (orjson's null) take their repr. Other
     dtypes take one repr of the list.
     """
-    if values.dtype != np.float64:
+    if values.dtype not in (np.float64, np.int64):
         return repr(values.tolist())[1:-1].split(", ")
     import orjson  # loaded on the first trace write, not at ``import viscosolve``
 
-    text = orjson.dumps(np.ascontiguousarray(values), option=orjson.OPT_SERIALIZE_NUMPY)
-    text = text[1:-1].decode() + ","  # each cell ends in a comma, so "e-6," never matches "e-60,"
+    text = orjson.dumps(np.ascontiguousarray(values), option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
+    if values.dtype == np.int64:
+        return text.split(",")
+    text += ","  # each cell ends in a comma, so "e-6," never matches "e-60,"
     mag = np.abs(values)
     if ((mag >= 1e-9) & (mag < 1e-5)).any():  # a scan of the text costs more than this test
         if ((mag > 0) & (mag < 1e-9)).any():  # two- and three-digit exponents stay as they are
@@ -215,6 +219,55 @@ def _schedule_cells(col: np.ndarray) -> list[str]:
     if (col.view(np.uint64) == col[:1].view(np.uint64)).all():
         return [repr(float(col[0]))] * col.size
     return _csv_cells(col)
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two 1-D columns are equal bit for bit: 0.0 and -0.0, or two NaN payloads, differ."""
+    if a.dtype != b.dtype or a.shape != b.shape:
+        return False
+    bits = np.dtype(f"u{a.dtype.itemsize}")
+    return bool((a.view(bits) == b.view(bits)).all())
+
+
+def _write_traces(items) -> None:
+    """Write each ``(trace, path)`` of ``items`` as CSV: one row per record, shortest round-trip floats.
+
+    A trace is formatted column by column in chunks of ``_CSV_CHUNK`` rows.
+    The k, lambda and e_norm chunks of the last trace written are kept with
+    their cells, per chunk start; a chunk bit-equal to the kept one takes
+    those cells instead of being formatted again. The cells of one sweep
+    seed share all three, so writing them back to back formats each once.
+    alpha is not kept: consecutive cells of one seed never share a theta.
+    What is kept is one trace's shared cells, however many traces follow,
+    and nothing while the last trace is written.
+    """
+    items = list(items)
+    kept = {}  # (column, chunk start) -> (values, cells)
+
+    def shared(name, values, lo, fmt, keep):
+        old = kept.get((name, lo))
+        if old is not None and _same_bits(old[0], values):
+            return old[1]
+        cells = fmt(values)
+        if keep:
+            kept[name, lo] = values, cells
+        return cells
+
+    for n, (trace, path) in enumerate(items, 1):
+        keep = n < len(items)  # a trace follows that may reuse the cells
+        d = trace.x.shape[1]
+        header = "k," + ",".join(f"x{i + 1}" for i in range(d)) + ",alpha,lambda,e_norm,rel_err"
+        with open(path, "w") as fh:
+            fh.write(header + "\n")
+            for lo in range(0, trace.k.size, _CSV_CHUNK):
+                rows = slice(lo, lo + _CSV_CHUNK)
+                x = _csv_cells(trace.x[rows].ravel())
+                cols = [shared("k", trace.k[rows], lo, _csv_cells, keep)] + [x[i::d] for i in range(d)]
+                cols.append(_schedule_cells(trace.alpha[rows]))
+                cols.append(shared("lam", trace.lam[rows], lo, _schedule_cells, keep))
+                cols.append(shared("e_norm", trace.e_norm[rows], lo, _schedule_cells, keep))
+                cols.append(_csv_cells(trace.rel_err[rows]) if trace.rel_err is not None else [""] * len(cols[0]))
+                fh.write("\n".join(map(",".join, zip(*cols))) + "\n")
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,17 +304,7 @@ class RunTrace:
 
     def write_csv(self, path) -> None:
         """One row per record, shortest round-trip floats; written column by column in chunks."""
-        d = self.x.shape[1]
-        header = "k," + ",".join(f"x{i + 1}" for i in range(d)) + ",alpha,lambda,e_norm,rel_err"
-        with open(path, "w") as fh:
-            fh.write(header + "\n")
-            for lo in range(0, self.k.size, _CSV_CHUNK):
-                rows = slice(lo, lo + _CSV_CHUNK)
-                x = _csv_cells(self.x[rows].ravel())
-                cols = [_csv_cells(self.k[rows])] + [x[i::d] for i in range(d)]
-                cols += [_schedule_cells(v[rows]) for v in (self.alpha, self.lam, self.e_norm)]
-                cols.append(_csv_cells(self.rel_err[rows]) if self.rel_err is not None else [""] * len(cols[0]))
-                fh.write("\n".join(map(",".join, zip(*cols))) + "\n")
+        _write_traces([(self, path)])
 
     def write_meta(self, path) -> None:
         with open(path, "w") as fh:
@@ -594,62 +637,65 @@ def _lockstep(cfgs: list, extras: list) -> list:
     written = slice(None)  # record rows a record writes: all, until one leaves
     slot = 0
     block = _block_steps(d)
-    for k0 in range(1, n + 1, block):
-        load(k0, min(block, n + 1 - k0))
-        v = rows.views(step)
-        if k0 == 1:
-            x = v.x
-        _, alpha, calpha, lam, e, u, beta, cbeta, step = v[:9]
-        for i, k in enumerate(range(k0, min(k0 + block, n + 1))):
-            on_grid = (k - 1) % stride == 0 or k == n
-            if has_target:
-                # only the stop test reads rel_err during the run; it may overflow
-                # to inf on a diverging run, which the finiteness check below detects
-                rel = v.norms(x - v.ref) / v.nref
-            if on_grid:
-                Xrec[written, slot] = x
-            if has_target and v.any_of(hit := rel <= v.target):
-                hit = np.reshape(hit, -1)
-                js = np.flatnonzero(hit)
-                if not on_grid:
-                    Xrec[rows.rec[js], slot] = x.reshape(-1, d)[js]
-                    Srec[rows.rec[js], :, slot] = rows.cols[js, :, i]
-                for j in js:
-                    finish(j, slot + 1, k, not on_grid)
-                if (v := leave(x, hit)) is None:
-                    return results
-                x, alpha, calpha, lam, e, u, beta, cbeta, step = v[:9]
-                written = rows.rec
-            if on_grid:
-                slot += 1
-            if k == n:
-                break
-            a = alpha[i]
-            ca, ei = 1.0 - a if calpha is None else calpha[i], None if e is None else e[i]
-            try:
-                x_next = step(x, a, ca, lam[i], ei, u, beta, cbeta)
-            except NonFiniteError:  # a kernel refused a row: step each row alone, NaN for those it still refuses
-                x_next, args = np.full_like(x, np.nan), (x, a, ca, lam[i], ei, u, beta, cbeta)
-                for j in range(x.shape[0] if x.ndim == 2 else 0):  # none for one vector, whose step raised
-                    with contextlib.suppress(NonFiniteError):  # a one-row slice of every 2-D argument
-                        x_next[j:j + 1] = step(*(v[j:j + 1] if np.ndim(v) == 2 else v for v in args))
-            # exact and warning-free, unlike a test of a sum or dot product, which may overflow
-            if count_nonzero(isfinite(x_next)) != x_next.size:
-                bad = ~isfinite(x_next.reshape(-1, d)).all(axis=1)
-                for j in np.flatnonzero(bad):
-                    results[rows.cfg[j]] = DivergenceError(
-                        f"non-finite iterate at step {k} (algorithm {rule!r})",
-                        last_state=x.reshape(-1, d)[j].copy(),
-                        step=k,
-                    )
-                if (v := leave(x_next, bad)) is None:
-                    return results
-                x_next, alpha, calpha, lam, e, u, beta, cbeta, step = v[:9]
-                written = rows.rec
-            x = x_next
-    for j in range(rows.rec.size):
-        finish(j, slot, None, False)
-    return results
+    # numpy's overflow and invalid warnings stay inside: the finiteness test turns what they
+    # flag into a DivergenceError of exactly the rows concerned (one errstate per call, not per step)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k0 in range(1, n + 1, block):
+            load(k0, min(block, n + 1 - k0))
+            v = rows.views(step)
+            if k0 == 1:
+                x = v.x
+            _, alpha, calpha, lam, e, u, beta, cbeta, step = v[:9]
+            for i, k in enumerate(range(k0, min(k0 + block, n + 1))):
+                on_grid = (k - 1) % stride == 0 or k == n
+                if has_target:
+                    # only the stop test reads rel_err during the run; it may overflow
+                    # to inf on a diverging run, which the finiteness check below detects
+                    rel = v.norms(x - v.ref) / v.nref
+                if on_grid:
+                    Xrec[written, slot] = x
+                if has_target and v.any_of(hit := rel <= v.target):
+                    hit = np.reshape(hit, -1)
+                    js = np.flatnonzero(hit)
+                    if not on_grid:
+                        Xrec[rows.rec[js], slot] = x.reshape(-1, d)[js]
+                        Srec[rows.rec[js], :, slot] = rows.cols[js, :, i]
+                    for j in js:
+                        finish(j, slot + 1, k, not on_grid)
+                    if (v := leave(x, hit)) is None:
+                        return results
+                    x, alpha, calpha, lam, e, u, beta, cbeta, step = v[:9]
+                    written = rows.rec
+                if on_grid:
+                    slot += 1
+                if k == n:
+                    break
+                a = alpha[i]
+                ca, ei = 1.0 - a if calpha is None else calpha[i], None if e is None else e[i]
+                try:
+                    x_next = step(x, a, ca, lam[i], ei, u, beta, cbeta)
+                except NonFiniteError:  # a kernel refused a row: step each row alone, NaN for those it still refuses
+                    x_next, args = np.full_like(x, np.nan), (x, a, ca, lam[i], ei, u, beta, cbeta)
+                    for j in range(x.shape[0] if x.ndim == 2 else 0):  # none for one vector, whose step raised
+                        with contextlib.suppress(NonFiniteError):  # a one-row slice of every 2-D argument
+                            x_next[j:j + 1] = step(*(v[j:j + 1] if np.ndim(v) == 2 else v for v in args))
+                # exact and warning-free, unlike a test of a sum or dot product, which may overflow
+                if count_nonzero(isfinite(x_next)) != x_next.size:
+                    bad = ~isfinite(x_next.reshape(-1, d)).all(axis=1)
+                    for j in np.flatnonzero(bad):
+                        results[rows.cfg[j]] = DivergenceError(
+                            f"non-finite iterate at step {k} (algorithm {rule!r})",
+                            last_state=x.reshape(-1, d)[j].copy(),
+                            step=k,
+                        )
+                    if (v := leave(x_next, bad)) is None:
+                        return results
+                    x_next, alpha, calpha, lam, e, u, beta, cbeta, step = v[:9]
+                    written = rows.rec
+                x = x_next
+        for j in range(rows.rec.size):
+            finish(j, slot, None, False)
+        return results
 
 
 # --------------------------------------------------------------------------

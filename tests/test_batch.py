@@ -45,6 +45,7 @@ from viscosolve import (
     run_batch,
     sample,
 )
+from viscosolve import solvers
 from viscosolve.operators import rows_of
 from viscosolve.solvers import PERTURBED, _csv_cells
 
@@ -342,8 +343,7 @@ def test_a_row_the_trig_contraction_refuses_ends_at_step_1(problem):
                      algorithm=PERTURBED, perturbation=UniformSquarePerturbation(seed))
         for seed, x1 in enumerate(starts, 1)
     ]
-    with np.errstate(over="ignore"):  # numpy's sum of the rows' coordinates warns where it overflows
-        batch = run_batch(cfgs)
+    batch = run_batch(cfgs)
     for cfg, got in zip(cfgs, batch):
         solo = run_or_error(cfg)
         if isinstance(got, DivergenceError):
@@ -512,6 +512,67 @@ def test_csv_writer_matches_per_row_repr_on_a_perturbed_run(tmp_path, problem, q
     assert path.read_text() == repr_csv(tr)
 
 
+def shared_column_traces(n=2503, seed=23):
+    """A trace of three chunks (the last partial) and variants that differ from it in one chunk of one column."""
+    rng = np.random.default_rng(seed)
+    e_norm = rng.random(n) * 1e-6
+    e_norm[1500] = 0.0
+    base = dict(k=np.arange(1, n + 1), x=rng.normal(size=(n, 2)), alpha=rng.random(n), lam=np.full(n, 0.1),
+                e_norm=e_norm, rel_err=rng.random(n), metadata={})
+
+    def variant(name, index, value, rows=n):
+        cols = {key: v.copy() if isinstance(v, np.ndarray) else v for key, v in base.items()}
+        cols[name][index] = value
+        return RunTrace(**{key: v[:rows] if isinstance(v, np.ndarray) else v for key, v in cols.items()})
+
+    return RunTrace(**base), variant, base
+
+
+def test_write_traces_reuses_only_bit_equal_chunks(tmp_path):
+    # consecutive traces that differ from the kept cells in one chunk only, and traces of other
+    # lengths (the chunks at the same start then differ in shape): each file is its solo write
+    trace, variant, base = shared_column_traces()
+    e = base["e_norm"]
+    traces = [
+        trace,
+        variant("e_norm", 1200, np.nextafter(e[1200], 1.0)),  # one ULP, in the second chunk
+        variant("e_norm", 1500, -0.0),  # -0.0 against 0.0
+        trace,
+        variant("k", 2100, 2102),  # in the last, partial chunk
+        variant("k", 700, 700, rows=1999),  # a shorter trace: its second chunk has 999 rows
+        trace,
+        variant("lam", 300, np.nextafter(0.1, 1.0)),
+        variant("lam", 300, 0.1, rows=7),
+        variant("e_norm", 2, -0.0, rows=1000),
+        trace,
+        variant("k", 1200, 5, rows=1500),  # its 500-row chunk is kept ...
+        variant("k", 1200, 5),  # ... and is only a prefix of this one's chunk
+    ]
+    paths = [tmp_path / f"shared_{i}.csv" for i in range(len(traces))]
+    solvers._write_traces(zip(traces, paths))
+    for i, (tr, path) in enumerate(zip(traces, paths)):
+        tr.write_csv(tmp_path / "alone.csv")
+        assert path.read_bytes() == (tmp_path / "alone.csv").read_bytes(), i
+        assert path.read_text() == repr_csv(tr), i
+
+
+def test_write_traces_formats_a_shared_chunk_once(tmp_path, monkeypatch):
+    # three traces that share k, lambda and e_norm (as the cells of one sweep seed do) and
+    # differ in x, alpha and rel_err: only the first formats the shared columns
+    n, chunks = 2503, 3
+    traces = [dataclasses.replace(shared_column_traces(n)[0], x=x, alpha=a, rel_err=r)
+              for x, a, r in [(np.full((n, 2), i + 0.5), np.full(n, 0.5 + i) + np.arange(n), np.arange(n) + i / 7)
+                              for i in range(3)]]
+    calls = []
+    csv_cells = solvers._csv_cells
+    monkeypatch.setattr(solvers, "_csv_cells", lambda v: calls.append(v.size) or csv_cells(v))
+    solvers._write_traces((tr, tmp_path / f"t{i}.csv") for i, tr in enumerate(traces))
+    # per chunk: x, alpha and rel_err of every trace, k and e_norm once (lambda is one repeated value)
+    assert len(calls) == chunks * (3 * 3 + 2)
+    for i, tr in enumerate(traces):
+        assert (tmp_path / f"t{i}.csv").read_text() == repr_csv(tr)
+
+
 def repr_cells(values):
     return repr(values.tolist())[1:-1].split(", ")
 
@@ -550,6 +611,15 @@ def test_csv_cells_equal_repr_cell_for_cell():
     assert _csv_cells(np.array([-(2**63), 0, 2**63 - 1], dtype=np.int64)) == repr_cells(np.array([-(2**63), 0, 2**63 - 1]))
     block = rng.normal(size=(300, 4)) * 10.0 ** rng.integers(-8, 18, size=(300, 4))
     for v in (block.ravel()[::3], block[:, 1], block[[5, 0, 299, 7], 2], block[::-1, 0]):
+        assert _csv_cells(v) == repr_cells(v)
+
+
+def test_csv_cells_of_int_columns_equal_repr():
+    # int64 goes through orjson, other int dtypes through repr of the list
+    rng = np.random.default_rng(19)
+    wide = rng.integers(-(2**63), 2**63 - 1, size=5000, dtype=np.int64, endpoint=True)
+    edges = np.array([-(2**63), -(2**63) + 1, -1, 0, 1, 2**53 + 1, 2**63 - 2, 2**63 - 1], dtype=np.int64)
+    for v in (wide, wide[::7], wide[::-1], edges, edges[:1], wide.astype(np.int32), np.arange(5, dtype=np.uint8)):
         assert _csv_cells(v) == repr_cells(v)
 
 

@@ -1,7 +1,6 @@
 import json
 import warnings
 
-import numpy as np
 import pytest
 
 from viscosolve.cli import EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_IO, EXIT_OK, main
@@ -272,7 +271,8 @@ def test_malformed_rel_err_target_is_config_error(tmp_path, capsys, target, mess
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"solver": {"rel_err_target": target}}))
     assert run_cli("solve", "--config", cfg_path, "--nmax", "50", "--out", tmp_path / "out") == EXIT_CONFIG
-    assert f"config error: {message}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("config error: solver: ") and message in err  # each names the solver section
 
 
 @pytest.mark.parametrize("command", ["solve", "check"])
@@ -362,7 +362,7 @@ def test_divergence_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("name, cfg", [("simplex", SIMPLEX_OVERFLOW), ("x1", X1_OVERFLOW)])
-def test_experiment_records_a_refused_cell_without_rerunning_it(tmp_path, monkeypatch, name, cfg):
+def test_experiment_records_a_refused_cell_without_rerunning_it(tmp_path, capsys, monkeypatch, name, cfg):
     from viscosolve import experiment, solvers
 
     calls = []
@@ -380,12 +380,78 @@ def test_experiment_records_a_refused_cell_without_rerunning_it(tmp_path, monkey
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({**cfg, "experiment": {"thetas": [0.5, 0.9], "seeds": [1, 2]}}))
     out = tmp_path / "out"
-    with warnings.catch_warnings(), np.errstate(over="ignore"):
-        warnings.simplefilter("ignore")  # lambda = 1e308 is above 2 nu; numpy's overflowing sums warn
-        assert run_cli("experiment", "--config", cfg_path, "--nmax", "50", "--out", out) == EXIT_OK
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # lambda = 1e308 is above 2 nu
+        assert run_cli("experiment", "--config", cfg_path, "--nmax", "50", "--out", out) == EXIT_DIVERGENCE
+    assert "experiment: every cell failed (4 cells)" in capsys.readouterr().err
     assert calls == [4]
     rows = (out / "report.csv").read_text().splitlines()[1:]
     assert [row.split(",")[-1] for row in rows] == ["non-finite iterate at step 1 (algorithm 'perturbed')"] * 4
+
+
+@pytest.mark.parametrize("command", ["experiment", "tables"])
+def test_a_sweep_in_which_every_cell_failed_exits_3(tmp_path, capsys, command):
+    # it used to exit 0, so a sweep with no result read as a success to a caller checking the code
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**X1_OVERFLOW, "experiment": {"thetas": [0.5, 0.9], "seeds": [1, 2]}}))
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", cfg_path, "--nmax", "50", "--out", out) == EXIT_DIVERGENCE
+    assert f"{command}: every cell failed (4 cells)" in capsys.readouterr().err
+    assert (out / "config.json").exists()
+    if command == "experiment":  # the files still say what failed
+        rows = (out / "report.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[-1] for row in rows] == ["non-finite iterate at step 1 (algorithm 'perturbed')"] * 4
+        assert "thetas: [0.5, 0.9]" in (out / "meta.txt").read_text()
+        assert not (out / "traces").exists()
+
+
+def test_a_sweep_with_one_good_cell_exits_0(tmp_path, capsys, monkeypatch):
+    from viscosolve import experiment, solvers
+
+    def all_but_the_last_fail(cfgs, extras):
+        outcomes = solvers.run_batch(cfgs, extras)
+        failure = solvers.DivergenceError("non-finite iterate at step 7 (algorithm 'perturbed')", cfgs[0].x1, 7)
+        return [failure] * (len(outcomes) - 1) + outcomes[-1:]
+
+    monkeypatch.setattr(experiment, "run_batch", all_but_the_last_fail)
+    out = tmp_path / "out"
+    args = ("--seeds", "1", "2", "--theta", "0.9", "--nmax", "50", "--out", out)
+    assert run_cli("experiment", *args) == EXIT_OK
+    assert "every cell failed" not in capsys.readouterr().err
+    rows = [row.split(",") for row in (out / "report.csv").read_text().splitlines()[1:]]
+    assert [row[-1] for row in rows] == ["non-finite iterate at step 7 (algorithm 'perturbed')", ""]
+    assert [p.name for p in (out / "traces").iterdir()] == ["theta_0.9_seed_2.csv"]
+
+
+def test_numpy_warnings_stay_inside_the_engine(tmp_path, capsys):
+    # numpy's overflow warnings used to escape _lockstep before the typed failure;
+    # under an error filter they would end the run as an exception, not a DivergenceError
+    from viscosolve import ExperimentConfig, run_experiment
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = run_experiment(ExperimentConfig(thetas=(0.5, 0.9), seeds=(1, 2), n_max=50, x1=[1e308, 1e308]))
+        assert [c.error for c in report.cells] == ["non-finite iterate at step 1 (algorithm 'perturbed')"] * 4
+        cfg_path = tmp_path / "simplex.json"
+        cfg_path.write_text(json.dumps(SIMPLEX_OVERFLOW))
+        warnings.simplefilter("ignore", UserWarning)  # lambda = 1e308 is above 2 nu
+        assert run_cli("solve", "--config", cfg_path, "--nmax", "50", "--out", tmp_path / "simplex") == EXIT_DIVERGENCE
+    assert "numerical failure: non-finite iterate at step 1 (algorithm 'perturbed')" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, cfg, message", [
+    ("implicit", {"implicit": {"inner_tol": float("inf")}}, "implicit: inner_tol must be finite and > 0, got inf"),
+    ("experiment", {"solver": {"x1": [-1.0, 3.0]}}, "experiment: x1 = array([-1.,  3.]) is not in Q (tolerance 1e-10)"),
+    ("solve", {"solver": {"algorithm": "nope"}}, "solver: unknown algorithm 'nope'"),
+    ("solve", {"schedule": {"alpha": {}}}, "schedule.alpha: need 'power' or 'table'"),
+    ("solve", {"perturbation": {"kind": "uniform_square_over_ksq", "seed": None}}, "perturbation: seed must be"),
+], ids=["implicit", "experiment", "solver", "schedule_in_solve", "perturbation_in_solve"])
+def test_a_configuration_error_names_its_section(tmp_path, capsys, command, cfg, message):
+    # the first three used to read "config error: <message>" with no section
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run_cli(command, "--config", cfg_path, "--nmax", "50", "--out", tmp_path / "out") == EXIT_CONFIG
+    assert f"config error: {message}" in capsys.readouterr().err
 
 
 def test_implicit_non_finite_evaluation_exit_code(tmp_path, capsys):
@@ -405,7 +471,7 @@ def test_implicit_with_an_infinite_inner_tol_is_config_error(tmp_path, capsys, t
     cfg_path.write_text('{"implicit": {"inner_tol": %s}}' % tol)
     out = tmp_path / "out"
     assert run_cli("implicit", "--config", cfg_path, "--out", out) == EXIT_CONFIG
-    assert "config error: inner_tol must be finite and > 0" in capsys.readouterr().err
+    assert "config error: implicit: inner_tol must be finite and > 0" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -262,3 +262,24 @@ def test_non_object_top_level_is_config_error(raw):
         resolve_config(raw)
     with pytest.raises(ConfigurationError, match="must be an object"):
         apply_overrides(raw, {})
+
+
+@pytest.mark.parametrize("errors", [(ValueError, TypeError), ValueError])
+@pytest.mark.parametrize("raised, shown", [
+    (ConfigurationError("inner_tol must be finite and > 0, got inf"), "implicit: inner_tol must be finite and > 0, got inf"),
+    (ConfigurationError("implicit.t_values: must be decreasing"), "implicit.t_values: must be decreasing"),
+    (ConfigurationError("implicit: already named"), "implicit: already named"),
+    (ValueError("inner_max_iter must be an integer >= 1, got 0"), "implicit: inner_max_iter must be an integer >= 1, got 0"),
+], ids=["bare", "dotted", "prefixed", "value_error"])
+def test_as_config_error_names_the_section_once(errors, raised, shown):
+    # a bare ConfigurationError used to pass through with no section
+    with pytest.raises(ConfigurationError) as info, configio._as_config_error("implicit", errors):
+        raise raised
+    assert str(info.value) == shown
+
+
+def test_as_config_error_lets_other_errors_through():
+    with pytest.raises(IndexError), configio._as_config_error("implicit"):
+        raise IndexError("not a configuration problem")
+    with pytest.raises(TypeError), configio._as_config_error("problem", ValueError):
+        raise TypeError("not among the errors it converts")

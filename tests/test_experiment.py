@@ -242,3 +242,100 @@ def test_cell_failure_recorded_without_aborting_sweep():
     assert cell.error is not None and "non-finite" in cell.error
     assert np.isnan(cell.min_rel_err)
     assert rep.aggregate() == {}
+
+
+# --------------------------------------------------------------------------
+# emit_report writes a seed's traces back to back, sharing their k, lambda and e_norm cells
+
+
+@pytest.fixture(scope="module")
+def grid_report():
+    # 3 seeds x 3 thetas, three chunks of trace rows (the last partial)
+    return run_experiment(ExperimentConfig(thetas=(0.3, 0.6, 0.9), seeds=(1, 2, 3), n_max=2500))
+
+
+def with_a_failed_cell(report, index):
+    from dataclasses import replace
+
+    cells = list(report.cells)
+    cells[index] = replace(cells[index], trace=None, error="non-finite iterate at step 9 (algorithm 'perturbed')")
+    return replace(report, cells=tuple(cells))
+
+
+def assert_each_trace_as_written_alone(report, tmp_path):
+    out = emit_report(report, tmp_path / "report")
+    want = {}
+    for c in report.cells:
+        if c.trace is not None:
+            name = f"theta_{c.theta!r}_seed_{c.seed}.csv"
+            c.trace.write_csv(tmp_path / "alone.csv")
+            want[name] = (tmp_path / "alone.csv").read_bytes()
+    got = {p.name: p.read_bytes() for p in (out / "traces").iterdir()}
+    assert sorted(got) == sorted(want)
+    for name in want:
+        assert got[name] == want[name], name
+    rows = [line.split(",") for line in (out / "report.csv").read_text().splitlines()[1:]]
+    assert [row[:2] for row in rows] == [[repr(c.theta), str(c.seed)] for c in report.cells]  # the cells' order
+    assert [row[-1] for row in rows] == [c.error or "" for c in report.cells]
+
+
+def test_emit_report_writes_each_trace_as_written_alone(tmp_path, grid_report):
+    by_seed = {}
+    for c in grid_report.cells:  # the cells of one seed share k, lambda and e_norm, so the writer reuses them
+        by_seed.setdefault(c.seed, []).append(c.trace)
+    for traces in by_seed.values():
+        assert all(np.array_equal(t.e_norm, traces[0].e_norm) and np.array_equal(t.k, traces[0].k) for t in traces)
+    assert not np.array_equal(by_seed[1][0].e_norm, by_seed[2][0].e_norm)
+    assert_each_trace_as_written_alone(grid_report, tmp_path)
+
+
+def test_emit_report_of_a_deterministic_sweep_writes_each_trace_as_written_alone(tmp_path):
+    # e_norm is all zeros, the same column in every cell
+    report = run_experiment(ExperimentConfig(thetas=(0.3, 0.6, 0.9), n_max=2500, deterministic=True))
+    assert all(c.trace.e_norm.tobytes() == bytes(8 * 2500) for c in report.cells)
+    assert_each_trace_as_written_alone(report, tmp_path)
+
+
+def test_emit_report_with_a_failed_cell_inside_a_seed_group(tmp_path, grid_report):
+    # cells run theta by theta, so seed 1's cells are 0, 3 and 6: the failed one sits between the other two
+    report = with_a_failed_cell(grid_report, 3)
+    assert (report.cells[3].theta, report.cells[3].seed) == (0.6, 1)
+    assert_each_trace_as_written_alone(report, tmp_path)
+    assert not (tmp_path / "report" / "traces" / "theta_0.6_seed_1.csv").exists()
+
+
+def test_emit_report_memory_stays_at_one_traces_shared_cells(tmp_path):
+    # emission is the sweep's peak-memory phase: what the writer keeps lands on top of the peak.
+    # A memo of the whole report's cells would grow with its seeds and thetas; one trace's k,
+    # lambda and e_norm cells (about 0.7 MiB at 6000 rows) do not
+    import tracemalloc
+
+    report = run_experiment(ExperimentConfig(thetas=(0.1, 0.2, 0.3, 0.4, 0.6, 0.8, 0.9, 1.0), seeds=(1, 2),
+                                             n_max=6000))
+    largest = max((c.trace for c in report.cells), key=lambda t: t.k.size)
+    largest.write_csv(tmp_path / "warm.csv")  # loads the formatter first
+
+    def peak(write):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            write()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    alone = peak(lambda: largest.write_csv(tmp_path / "alone.csv"))
+    whole = peak(lambda: emit_report(report, tmp_path / "report"))
+    assert whole <= alone + 1.5 * 2**20, (whole / 2**20, alone / 2**20)
+
+
+def test_emit_report_formats_each_seeds_shared_chunks_once(tmp_path, grid_report, monkeypatch):
+    from viscosolve import solvers
+
+    calls = []
+    csv_cells = solvers._csv_cells
+    monkeypatch.setattr(solvers, "_csv_cells", lambda v: calls.append(v.size) or csv_cells(v))
+    emit_report(grid_report, tmp_path / "report")
+    # per chunk: x, alpha and rel_err of each of the 9 traces, e_norm once per seed and k once
+    # (lambda is one repeated value); in the cells' theta-major order e_norm would take 9
+    assert len(calls) == 3 * (9 * 3 + 3 + 1)
