@@ -31,11 +31,12 @@ from .solvers import (
     ConfigurationError,
     DivergenceError,
     NonConvergenceError,
+    _point_of_Q,
     config_digest,
     implicit_path,
     run,
 )
-from .space import NonFiniteError, as_vector
+from .space import NonFiniteError
 
 __all__ = ["main", "cli_main"]
 
@@ -138,8 +139,8 @@ def _cmd_implicit(args) -> int:
     resolved, defaulted, digest = _resolve(args)
     problem = configio.build_problem(resolved)
     icfg = configio.build_implicit_config(resolved)
-    with configio._as_config_error("solver"):  # a malformed x1; one outside Q is a ConfigurationError
-        x1 = as_vector(resolved["solver"]["x1"], dim=problem.dim, name="x1")
+    with configio._as_config_error("solver"):  # a malformed x1, or one outside Q
+        x1 = _point_of_Q(problem, resolved["solver"]["x1"], "x1")
     points = implicit_path(icfg, problem, x1=x1)
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
@@ -180,7 +181,7 @@ def _cmd_experiment(args, tables_only: bool = False) -> int:
             print(f"experiment: theta={theta:g} median min rel_err = {med!r} (spread [{lo!r}, {hi!r}])")
     _write_resolved(out, resolved, defaulted, digest)
     if all(c.trace is None for c in report.cells):  # the files say why; the exit code says it failed
-        print(f"{args.command}: every cell failed ({len(report.cells)} cells)", file=sys.stderr)
+        print(f"numerical failure: {args.command}: every cell failed ({len(report.cells)} cells)", file=sys.stderr)
         return EXIT_DIVERGENCE
     return EXIT_OK
 
@@ -190,9 +191,10 @@ def _cmd_check(args) -> int:
     problem = configio.build_problem(resolved)
     schedule = configio.build_schedule(resolved)
     perturbation = configio.build_perturbation(resolved)
-    with configio._as_config_error("experiment"):  # grading the hypotheses needs n >= 2
+    # grading the hypotheses needs n >= 2 steps, that numpy can tabulate and the schedule's tables reach
+    with configio._as_config_error("experiment", (ValueError, TypeError, IndexError)):
         n = _integer(resolved["experiment"]["nmax"], "nmax", 2)
-    report = hypothesis_report(schedule, perturbation, n, nu=problem.nu, dim=problem.dim)
+        report = hypothesis_report(schedule, perturbation, n, nu=problem.nu, dim=problem.dim)
     for c in report.checks:
         evidence = ", ".join(f"{k}={v:.6g}" for k, v in c.evidence.items())
         print(f"hypothesis ({c.key}): {c.verdict} -- {c.statement} [{evidence}]")

@@ -43,7 +43,7 @@ from .schedules import (
     UniformSquarePerturbation,
     _integer,
 )
-from .solvers import ConfigurationError, ImplicitConfig, SolverConfig, reference_solution
+from .solvers import ConfigurationError, ImplicitConfig, SolverConfig
 from .experiment import DEFAULT_EPSILONS, DEFAULT_SEEDS, ExperimentConfig
 
 __all__ = [
@@ -301,13 +301,6 @@ def build_perturbation(resolved: dict):
 def build_solver_config(resolved: dict, problem: ProblemSpec | None = None) -> SolverConfig:
     problem = problem or build_problem(resolved)
     body = resolved["solver"]
-    reference = body.get("reference", "auto")
-    if reference == "auto":
-        reference = (
-            reference_solution(problem, tol=1e-12)
-            if problem.reference_set_omega is not None
-            else None
-        )
     schedule, perturbation = build_schedule(resolved), build_perturbation(resolved)  # errors of their own sections
     with _as_config_error("solver"):
         return SolverConfig(
@@ -319,7 +312,7 @@ def build_solver_config(resolved: dict, problem: ProblemSpec | None = None) -> S
             perturbation=perturbation,
             anchor=body.get("anchor"),
             beta=float(body.get("beta", 0.5)),
-            reference=reference,
+            reference=body["reference"],
             rel_err_target=body.get("rel_err_target"),
             record_stride=_integer(body.get("stride", 1), "stride", 1),
         )

@@ -13,7 +13,7 @@ import numpy as np
 
 from .operators import LeastSquaresGradient, ProblemSpec, rows_of
 from .projections import project_rows, sample
-from .solvers import reference_solution, viscosity_map
+from .solvers import _target_point, viscosity_map
 from .space import NonFiniteError, row_inners, row_norms
 
 __all__ = ["CheckResult", "run_property_checks"]
@@ -135,8 +135,8 @@ def _battery(problem, seed, n_pairs) -> list[CheckResult]:
         add("gradient_finite_difference", worst, 1e-6)
 
     # target-point inequality: <f(q*) - q*, x - q*> <= 1e-8 over the target set
-    if problem.reference_set_omega is not None:
-        qstar = reference_solution(problem, tol=1e-12)
+    qstar = _target_point(problem)
+    if qstar is not None:
         gap = np.asarray(problem.map_f(qstar)) - qstar
         omega_pts = sample(problem.reference_set_omega, rng, n_pairs)
         worst = max(_inners(np.broadcast_to(gap, omega_pts.shape), omega_pts - qstar))

@@ -45,7 +45,7 @@ from .schedules import (
     _integer,
 )
 # run is not called here: the benchmark's self-test calls viscosolve.experiment.run
-from .solvers import PERTURBED, RunTrace, SolverConfig, _write_traces, reference_solution, run, run_batch
+from .solvers import PERTURBED, ConfigurationError, RunTrace, SolverConfig, _check_records, _write_traces, run, run_batch
 
 __all__ = [
     "build_benchmark_problem",
@@ -98,7 +98,7 @@ class ExperimentConfig:
     """The (theta, seed) sweep of the perturbed rule on one problem.
 
     ``template`` (not a field) is the first cell's :class:`SolverConfig`: it checks ``x1``, ``n_max`` and
-    ``lam`` (default nu), which are read back from it, and every cell is it with its own schedule and seed.
+    ``lam`` (default nu), read back from it, then solves q*; every cell is it with its own schedule and seed.
     """
 
     thetas: tuple[float, ...]
@@ -128,7 +128,11 @@ class ExperimentConfig:
             problem=self.problem, schedule=benchmark_schedule(thetas[0], self.lam, self.problem), x1=self.x1,
             n_max=self.n_max, algorithm=PERTURBED,
             perturbation=NoPerturbation() if self.deterministic else UniformSquarePerturbation(seeds[0]),
+            reference="auto",
         )
+        if template.reference is None:
+            raise ConfigurationError("the sweep needs q*: the problem has no closed-form target set (problem.omega)")
+        _check_records(template, rows=len(thetas) * len(seeds))
         object.__setattr__(self, "template", template)
         object.__setattr__(self, "x1", template.x1)
         object.__setattr__(self, "n_max", template.n_max)
@@ -189,19 +193,18 @@ class ExperimentReport:
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Run the perturbed rule for each (theta, seed) cell.
 
-    Each cell is ``cfg.template`` with its theta's schedule (one per theta, so a block tabulates once per
-    theta), its seed's perturbation and the reference solution, computed once at tolerance 1e-12. The
-    cells step as one :func:`run_batch`, each trace equal to its own :func:`run` bit for bit; a cell that
-    diverges or meets a non-finite value is recorded with its error while the others go on.
+    Each cell is ``cfg.template``, reference q* included, with its theta's schedule (one per theta, so a
+    block tabulates once per theta) and its seed's perturbation. The cells step as one :func:`run_batch`,
+    each trace equal to its own :func:`run` bit for bit; a cell that diverges or meets a non-finite value
+    is recorded with its error while the others go on.
     """
-    qref = reference_solution(cfg.problem, tol=1e-12)
     grid, solver_cfgs = [], []
     for theta in cfg.thetas:
         schedule = benchmark_schedule(theta, cfg.lam)
         for seed in cfg.seeds:
             perturbation = cfg.template.perturbation if cfg.deterministic else UniformSquarePerturbation(seed)
             grid.append((theta, seed))
-            solver_cfgs.append(replace(cfg.template, schedule=schedule, perturbation=perturbation, reference=qref))
+            solver_cfgs.append(replace(cfg.template, schedule=schedule, perturbation=perturbation))
     outcomes = run_batch(solver_cfgs, [{"theta": theta, "cell_seed": seed} for theta, seed in grid])
     cells = []
     for (theta, seed), trace in zip(grid, outcomes):
@@ -212,7 +215,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             continue
         hits = {eps: trace.first_hit(eps) for eps in cfg.epsilons}
         cells.append(CellResult(theta, seed, trace.min_rel_err(), hits, trace))
-    return ExperimentReport(config=cfg, reference=qref, cells=tuple(cells))
+    return ExperimentReport(config=cfg, reference=cfg.template.reference, cells=tuple(cells))
 
 
 # --------------------------------------------------------------------------

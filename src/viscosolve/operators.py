@@ -134,8 +134,12 @@ class LeastSquaresGradient:
         b.setflags(write=False)
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "_gram", B.T @ B)
-        object.__setattr__(self, "_bt_b", B.T @ b)
+        with np.errstate(over="ignore", invalid="ignore"):  # a product that overflows is refused below
+            gram, bt_b = B.T @ B, B.T @ b
+        if not (np.isfinite(gram).all() and np.isfinite(bt_b).all()):
+            raise NonFiniteError("B^T B or B^T b overflows")
+        object.__setattr__(self, "_gram", gram)
+        object.__setattr__(self, "_bt_b", bt_b)
         object.__setattr__(self, "lipschitz", ls_lipschitz(B))
 
     @property

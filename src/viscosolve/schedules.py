@@ -225,15 +225,22 @@ class UniformSquarePerturbation:
 Perturbation = Union[NoPerturbation, UniformSquarePerturbation]
 
 
+_INT64_MAX = 2**63 - 1
+_MAX_BYTES = np.iinfo(np.intp).max  # numpy refuses, without allocating, an array of more bytes
+
+
 def _integer(value, name: str, minimum: int = 0, error: type[ValueError] = ValueError) -> int:
-    """``value`` as an int >= ``minimum``, refusing what ``int()`` would cut: with minimum 0, ``1.0``
-    passes and ``1.5`` and ``-1`` do not; else ``error``. Checks seeds, step counts, strides and dimensions."""
+    """``value`` as an int in [``minimum``, 2**63 - 1], refusing what ``int()`` would cut: with minimum 0,
+    ``1.0`` passes and ``1.5``, ``-1`` and ``1e308`` do not; else ``error``. Checks seeds, step counts,
+    strides and dimensions."""
     try:
         number = int(value)
     except (TypeError, ValueError, OverflowError):  # a list, "x", nan, inf
         number = None
     if number is None or number != value or number < minimum:
         raise error(f"{name} must be an integer >= {minimum}, got {value!r}")
+    if number > _INT64_MAX:  # no run holds more steps, and a seed names a trace file
+        raise error(f"{name} must be at most 2**63 - 1, got {value!r}")
     return number
 
 
@@ -323,6 +330,7 @@ def _tame_increments(num: np.ndarray, ref: np.ndarray) -> bool:
     return bool(ratio_settling or sums_settling)
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # an alpha_k that underflows to 0 reads inf or nan
 def hypothesis_report(
     s: ScheduleSpec,
     p: Perturbation,
@@ -341,6 +349,8 @@ def hypothesis_report(
     """
     if n < 2:
         raise ValueError("need n >= 2 to grade the hypotheses")
+    if n * 8 > _MAX_BYTES:  # before the loop that tabulates alpha_k
+        raise ValueError(f"n = {n} steps are more than numpy can tabulate")
     alphas, lams = tabulate(s, n)
     block, generator = _block_steps(dim), _generator(p)  # the stream one block at a time: only its norms are kept
     e_norms = np.concatenate([

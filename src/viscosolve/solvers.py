@@ -42,6 +42,7 @@ from .schedules import (
     _block_steps,
     _check_horizon,
     _generator,
+    _MAX_BYTES,
     _integer,
     alpha_at,  # not called here: bench/tests reads solvers.alpha_at, with project, norm and run
     perturbation_stream,
@@ -125,7 +126,7 @@ class SolverConfig:
     perturbation: Perturbation = field(default_factory=NoPerturbation)
     anchor: np.ndarray | None = None
     beta: float = 0.5
-    reference: np.ndarray | None = None
+    reference: np.ndarray | str | None = None  # or "auto": q* (see _target_point), solved after every other check
     rel_err_target: float | None = None
     record_stride: int = 1
     strict_schedule: bool = False
@@ -148,19 +149,39 @@ class SolverConfig:
             object.__setattr__(self, "anchor", u)
         if self.algorithm in (YAO_OUTER, YAO_INNER) and not (0 <= self.beta < 1):
             raise ConfigurationError(f"beta must be in [0, 1), got {self.beta}")
-        if self.reference is not None:
-            ref = as_vector(self.reference, dim=self.problem.dim, name="reference")
-            if not norm(ref) > 0:
-                raise ConfigurationError("reference must have a nonzero norm: rel_err divides by it")
-            ref.setflags(write=False)
-            object.__setattr__(self, "reference", ref)
         if self.rel_err_target is not None:
-            if self.reference is None:
-                raise ConfigurationError("rel_err_target needs a reference point")
             target = float(self.rel_err_target)
             if not (math.isfinite(target) and target >= 0):  # a NaN target would never stop the run
                 raise ConfigurationError(f"rel_err_target must be finite and >= 0, got {target}")
             object.__setattr__(self, "rel_err_target", target)
+        _check_records(self)
+        auto = isinstance(self.reference, str) and self.reference == "auto"
+        ref = _target_point(self.problem) if auto else self.reference
+        if ref is not None:
+            ref = as_vector(ref, dim=self.problem.dim, name="reference")
+            with np.errstate(over="ignore"):  # a norm that overflows is refused, as a zero norm is
+                nref = _vector_norm(ref)
+            if not 0 < nref < math.inf:
+                raise ConfigurationError(f"reference must have a finite nonzero norm: rel_err divides by it, got {nref}")
+            ref.setflags(write=False)
+        object.__setattr__(self, "reference", ref)
+        if self.rel_err_target is not None and ref is None:
+            raise ConfigurationError("rel_err_target needs a reference point")
+
+
+def _check_records(cfg: SolverConfig, rows: int = 1) -> None:
+    """Refuse ``rows`` runs of ``cfg`` whose record arrays numpy would refuse to size.
+
+    A run records k = 1, 1 + stride, ... and n_max: (records, d) iterates and
+    (3, records) schedule values a row, allocated before its first step.
+    """
+    n, stride = cfg.n_max, cfg.record_stride
+    records = (n - 1) // stride + 1 + ((n - 1) % stride > 0)
+    if rows * records * max(cfg.problem.dim, 3) * 8 > _MAX_BYTES:
+        raise ConfigurationError(
+            f"{rows} run(s) of {records} records in dimension {cfg.problem.dim} "
+            f"(n_max {n}, record_stride {stride}) are more than numpy can size"
+        )
 
 
 def _point_of_Q(problem: ProblemSpec, x, name: str) -> np.ndarray:
@@ -807,6 +828,7 @@ def _anderson_solve(T, q, x0, tol, floor, max_iter, label):
     )
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # a non-finite residual or distance raises in norm
 def implicit_path(cfg: ImplicitConfig, problem: ProblemSpec, x1=None) -> list[PathPoint]:
     """Solve x_t along cfg.t_values from ``x1`` in Q (default P_Q(0)), warm-starting each solve from the last.
 
@@ -817,10 +839,8 @@ def implicit_path(cfg: ImplicitConfig, problem: ProblemSpec, x1=None) -> list[Pa
     """
     if cfg.lambda_of_t > 2 * problem.nu:  # then neither the factor 1 - sigma t nor dist_bound holds
         raise ConfigurationError(f"implicit lambda = {cfg.lambda_of_t} exceeds 2*nu = {2 * problem.nu}")
-    ref = None
-    if problem.reference_set_omega is not None:
-        ref = reference_solution(problem, tol=1e-12)
     x = _point_of_Q(problem, x1, "x1") if x1 is not None else project(problem.set_Q, np.zeros(problem.dim))
+    ref = _target_point(problem)
     step, lam = _build_step(problem, EXPLICIT_VISCOSITY), np.array(cfg.lambda_of_t)
     points = []
     for t in cfg.t_values:
@@ -834,6 +854,7 @@ def implicit_path(cfg: ImplicitConfig, problem: ProblemSpec, x1=None) -> list[Pa
     return points
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # a non-finite residual raises in norm
 def reference_solution(problem: ProblemSpec, tol: float = 1e-12, max_iter: int = 100_000) -> np.ndarray:
     """The target point: the unique fixed point of P_Omega . f.
 
@@ -851,6 +872,11 @@ def reference_solution(problem: ProblemSpec, tol: float = 1e-12, max_iter: int =
     x0 = project(omega, np.zeros(problem.dim))
     return _anderson_solve(lambda y: project(omega, np.asarray(problem.map_f(y), dtype=float)), problem.rho, x0,
                            tol, 0.0, max_iter, "reference solve")[0]
+
+
+def _target_point(problem: ProblemSpec) -> np.ndarray | None:
+    """q* within 1e-12 (:func:`reference_solution`) when ``problem`` has a closed-form target set; else None."""
+    return None if problem.reference_set_omega is None else reference_solution(problem, tol=1e-12)
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -200,7 +201,7 @@ def test_implicit_with_a_lambda_above_2nu_is_config_error(tmp_path, capsys, lam,
 @pytest.mark.parametrize("x1, message", [
     ([1, 2, 3], "solver: x1 has dimension 3, expected 2"),
     ("ab", "solver: could not convert string to float: 'ab'"),
-    ([-1, 2], "x1 = array([-1.,  2.]) is not in Q (tolerance 1e-10)"),
+    ([-1, 2], "solver: x1 = array([-1.,  2.]) is not in Q (tolerance 1e-10)"),
 ], ids=["wrong_dimension", "not_numeric", "outside_Q"])
 def test_implicit_with_a_bad_start_point_is_config_error(tmp_path, capsys, x1, message):
     # the first two ended in a traceback, the third ran from outside Q
@@ -476,13 +477,12 @@ def test_implicit_with_an_infinite_inner_tol_is_config_error(tmp_path, capsys, t
 
 
 def test_experiment_with_x1_outside_Q_stops_before_the_reference_solve(tmp_path, capsys, monkeypatch):
-    from viscosolve import configio, experiment
+    from viscosolve import solvers
 
     def no_solve(*args, **kwargs):
         raise AssertionError("reference solve before the config check")
 
-    monkeypatch.setattr(experiment, "reference_solution", no_solve)
-    monkeypatch.setattr(configio, "reference_solution", no_solve)
+    monkeypatch.setattr(solvers, "reference_solution", no_solve)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"solver": {"x1": [-1.0, 3.0]}}))
     out = tmp_path / "out"
@@ -624,3 +624,110 @@ def test_integral_floats_still_count(tmp_path):
         assert run_cli("solve", "--config", cfg_path, "--out", tmp_path / name) == EXIT_OK
         traces.append((tmp_path / name / "trace.csv").read_bytes())
     assert traces[0] == traces[1]
+
+
+BENCHMARK_JSON = Path(__file__).resolve().parents[1] / "configs" / "benchmark.json"
+
+
+@pytest.fixture
+def reference_solves(monkeypatch):
+    """The calls of ``solvers.reference_solution``, the one solve for q* that every command goes through."""
+    from viscosolve import solvers
+
+    calls, solve = [], solvers.reference_solution
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "reference_solution", counting)
+    return calls
+
+
+@pytest.mark.parametrize("command", ["solve", "implicit", "experiment", "check"])
+def test_each_command_solves_for_q_star_once(tmp_path, reference_solves, command):
+    assert run_cli(command, "--config", BENCHMARK_JSON, "--nmax", "50", "--out", tmp_path / "out") == EXIT_OK
+    assert len(reference_solves) == 1
+
+
+@pytest.mark.parametrize("command, body", [
+    ("solve", {"solver": {"x1": [-1.0, 3.0]}}),
+    ("solve", {"solver": {"algorithm": "nope"}}),
+    ("solve", {"solver": {"rel_err_target": float("nan")}}),
+    ("implicit", {"solver": {"x1": [-1.0, 3.0]}}),
+    ("experiment", {"solver": {"x1": [-1.0, 3.0]}}),
+], ids=["solve_x1", "solve_algorithm", "solve_nan_target", "implicit_x1", "experiment_x1"])
+def test_a_refused_config_makes_no_reference_solve(tmp_path, capsys, reference_solves, command, body):
+    # configio solved for q* before the solver section was checked, and implicit before it checked x1
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(body))
+    assert run_cli(command, "--config", cfg_path, "--nmax", "50", "--out", tmp_path / "out") == EXIT_CONFIG
+    assert reference_solves == []
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["experiment", "tables"])
+def test_a_sweep_without_a_target_set_is_config_error(tmp_path, capsys, monkeypatch, command):
+    # it failed at run time, with no section in its message: the sweep's rel_err needs q*
+    from viscosolve import experiment
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step before the config check")
+
+    monkeypatch.setattr(experiment, "run_batch", no_step)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"problem": {"omega": None}}))
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", cfg_path, "--nmax", "50", "--out", out) == EXIT_CONFIG
+    assert "config error: experiment: the sweep needs q*" in capsys.readouterr().err
+    assert not out.exists()
+
+
+AT_MOST = "must be at most 2**63 - 1, got"
+
+
+@pytest.mark.parametrize("command, body, message", [
+    ("solve", {"solver": {"nmax": 1e308}}, f"solver: nmax {AT_MOST} 1e+308"),
+    ("solve", {"solver": {"nmax": 2**70}}, f"solver: nmax {AT_MOST} {2**70}"),
+    ("experiment", {"experiment": {"nmax": 1e308}}, f"experiment: nmax {AT_MOST} 1e+308"),
+    ("experiment", {"experiment": {"nmax": 2**70}}, f"experiment: nmax {AT_MOST} {2**70}"),
+    ("solve", {"solver": {"nmax": 50, "stride": 1e308}}, f"solver: stride {AT_MOST} 1e+308"),
+    ("solve", {"solver": {"nmax": 50, "stride": 2**70}}, f"solver: stride {AT_MOST} {2**70}"),
+    ("check", {"experiment": {"nmax": 1e308}}, f"experiment: nmax {AT_MOST} 1e+308"),
+    ("check", {"experiment": {"nmax": 2**70}}, f"experiment: nmax {AT_MOST} {2**70}"),
+    ("experiment", {"experiment": {"nmax": 50, "seeds": [1e308]}}, f"experiment: seeds entry {AT_MOST} 1e+308"),
+    ("solve", {"solver": {"nmax": 50}, "perturbation": {"kind": "uniform_square_over_ksq", "seed": 2**70}},
+     f"perturbation: seed {AT_MOST} {2**70}"),
+    ("solve", {"solver": {"nmax": 2**62}},
+     f"solver: 1 run(s) of {2**62} records in dimension 2 (n_max {2**62}, record_stride 1) "
+     "are more than numpy can size"),
+    ("experiment", {"experiment": {"nmax": 2**62}},
+     f"experiment: 1 run(s) of {2**62} records in dimension 2 (n_max {2**62}, record_stride 1) "
+     "are more than numpy can size"),
+    ("check", {"experiment": {"nmax": 2**62}}, f"experiment: n = {2**62} steps are more than numpy can tabulate"),
+])
+def test_a_count_no_run_can_hold_is_config_error(tmp_path, capsys, command, body, message):
+    # a traceback from np.arange or from indexing with a float grid, a check that never returned, and
+    # exit 4 from a trace file named after a 309-digit seed; 2**62 passes the int64 bound, not numpy's sizes
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(body))
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", cfg_path, "--out", out) == EXIT_CONFIG
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_sweep_that_ends_in_a_numerical_failure_says_so(tmp_path, capsys):
+    # exit 3 always comes with "numerical failure", the all-failed sweep's message included
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**X1_OVERFLOW, "experiment": {"thetas": [0.5], "seeds": [1]}}))
+    assert run_cli("experiment", "--config", cfg_path, "--nmax", "50", "--out", tmp_path / "out") == EXIT_DIVERGENCE
+    assert capsys.readouterr().err == "numerical failure: experiment: every cell failed (1 cells)\n"
+
+
+def test_check_beyond_the_end_of_a_schedule_table_is_config_error(tmp_path, capsys):
+    # an alpha table shorter than experiment.nmax ended check in an IndexError traceback
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"schedule": {"alpha": {"table": [0.5, 0.4]}}, "experiment": {"nmax": 50}}))
+    assert run_cli("check", "--config", cfg_path) == EXIT_CONFIG
+    assert "config error: experiment: alpha table exhausted at k=3 (length 2)" in capsys.readouterr().err

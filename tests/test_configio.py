@@ -283,3 +283,15 @@ def test_as_config_error_lets_other_errors_through():
         raise IndexError("not a configuration problem")
     with pytest.raises(TypeError), configio._as_config_error("problem", ValueError):
         raise TypeError("not among the errors it converts")
+
+
+def test_the_benchmark_has_one_definition():
+    # configs/benchmark.json, DEFAULT_CONFIG and build_benchmark_problem state one problem three times
+    from pathlib import Path
+
+    from viscosolve import build_benchmark_problem
+    from viscosolve.operators import _jsonable
+
+    raw = configio.load_config(Path(__file__).resolve().parents[1] / "configs" / "benchmark.json")
+    assert resolve_config(raw)[0] == resolve_config({})[0]
+    assert _jsonable(build_benchmark_problem()) == _jsonable(configio.build_problem(DEFAULT_CONFIG))

@@ -186,12 +186,12 @@ def test_experiment_config_refuses_repeated_thetas_and_seeds(field, values):
 
 
 def test_experiment_config_refuses_x1_outside_Q_before_any_reference_solve(monkeypatch):
-    from viscosolve import ConfigurationError, experiment
+    from viscosolve import ConfigurationError, solvers
 
     def no_solve(*args, **kwargs):
         raise AssertionError("reference solve before the config check")
 
-    monkeypatch.setattr(experiment, "reference_solution", no_solve)
+    monkeypatch.setattr(solvers, "reference_solution", no_solve)
     with pytest.raises(ConfigurationError, match=r"x1 = .* is not in Q"):
         ExperimentConfig(thetas=(0.9,), seeds=(1,), n_max=20, x1=[-1.0, 3.0])
 
@@ -205,7 +205,8 @@ def test_experiment_cells_are_the_template_with_their_schedule_and_seed():
     template = cfg.template
     assert isinstance(template, SolverConfig) and "template" not in {f.name for f in fields(cfg)}
     assert (template.algorithm, template.perturbation, template.n_max) == (PERTURBED, UniformSquarePerturbation(3), 40)
-    assert template.schedule.alpha.theta == 0.4 and template.reference is None
+    assert template.schedule.alpha.theta == 0.4
+    assert template.reference.tobytes() == reference_solution(cfg.problem, tol=1e-12).tobytes()  # q*, solved once
     # x1, n_max and lam are the template's, lam defaulting to nu
     assert cfg.x1 is template.x1 and cfg.x1.dtype == np.float64
     assert cfg.n_max == 40 and type(cfg.n_max) is int
@@ -216,6 +217,7 @@ def test_experiment_cells_are_the_template_with_their_schedule_and_seed():
         meta = cell.trace.metadata
         assert (meta["theta"], meta["cell_seed"], meta["seed"], meta["n_max"]) == (cell.theta, cell.seed, cell.seed, 40)
         assert cell.trace.alpha[1] == 2.0 ** -cell.theta and cell.trace.x[0].tolist() == [2.0, 3.0]
+    assert report.reference is template.reference
 
 
 def test_cell_failure_recorded_without_aborting_sweep():
@@ -339,3 +341,15 @@ def test_emit_report_formats_each_seeds_shared_chunks_once(tmp_path, grid_report
     # per chunk: x, alpha and rel_err of each of the 9 traces, e_norm once per seed and k once
     # (lambda is one repeated value); in the cells' theta-major order e_norm would take 9
     assert len(calls) == 3 * (9 * 3 + 3 + 1)
+
+
+def test_experiment_config_refuses_a_problem_without_a_target_set(monkeypatch):
+    from viscosolve import (
+        ConfigurationError, ConstantAnchor, Identity, LeastSquaresGradient, NonnegOrthant, ProblemSpec, solvers,
+    )
+
+    monkeypatch.setattr(solvers, "reference_solution", lambda *a, **k: pytest.fail("no q* to solve for"))
+    prob = ProblemSpec(NonnegOrthant(2), Identity(2), LeastSquaresGradient(np.eye(2), [1.0, 1.0]),
+                       ConstantAnchor([1.0, 1.0]))
+    with pytest.raises(ConfigurationError, match="the sweep needs q"):
+        ExperimentConfig(thetas=(0.9,), seeds=(1,), n_max=20, problem=prob)

@@ -126,6 +126,13 @@ def test_ls_gradient_modulus_is_derived():
     assert A.ism_modulus == pytest.approx(0.1, abs=1e-12)
 
 
+@pytest.mark.parametrize("B, b", [([[1e308, 1.0], [2.0, 2.0]], [3.0, 5.0]), ([[1.0, 1.0], [2.0, 2.0]], [1e308, 1e308])])
+def test_ls_gradient_whose_products_overflow_is_refused(B, b):
+    # B^T B overflowed with a numpy warning and left a nan modulus
+    with pytest.raises(NonFiniteError, match="B\\^T B or B\\^T b overflows"):
+        LeastSquaresGradient(B=B, b=b)
+
+
 def test_ism_inequality(problem, rng):
     A, nu = problem.map_A, problem.nu
     for _ in range(500):

@@ -141,6 +141,28 @@ def test_perturbation_seed_must_be_an_integer_at_least_zero(seed):
     assert UniformSquarePerturbation(seed=3.0).seed == 3 and UniformSquarePerturbation(seed=np.int64(0)).seed == 0
 
 
+@pytest.mark.parametrize("value", [2**63, 2**70, 1e308, float(2**63)])
+def test_a_count_is_at_most_int64(value):
+    # 1e308 passed as an integer: np.arange refused it with a traceback, a seed made a 309-digit file name
+    assert schedules._integer(2**63 - 1, "n") == 2**63 - 1
+    with pytest.raises(ValueError, match=r"seed must be at most 2\*\*63 - 1"):
+        UniformSquarePerturbation(seed=value)
+
+
+def test_hypothesis_report_refuses_a_horizon_numpy_cannot_tabulate():
+    # it looped over the 2**62 alpha_k before numpy could refuse their table
+    with pytest.raises(ValueError, match=f"n = {2**62} steps are more than numpy can tabulate"):
+        hypothesis_report(spec(PowerAlpha(0.9)), NoPerturbation(), 2**62, nu=0.1)
+
+
+@pytest.mark.parametrize("theta", [math.inf, 1e308])
+def test_hypothesis_report_of_an_alpha_that_underflows_warns_nothing(theta):
+    # alpha_k = 0 from k = 2 on: the evidence reads nan or inf, and numpy's warnings stay inside
+    report = hypothesis_report(spec(PowerAlpha(theta)), UniformSquarePerturbation(1), 50, nu=0.1)
+    assert report["i"].verdict == VIOLATED and math.isnan(report["i"].evidence["alpha_ratio_last"])
+    assert report["v"].evidence["e_over_alpha_last"] == math.inf
+
+
 @pytest.mark.parametrize("bounds", [(0.1,), (0.1, 0.1, 0.5), ()])
 def test_schedule_bounds_must_be_a_pair(bounds):
     with pytest.raises(ValueError, match=r"bounds must be a pair \(a, b\)"):

@@ -817,3 +817,73 @@ def test_library_runs_compute_no_digest(tmp_path, problem, qstar, monkeypatch):
     assert all(c.error is None for c in report.cells)
     out = emit_report(report, tmp_path / "exp", extra_metadata={"config_digest": "0123456789abcdef"})
     assert "config_digest: 0123456789abcdef\n" in (out / "meta.txt").read_text()
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("reference solve before the config check")
+
+
+def test_reference_auto_is_the_target_point(problem, qstar):
+    cfg = SolverConfig(problem=problem, schedule=benchmark_schedule(0.9, problem=problem), x1=[2.0, 3.0],
+                       n_max=10, reference="auto", rel_err_target=0.5)
+    assert cfg.reference.tobytes() == qstar.tobytes() and not cfg.reference.flags.writeable
+    assert dataclasses.replace(cfg, n_max=20).reference is cfg.reference  # a resolved point is not solved again
+    assert solvers._target_point(problem).tobytes() == qstar.tobytes()
+
+
+def test_reference_auto_without_a_target_set_is_none():
+    problem = ProblemSpec(NonnegOrthant(2), Identity(2), LeastSquaresGradient(np.eye(2), [1.0, 1.0]),
+                          ConstantAnchor([1.0, 1.0]))
+    common = dict(problem=problem, schedule=benchmark_schedule(0.9, problem=problem), x1=[2.0, 3.0], n_max=10)
+    assert solvers._target_point(problem) is None
+    assert SolverConfig(**common, reference="auto").reference is None
+    with pytest.raises(ConfigurationError, match="rel_err_target needs a reference point"):
+        SolverConfig(**common, reference="auto", rel_err_target=0.1)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"x1": [-1.0, 3.0]}, "is not in Q"),
+    ({"algorithm": "nope"}, "unknown algorithm"),
+    ({"rel_err_target": float("nan")}, "rel_err_target must be finite"),
+    ({"algorithm": HALPERN}, "needs an anchor point"),
+    ({"n_max": 2**62}, "more than numpy can size"),
+    ({"record_stride": 2.5}, "record_stride must be an integer"),
+])
+def test_reference_auto_is_solved_after_every_other_check(problem, monkeypatch, fields, message):
+    monkeypatch.setattr(solvers, "reference_solution", _no_solve)
+    common = dict(problem=problem, schedule=benchmark_schedule(0.9, problem=problem), x1=[2.0, 3.0], n_max=10)
+    with pytest.raises(ConfigurationError, match=message):
+        SolverConfig(**{**common, **fields}, reference="auto")
+
+
+def test_a_reference_whose_norm_overflows_is_refused(problem):
+    with pytest.raises(ConfigurationError, match="finite nonzero norm"):  # and no numpy overflow warning
+        SolverConfig(problem=problem, schedule=benchmark_schedule(0.9, problem=problem), x1=[2.0, 3.0],
+                     n_max=10, reference=[1e308, 1e308])
+
+
+def test_implicit_path_checks_x1_before_the_reference_solve(problem, monkeypatch):
+    monkeypatch.setattr(solvers, "reference_solution", _no_solve)
+    with pytest.raises(ConfigurationError, match="x1 = .* is not in Q"):
+        implicit_path(ImplicitConfig(t_values=(1.0,), lambda_of_t=0.1), problem, x1=[-1.0, 3.0])
+
+
+@pytest.mark.parametrize("n, stride", [(1, 1), (50, 7), (50, 10), (51, 10), (2, 5), (300, 1)])
+def test_check_records_counts_the_rows_a_run_records(problem, n, stride):
+    cfg = SolverConfig(problem=problem, schedule=benchmark_schedule(0.9, problem=problem), x1=[2.0, 3.0],
+                       n_max=n, record_stride=stride)
+    records = run(cfg).k.size
+    rows = solvers._MAX_BYTES // (records * 3 * 8)  # the most rows numpy sizes
+    solvers._check_records(cfg, rows)
+    with pytest.raises(ConfigurationError, match=f"{rows + 1} run\\(s\\) of {records} records in dimension 2"):
+        solvers._check_records(cfg, rows + 1)
+
+
+def test_a_sweep_whose_records_numpy_cannot_size_is_refused(problem):
+    # one run of 2**58 records fits numpy's sizes, two do not; nothing is allocated either way
+    cfg = SolverConfig(problem=problem, schedule=benchmark_schedule(0.9, problem=problem), x1=[2.0, 3.0],
+                       n_max=2**58)
+    with pytest.raises(ConfigurationError, match="2 run"):
+        solvers._check_records(cfg, rows=2)
+    with pytest.raises(ConfigurationError, match=f"2 run\\(s\\) of {2**58} records"):
+        ExperimentConfig(thetas=(0.5, 0.9), seeds=(1,), n_max=2**58)
