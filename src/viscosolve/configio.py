@@ -41,6 +41,7 @@ from .schedules import (
     TableAlpha,
     TableLambda,
     UniformSquarePerturbation,
+    _check_horizon,
     _integer,
 )
 from .solvers import ConfigurationError, ImplicitConfig, SolverConfig
@@ -302,12 +303,14 @@ def build_solver_config(resolved: dict, problem: ProblemSpec | None = None) -> S
     problem = problem or build_problem(resolved)
     body = resolved["solver"]
     schedule, perturbation = build_schedule(resolved), build_perturbation(resolved)  # errors of their own sections
-    with _as_config_error("solver"):
+    with _as_config_error("solver", (ValueError, TypeError, IndexError)):
+        n_max = _integer(body["nmax"], "nmax", 1)
+        _check_horizon(schedule, n_max)  # an alpha or lambda table that ends before n_max
         return SolverConfig(
             problem=problem,
             schedule=schedule,
             x1=body["x1"],
-            n_max=_integer(body["nmax"], "nmax", 1),
+            n_max=n_max,
             algorithm=str(body["algorithm"]),
             perturbation=perturbation,
             anchor=body.get("anchor"),

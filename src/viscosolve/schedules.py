@@ -244,14 +244,17 @@ def _integer(value, name: str, minimum: int = 0, error: type[ValueError] = Value
     return number
 
 
-# Doubles per row in one block of steps: the engine and hypothesis_report draw
-# e_k (and the engine tabulates alpha_k and lambda_k) _block_steps(dim) steps at a time.
+# Doubles in one block of steps: the engine and hypothesis_report draw e_k (and the
+# engine tabulates alpha_k and lambda_k) _block_steps(width) steps at a time.
 _BLOCK_DOUBLES = 2**14
 
 
-def _block_steps(dim: int) -> int:
-    """Steps in one block of a run in dimension ``dim``: 8192 at dim 2, 256 at dim 64."""
-    return max(1, _BLOCK_DOUBLES // dim)
+def _block_steps(width: int) -> int:
+    """Steps in one block whose steps are ``width`` doubles: one row's dim, or rows x dim for a batch.
+
+    One row takes 8192 steps at dim 2 and 256 at dim 64; 16 rows at dim 2 take 512.
+    """
+    return max(1, _BLOCK_DOUBLES // width)
 
 
 def _generator(p: Perturbation, start: int = 1, dim: int = 1) -> np.random.Generator | None:

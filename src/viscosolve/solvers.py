@@ -172,8 +172,10 @@ class SolverConfig:
 def _check_records(cfg: SolverConfig, rows: int = 1) -> None:
     """Refuse ``rows`` runs of ``cfg`` whose record arrays numpy would refuse to size.
 
-    A run records k = 1, 1 + stride, ... and n_max: (records, d) iterates and
-    (3, records) schedule values a row, allocated before its first step.
+    A run records k = 1, 1 + stride, ... and n_max: (records, d) iterates a
+    row, and alpha and lambda of each distinct schedule and ||e|| of each
+    distinct stream, at most (3, records) values a row, allocated before its
+    first step.
     """
     n, stride = cfg.n_max, cfg.record_stride
     records = (n - 1) // stride + 1 + ((n - 1) % stride > 0)
@@ -480,10 +482,9 @@ def _vector_norm(v):
     return math.sqrt(v.dot(v))
 
 
-# What a step reads, the nine fields the loop binds to locals: x; the alpha, 1 - alpha (None for rows,
-# which take 1.0 - a per step), lambda and e tables of the block, indexed by k - k0; u, beta, 1 - beta
-# and the step. Then what the stop test reads: the reference, its norm, the rel_err target, the norm
-# and the any-row-at-target test.
+# What a step reads, the nine fields the loop binds to locals: x; the alpha, 1 - alpha, lambda and e
+# tables of the block, indexed by k - k0; u, beta, 1 - beta and the step. Then what the stop test reads:
+# the reference, its norm, the rel_err target, the norm and the any-row-at-target test.
 _Views = namedtuple("_Views", "x alpha calpha lam e u beta cbeta step ref nref target norms any_of")
 
 
@@ -491,9 +492,11 @@ class _Rows:
     """The rows of a batch still stepping: one array per field, row axis first.
 
     ``x`` is the start, then the iterate at which rows last left; the loop
-    steps a local copy. ``cols`` holds alpha_k, lambda_k and ||e_k|| and
-    ``e`` the rows e_k of the current block, k = k0 .. k0 + m - 1, as (C, 3, m)
-    and (C, m, d) arrays.
+    steps a local copy. ``sched`` and ``stream`` number each row's schedule
+    and perturbation stream among the batch's distinct ones. ``cols`` holds
+    alpha_k and lambda_k, ``calpha`` 1 - alpha_k (as Python's ``1.0 - a``
+    rounds it) and ``e`` the rows e_k of the current block,
+    k = k0 .. k0 + m - 1, as (C, 2, m), (C, m) and (C, m, d) arrays.
     """
 
     def __init__(self, **fields):
@@ -509,15 +512,14 @@ class _Rows:
 
         A single row steps as a 1-D vector through the problem's own 1-D maps
         and projection, which cost less than (1, d) kernels. Its coefficients
-        are 0-d float64 views: alpha_k, 1 - alpha_k (tabulated here, once per
-        block, as Python's ``1.0 - a`` rounds it) and lambda_k of the block,
-        beta and 1 - beta. numpy takes a 0-d array operand faster than a
-        Python float and rounds the same. Its rel_err is a Python float.
+        are 0-d float64 views of the block's alpha_k, 1 - alpha_k and
+        lambda_k, beta and 1 - beta. numpy takes a 0-d array operand faster
+        than a Python float and rounds the same. Its rel_err is a Python float.
         """
         if self.x.shape[0] > 1:
-            return _Views(self.x, self.cols[:, 0].T[:, :, None], None, self.cols[:, 1].T[:, :, None],
-                          None if self.e is None else self.e.swapaxes(0, 1), self.u, self.beta, self.cbeta, step,
-                          self.ref, self.nref, self.target, row_norms, np.ndarray.any)
+            return _Views(self.x, self.cols[:, 0].T[:, :, None], self.calpha.T[:, :, None],
+                          self.cols[:, 1].T[:, :, None], None if self.e is None else self.e.swapaxes(0, 1), self.u,
+                          self.beta, self.cbeta, step, self.ref, self.nref, self.target, row_norms, np.ndarray.any)
 
         def first(v):
             return None if v is None else v[0]
@@ -525,18 +527,39 @@ class _Rows:
         def scalars(col):  # nditer yields a 0-d view of each entry, cheaper than col[i, ...]
             return list(np.nditer(col, order="C"))
 
-        alpha = self.cols[0, 0]
-        return _Views(self.x[0], scalars(alpha), scalars(1.0 - alpha), scalars(self.cols[0, 1]), first(self.e),
-                      first(self.u), self.beta[0, 0, ...], self.cbeta[0, 0, ...], step, first(self.ref),
+        return _Views(self.x[0], scalars(self.cols[0, 0]), scalars(self.calpha[0]), scalars(self.cols[0, 1]),
+                      first(self.e), first(self.u), self.beta[0, 0, ...], self.cbeta[0, 0, ...], step, first(self.ref),
                       None if self.nref is None else float(self.nref[0]),
                       None if self.target is None else float(self.target[0]), _vector_norm, bool)
+
+
+def _pick(table: np.ndarray, of: np.ndarray) -> np.ndarray:
+    """Row ``of[j]`` of ``table`` for each row j: one fancy index, or a view for a single row."""
+    return table[of] if of.size > 1 else table[of[0] : of[0] + 1]
+
+
+def _rel_errs(X: np.ndarray, ref: np.ndarray, nref: float) -> np.ndarray:
+    """norm(x_k - ref) / nref of each row x_k of X, bit for bit, through row_norms one block of rows at a time."""
+    out = np.empty(len(X))
+    rows = _block_steps(X.shape[1])
+    for lo in range(0, len(X), rows):
+        out[lo : lo + rows] = row_norms(X[lo : lo + rows] - ref)
+    out /= nref
+    return out
 
 
 def _lockstep(cfgs: list, extras: list) -> list:
     """The engine of :func:`run` and :func:`run_batch`: each config's trace, or the exception that ended its row.
 
     A row whose next iterate is not finite, or that a kernel refuses with :class:`NonFiniteError` (found by
-    stepping each row alone), ends in a :class:`DivergenceError` at that step; the others go on bit for bit."""
+    stepping each row alone), ends in a :class:`DivergenceError` at that step; the others go on bit for bit.
+
+    The batch steps in blocks of ``_block_steps(C * d)`` steps, about 2**14 doubles a field across its C
+    rows: 8192 steps for one row at d = 2, 256 at d = 64. A block tabulates alpha_k and lambda_k once per
+    distinct schedule (by identity) and draws e_k once per distinct perturbation among the rows still
+    stepping, then gathers each row's columns with one fancy index. The records hold each row's iterates,
+    and alpha_k, lambda_k and ||e_k|| on the record grid once per schedule and per stream: a run's memory
+    is its iterate and rel_err records, those tables and one block."""
     results = [None] * len(cfgs)
     if not cfgs:
         return results
@@ -562,11 +585,20 @@ def _lockstep(cfgs: list, extras: list) -> list:
     d = problem.dim
     targets = [cfg.rel_err_target for cfg in live]
     betas = np.array([[cfg.beta] for cfg in live])
+    # the batch's distinct schedules (by identity) and perturbation streams, in order of first use;
+    # without perturbation every row reads one stream of zeros
+    schedules = list({id(cfg.schedule): cfg.schedule for cfg in live}.values())
+    perts = list(dict.fromkeys(cfg.perturbation for cfg in live)) if rule == PERTURBED else [NoPerturbation()]
+    sched_no = {id(s): j for j, s in enumerate(schedules)}
+    stream_no = {p: j for j, p in enumerate(perts)}
     rows = _Rows(
         cfg=np.array(ids),
         rec=np.arange(len(ids)),
+        sched=np.array([sched_no[id(cfg.schedule)] for cfg in live]),
+        stream=np.array([stream_no[cfg.perturbation] if rule == PERTURBED else 0 for cfg in live]),
         x=np.array([cfg.x1 for cfg in live]),
         cols=None,
+        calpha=None,
         e=None,
         u=np.array([cfg.anchor for cfg in live]) if rule in (HALPERN, YAO_OUTER, YAO_INNER) else None,
         beta=betas,
@@ -578,47 +610,56 @@ def _lockstep(cfgs: list, extras: list) -> list:
     has_target = any(t is not None for t in targets)
 
     # records: the stride grid k = 1, 1 + stride, ..., n is shared; a row that
-    # stops off the grid writes its stopping row into the next slot. Xrec holds
-    # the iterates and Srec alpha_k, lambda_k and ||e_k||; traces are views of them.
+    # stops off the grid writes its stopping iterate into the next slot. Xrec holds
+    # each row's iterates, Atab alpha_k and lambda_k of each schedule and Etab
+    # ||e_k|| of each stream. Traces are views of them.
     kgrid = np.arange(1, n + 1, stride)
     if kgrid[-1] != n:
         kgrid = np.append(kgrid, n)
     kgrid.setflags(write=False)
     Xrec = np.empty((len(ids), kgrid.size, d))
-    Srec = np.empty((len(ids), 3, kgrid.size))
+    Atab = np.empty((len(schedules), 2, kgrid.size))
+    Etab = np.zeros((len(perts), kgrid.size))
 
-    # one generator per perturbation for the whole run, shared by the rows of one seed:
-    # each block's draws continue its stream
-    generators = {p: _generator(p) for p in {cfg.perturbation for cfg in live}} if rule == PERTURBED else {}
+    # one generator per stream for the whole run: each block's draws continue it
+    generators = [_generator(p) for p in perts]
 
     def load(k0, m):
-        """Tabulate and draw k = k0 .. k0 + m - 1 for the rows still stepping; record their values on the grid."""
+        """Tabulate and draw k = k0 .. k0 + m - 1, once for each schedule and stream of the rows still
+        stepping, and record the values on the grid: a block whose every k is recorded (stride 1)
+        tabulates into the records. Returns the block's ||e_k||, one row per stream."""
         lo, hi = np.searchsorted(kgrid, (k0, k0 + m))
-        dense = stride == 1 and rows.rec.size == len(ids)  # the tables are the records: held once
-        cols = Srec[:, :, lo:hi] if dense else np.empty((rows.rec.size, 3, m))
-        cols[:, 2] = 0.0
-        tabulated, drawn, E = {}, {}, None  # sweep cells of one theta share a schedule, of one seed a stream
-        for j, i in enumerate(rows.cfg.tolist()):
-            s, p = cfgs[i].schedule, cfgs[i].perturbation
-            if id(s) not in tabulated:
-                tabulated[id(s)] = tabulate(s, m, k0)
-            cols[j, 0], cols[j, 1] = tabulated[id(s)]
-            if rule == PERTURBED:
-                if p not in drawn:
-                    e = perturbation_stream(p, m, d, k0, generators[p])
-                    drawn[p] = e, np.linalg.norm(e, axis=1)
-                e, cols[j, 2] = drawn[p]
-                if rows.rec.size == 1:  # a batch of one keeps its stream
-                    E = e[None]
-                else:
-                    E = np.empty((rows.rec.size, m, d)) if E is None else E
-                    E[j] = e
-        if not dense:
-            Srec[rows.rec, :, lo:hi] = cols[:, :, kgrid[lo:hi] - k0]
-        rows.cols, rows.e = cols, E
+        into = hi - lo == m
+        at = None if into else kgrid[lo:hi] - k0
+        coefs = Atab[:, :, lo:hi] if into else np.empty((len(schedules), 2, m))
+        e_norms = Etab[:, lo:hi] if into else np.zeros((len(perts), m))
+        for s in set(rows.sched.tolist()):  # not np.unique, whose first call imports numpy.ma (1.7 MiB)
+            coefs[s] = tabulate(schedules[s], m, k0)
+            if not into:
+                Atab[s, :, lo:hi] = coefs[s][:, at]
+        rows.cols = _pick(coefs, rows.sched)
+        rows.calpha = 1.0 - rows.cols[:, 0]
+        if rule == PERTURBED:
+            streams = sorted(set(rows.stream.tolist()))
+            draws = [perturbation_stream(perts[p], m, d, k0, generators[p]) for p in streams]
+            for p, e in zip(streams, draws):
+                e_norms[p] = np.linalg.norm(e, axis=1)
+                if not into:
+                    Etab[p, lo:hi] = e_norms[p, at]
+            stacked = draws[0][None] if len(draws) == 1 else np.stack(draws)
+            rows.e = _pick(stacked, np.searchsorted(streams, rows.stream))
+        return e_norms
 
-    def finish(j, count, stopped_at, off_grid):
-        i, b = rows.cfg[j], rows.rec[j]
+    def finish(j, count, stopped_at=None, last=()):
+        """Row j's trace of ``count`` records. A row that stopped off the grid passes ``last``, its
+        alpha_k, lambda_k and ||e_k|| there: its columns are copies that end in those values."""
+        i, b, s, p = rows.cfg[j], rows.rec[j], rows.sched[j], rows.stream[j]
+        columns = [kgrid[:count], Atab[s, 0, :count], Atab[s, 1, :count], Etab[p, :count]]
+        if last:
+            columns = [np.append(col[:-1], value) for col, value in zip(columns, (stopped_at, *last))]
+        for col in columns:  # the tables are shared, and a copy is as read-only as a view
+            col.setflags(write=False)
+        k, alpha, lam, e_norm = columns
         metadata = {
             "algorithm": rule,
             "prng": cfgs[i].perturbation.generator,
@@ -631,15 +672,13 @@ def _lockstep(cfgs: list, extras: list) -> list:
             "package": f"viscosolve {_VERSION}",
         }
         metadata.update(extras[i] or {})
-        alpha, lam, e_norm = Srec[b, :, :count]
         results[i] = RunTrace(
-            k=np.append(kgrid[: count - 1], stopped_at) if off_grid else kgrid[:count],
+            k=k,
             x=Xrec[b, :count],
             alpha=alpha,
             lam=lam,
             e_norm=e_norm,
-            # one row_norms over the records: the norm(x_k - ref) / norm(ref) of each, bit for bit
-            rel_err=row_norms(Xrec[b, :count] - rows.ref[j]) / rows.nref[j] if with_ref else None,
+            rel_err=_rel_errs(Xrec[b, :count], rows.ref[j], rows.nref[j]) if with_ref else None,
             metadata=metadata,
         )
 
@@ -651,18 +690,16 @@ def _lockstep(cfgs: list, extras: list) -> list:
             return None
         return rows.views(_build_step(problem, rule) if rows.rec.size == 1 else step)
 
-    # blocks of steps: the tables and draws of one block at a time, so a run's
-    # memory is its records plus one block (_block_steps(d) steps of d doubles a row)
     step = _build_step(problem, rule, rows=len(ids) > 1)
     count_nonzero, isfinite = np.count_nonzero, np.isfinite
     written = slice(None)  # record rows a record writes: all, until one leaves
     slot = 0
-    block = _block_steps(d)
+    block = _block_steps(len(ids) * d)
     # numpy's overflow and invalid warnings stay inside: the finiteness test turns what they
     # flag into a DivergenceError of exactly the rows concerned (one errstate per call, not per step)
     with np.errstate(over="ignore", invalid="ignore"):
         for k0 in range(1, n + 1, block):
-            load(k0, min(block, n + 1 - k0))
+            e_norms = load(k0, min(block, n + 1 - k0))
             v = rows.views(step)
             if k0 == 1:
                 x = v.x
@@ -680,9 +717,9 @@ def _lockstep(cfgs: list, extras: list) -> list:
                     js = np.flatnonzero(hit)
                     if not on_grid:
                         Xrec[rows.rec[js], slot] = x.reshape(-1, d)[js]
-                        Srec[rows.rec[js], :, slot] = rows.cols[js, :, i]
                     for j in js:
-                        finish(j, slot + 1, k, not on_grid)
+                        last = () if on_grid else (*rows.cols[j, :, i], e_norms[rows.stream[j], i])
+                        finish(j, slot + 1, k, last)
                     if (v := leave(x, hit)) is None:
                         return results
                     x, alpha, calpha, lam, e, u, beta, cbeta, step = v[:9]
@@ -691,8 +728,7 @@ def _lockstep(cfgs: list, extras: list) -> list:
                     slot += 1
                 if k == n:
                     break
-                a = alpha[i]
-                ca, ei = 1.0 - a if calpha is None else calpha[i], None if e is None else e[i]
+                a, ca, ei = alpha[i], calpha[i], None if e is None else e[i]
                 try:
                     x_next = step(x, a, ca, lam[i], ei, u, beta, cbeta)
                 except NonFiniteError:  # a kernel refused a row: step each row alone, NaN for those it still refuses
@@ -715,7 +751,7 @@ def _lockstep(cfgs: list, extras: list) -> list:
                     written = rows.rec
                 x = x_next
         for j in range(rows.rec.size):
-            finish(j, slot, None, False)
+            finish(j, slot)
         return results
 
 

@@ -34,11 +34,11 @@ from viscosolve import (
     run_batch,
 )
 from viscosolve import solvers
-from viscosolve.schedules import _block_steps, tabulate
+from viscosolve.schedules import _BLOCK_DOUBLES, _block_steps, tabulate
 from viscosolve.solvers import PERTURBED
 
 from oracles import step_at
-from test_batch import assert_same_trace, explicit_loop, least_squares_batch, same_bits
+from test_batch import assert_same_trace, explicit_loop, least_squares_batch, run_or_error, same_bits
 
 D = 64
 B = _block_steps(D)
@@ -207,6 +207,83 @@ def test_a_row_stops_off_the_grid_inside_a_later_block():
         assert_whole_run_columns(got, cfg)
 
 
+def stopping_at(cfg, after, on_grid):
+    """``cfg`` with the rel_err target its run first meets at the first k > ``after`` on (or off) its
+    stride grid where rel_err falls below every earlier value, and that k."""
+    dense = run(dataclasses.replace(cfg, record_stride=1)).rel_err
+    lowest = np.minimum.accumulate(dense)
+    k = next(k for k in range(after + 1, cfg.n_max)
+             if dense[k - 1] < lowest[k - 2] and ((k - 1) % cfg.record_stride == 0) == on_grid)
+    return dataclasses.replace(cfg, rel_err_target=float(dense[k - 1])), k
+
+
+@pytest.mark.parametrize("cells, shared", [
+    (1, "none"), (3, "none"), (3, "both"), (16, "none"), (16, "schedule"), (16, "stream"), (16, "both"),
+])
+def test_a_batch_across_its_own_blocks_equals_each_row_run_alone(cells, shared):
+    # a batch's blocks hold 2**14 doubles across its rows: 256 steps for one row at d = 64, 85 for 3
+    # rows and 16 for 16; row j runs to n_max, stops off the grid, stops on it or diverges as (j + 1) % 4
+    n, stride, block = 2 * B + 1, 7, _block_steps(cells * D)
+    cfgs = d64_cfgs(cells, n, stride, seed=cells)
+    if shared in ("schedule", "both"):
+        cfgs = [dataclasses.replace(cfg, schedule=cfgs[0].schedule) for cfg in cfgs]
+    if shared in ("stream", "both"):
+        cfgs = [dataclasses.replace(cfg, perturbation=cfgs[0].perturbation) for cfg in cfgs]
+    cfgs = toward_the_end(cfgs)
+    stops = {}
+    for j, cfg in enumerate(cfgs):
+        role = (j + 1) % 4
+        if role in (1, 2):
+            cfgs[j], stops[j] = stopping_at(cfg, B + B // 4, on_grid=role == 2)
+        elif role == 3:  # lambda = 20 / L: the iterates overflow after a few hundred steps
+            lam = 20 * cfg.schedule.lam.value
+            cfgs[j] = dataclasses.replace(cfg, schedule=ScheduleSpec(cfg.schedule.alpha, ConstantLambda(lam),
+                                                                     (lam, lam)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ScheduleViolationWarning)  # lambda = 20 / L > 2 nu
+        batch, alone = run_batch(cfgs), [run_or_error(cfg) for cfg in cfgs]
+    assert [isinstance(want, DivergenceError) for want in alone] == [(j + 1) % 4 == 3 for j in range(cells)]
+    for j, (cfg, got, want) in enumerate(zip(cfgs, batch, alone)):
+        if isinstance(want, DivergenceError):
+            assert type(got) is DivergenceError and block < got.step == want.step < n
+            assert same_bits(got.last_state, want.last_state)
+            continue
+        assert_same_trace(got, want)
+        assert_whole_run_columns(got, cfg)
+        if j in stops:
+            assert got.metadata["stopped_at"] == got.k[-1] == stops[j] > block
+
+
+def test_columns_of_batch_rows_are_read_only():
+    # the rows' alpha, lambda and ||e|| are views of tables that rows of one schedule or stream share
+    cfgs = d64_cfgs(3, 100, 7, seed=8)
+    cfgs[1] = dataclasses.replace(cfgs[1], schedule=cfgs[0].schedule, perturbation=cfgs[0].perturbation)
+    batch = run_batch(cfgs)
+    for name in ("alpha", "lam", "e_norm"):
+        col = getattr(batch[0], name)
+        with pytest.raises(ValueError, match="read-only"):
+            col[0] = 0.5
+        assert same_bits(col, getattr(batch[1], name)) and same_bits(col, getattr(run(cfgs[0]), name))
+    for cfg, trace in zip(cfgs, batch):
+        assert_whole_run_columns(trace, cfg)
+
+
+def test_a_row_that_stops_off_the_grid_has_the_columns_of_one_that_stops_on_it():
+    cfgs = toward_the_end(d64_cfgs(1, 300, 7, seed=12)) * 3
+    cfgs[1], on = stopping_at(cfgs[1], 100, on_grid=True)
+    cfgs[2], off = stopping_at(cfgs[2], 100, on_grid=False)
+    free, on_trace, off_trace = run_batch(cfgs)
+    for name in ("k", "alpha", "lam", "e_norm"):
+        cols = [getattr(t, name) for t in (free, on_trace, off_trace)]
+        flags = [(c.dtype, c.flags.writeable, c.flags.c_contiguous) for c in cols]
+        assert flags == [(cols[0].dtype, False, True)] * 3
+        for c in cols[1:]:  # each stop's records up to the last are the free run's
+            assert same_bits(c[:-1], cols[0][: c.size - 1])
+    assert on_trace.k[-1] == on and off_trace.k[-1] == off and (off - 1) % 7
+    for cfg, trace in zip(cfgs, (free, on_trace, off_trace)):
+        assert_whole_run_columns(trace, cfg)
+
+
 def diverging_cfgs(n):
     # on the hyperplane sum(x) = 0, x - lam x grows by |1 - lam| a step; alpha = 1e-9 keeps f out of it
     problem = ProblemSpec(
@@ -234,7 +311,8 @@ def test_a_row_that_diverges_inside_a_block_fails_alone(monkeypatch, steps):
     assert [type(r) for r in batch] == [RunTrace, DivergenceError, RunTrace]
     with np.errstate(over="ignore", invalid="ignore"):
         xs, k = explicit_loop(cfgs[1])
-    assert B < k < 2 * B and k % (steps or B) not in (0, 1)  # inside the second block
+    # inside the second block of 256 steps, and inside a block of the batch's own 85 (2**14 // (3 * 64))
+    assert B < k < 2 * B and k % (steps or _block_steps(3 * D)) not in (0, 1)
     assert batch[1].step == k and same_bits(batch[1].last_state, xs[-1])
     for i in (0, 2):
         xs, k = explicit_loop(cfgs[i])
@@ -328,3 +406,21 @@ def test_a_dense_batch_holds_its_schedule_columns_once():
 
     iterates, columns = cells * n * d * 8, cells * 3 * n * 8
     assert peak(1) - peak(n) <= iterates + columns / 2
+
+
+def test_a_batch_of_one_schedule_and_one_stream_records_them_once():
+    # 16 rows at stride 1: alpha_k, lambda_k and ||e_k|| are recorded once, 3 doubles a step, where
+    # columns of each row would take 16 x 3
+    cells, d, n = 16, 2, 10_000
+    (cfg,) = least_squares_batch(d, 1, 1, n, seed=6)
+    cfgs = [dataclasses.replace(cfg, x1=cfg.x1 * (1 + j / 32)) for j in range(cells)]
+    tracemalloc.start()
+    try:
+        batch = run_batch(cfgs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(t.k.size == n for t in batch)
+    records = cells * n * (d + 1) * 8 + n * 8  # each row's iterates and rel_err, and the k they share
+    block = 4 * _BLOCK_DOUBLES * 8  # a block's alpha and lambda columns, its draws and its rel_err rows
+    assert peak - records < 3 * n * 8 + block, (peak, records)

@@ -289,6 +289,20 @@ def test_malformed_schedule_or_perturbation_is_config_error(tmp_path, capsys, co
     assert f"config error: {section}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, section", [("solve", "solver"), ("check", "experiment")])
+@pytest.mark.parametrize("table, schedule", [
+    ("alpha", {"alpha": {"table": [0.5, 0.4]}}),
+    ("lambda", {"lambda": {"table": [0.1, 0.1]}, "bounds": [0.1, 0.1]}),
+])
+def test_a_table_shorter_than_nmax_is_config_error(tmp_path, capsys, command, section, table, schedule):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"schedule": schedule}))
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", cfg_path, "--nmax", "50", "--out", out) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {section}: {table} table exhausted at k=3 (length 2)\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["solve", "check", "experiment"])
 @pytest.mark.parametrize("seed, shown", [(-1, "-1"), (1.5, "1.5")])
 def test_negative_or_non_integral_perturbation_seed_is_config_error(tmp_path, capsys, command, seed, shown):

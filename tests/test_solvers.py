@@ -793,7 +793,7 @@ def test_rows_of_one_seed_share_one_stream(problem, qstar, monkeypatch):
     monkeypatch.setattr(solvers, "_generator", generator)
     monkeypatch.setattr(solvers, "perturbation_stream", stream)
     batch = solvers.run_batch(cfgs)
-    blocks = -(-20_000 // schedules._block_steps(problem.dim))
+    blocks = -(-20_000 // schedules._block_steps(len(cfgs) * problem.dim))  # a batch's blocks: 2**14 doubles over its rows
     assert sorted(seeded) == [3, 4]
     assert sorted(drawn) == [3] * blocks + [4] * blocks
     assert batch[2].k.size < 20_000  # a row of each seed stops early; its seed's other rows draw on
