@@ -7,6 +7,10 @@ projected forward step, which selects the limit point solving
 <f(q*) - q*, x - q*> <= 0 over the target set. Includes a projection
 toolkit, schedule diagnostics, an implicit-path solver and a reproducible
 benchmark harness.
+
+The sweep (``experiment``) and the hypothesis grader (``diagnostics``) load
+on the first use of one of their names, so that ``import viscosolve`` and the
+set-up of ``solve`` and ``implicit`` do not pay for them.
 """
 
 from .__about__ import __version__
@@ -39,7 +43,6 @@ from .operators import (
 )
 from .schedules import (
     ConstantLambda,
-    HypothesisReport,
     NoPerturbation,
     PowerAlpha,
     ScheduleSpec,
@@ -49,7 +52,6 @@ from .schedules import (
     TableLambda,
     UniformSquarePerturbation,
     alpha_at,
-    hypothesis_report,
     lambda_at,
     perturbation_stream,
 )
@@ -74,16 +76,32 @@ from .solvers import (
     run_batch,
     viscosity_map,
 )
-from .experiment import (
-    BENCHMARK_X1,
-    ExperimentConfig,
-    ExperimentReport,
-    benchmark_schedule,
-    build_benchmark_problem,
-    emit_report,
-    emit_tables,
-    emit_trace,
-    run_experiment,
-)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# name -> the submodule it comes from, imported by ``__getattr__`` on first use (PEP 562)
+_LAZY = {
+    **dict.fromkeys(
+        ("experiment", "BENCHMARK_X1", "ExperimentConfig", "ExperimentReport", "benchmark_schedule",
+         "build_benchmark_problem", "emit_report", "emit_tables", "emit_trace", "run_experiment"),
+        "experiment",
+    ),
+    **dict.fromkeys(("HypothesisReport", "hypothesis_report"), "diagnostics"),
+}
+
+
+def __getattr__(name):
+    source = _LAZY.get(name)
+    if source is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    module = import_module(f".{source}", __name__)
+    value = module if name == source else getattr(module, name)
+    globals()[name] = value  # later lookups find it without this hook
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})
+
+
+__all__ = [name for name in __dir__() if not name.startswith("_")]

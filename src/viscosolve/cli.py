@@ -24,9 +24,7 @@ from pathlib import Path
 
 from . import configio
 from .__about__ import __version__
-from .diagnostics import run_property_checks
-from .experiment import emit_report, emit_tables, run_experiment
-from .schedules import _integer, hypothesis_report
+from .schedules import _integer
 from .solvers import (
     ConfigurationError,
     DivergenceError,
@@ -164,6 +162,8 @@ def _cmd_implicit(args) -> int:
 
 
 def _cmd_experiment(args, tables_only: bool = False) -> int:
+    from .experiment import emit_report, emit_tables, run_experiment  # loaded by the commands that sweep
+
     resolved, defaulted, digest = _resolve(args)
     cfg = configio.build_experiment_config(resolved)
     report = run_experiment(cfg)
@@ -187,6 +187,8 @@ def _cmd_experiment(args, tables_only: bool = False) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .diagnostics import hypothesis_report, run_property_checks  # loaded by this command alone
+
     resolved, _, _ = _resolve(args)
     problem = configio.build_problem(resolved)
     schedule = configio.build_schedule(resolved)

@@ -23,6 +23,7 @@ import copy
 import json
 from contextlib import contextmanager
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .operators import (
     AffineMap,
@@ -45,7 +46,9 @@ from .schedules import (
     _integer,
 )
 from .solvers import ConfigurationError, ImplicitConfig, SolverConfig
-from .experiment import DEFAULT_EPSILONS, DEFAULT_SEEDS, ExperimentConfig
+
+if TYPE_CHECKING:
+    from .experiment import ExperimentConfig
 
 __all__ = [
     "DEFAULT_CONFIG",
@@ -61,6 +64,10 @@ __all__ = [
 ]
 
 _JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+# The sweep's default seeds and rel_err thresholds, also ExperimentConfig's defaults.
+DEFAULT_SEEDS = tuple(range(1, 21))
+DEFAULT_EPSILONS = (0.5, 0.10, 0.05, 0.01, 0.005, 0.001)
 
 DEFAULT_CONFIG = {
     "problem": {
@@ -322,6 +329,8 @@ def build_solver_config(resolved: dict, problem: ProblemSpec | None = None) -> S
 
 
 def build_experiment_config(resolved: dict, problem: ProblemSpec | None = None) -> ExperimentConfig:
+    from .experiment import ExperimentConfig  # the sweep loads only for the commands that run it
+
     problem = problem or build_problem(resolved)
     body = resolved["experiment"]
     lam_d = resolved["schedule"]["lambda"]

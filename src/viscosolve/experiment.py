@@ -34,6 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .configio import DEFAULT_EPSILONS, DEFAULT_SEEDS
 from .operators import Identity, LeastSquaresGradient, ProblemSpec, TrigContraction
 from .projections import NonnegOrthant, Simplex
 from .schedules import (
@@ -62,8 +63,6 @@ __all__ = [
     "emit_report",
 ]
 
-DEFAULT_EPSILONS = (0.5, 0.10, 0.05, 0.01, 0.005, 0.001)
-DEFAULT_SEEDS = tuple(range(1, 21))
 BENCHMARK_X1 = (2.0, 3.0)
 
 _ND = "ND"

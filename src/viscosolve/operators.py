@@ -27,7 +27,7 @@ from typing import Callable, ClassVar
 
 import numpy as np
 
-from .projections import ConvexSet, contains, sample
+from .projections import ConvexSet, contains, project, project_rows
 from .space import DimensionMismatchError, NonFiniteError, as_vector
 
 __all__ = [
@@ -138,9 +138,11 @@ class LeastSquaresGradient:
             gram, bt_b = B.T @ B, B.T @ b
         if not (np.isfinite(gram).all() and np.isfinite(bt_b).all()):
             raise NonFiniteError("B^T B or B^T b overflows")
+        if not np.any(B != 0):
+            raise ValueError("B must be a nonzero 2-D matrix")
         object.__setattr__(self, "_gram", gram)
         object.__setattr__(self, "_bt_b", bt_b)
-        object.__setattr__(self, "lipschitz", ls_lipschitz(B))
+        object.__setattr__(self, "lipschitz", float(np.linalg.eigvalsh(gram)[-1]))  # ls_lipschitz(B), on the B^T B held
 
     @property
     def dim(self) -> int:
@@ -319,7 +321,7 @@ class ProblemSpec:
         if nu is None or not nu > 0:
             raise ValueError(f"map_A must carry a cocoercivity modulus > 0, got {nu}")
         # spot-check that f and S map Q into Q
-        pts = sample(self.set_Q, np.random.default_rng(12345), 32)
+        pts = _spot_points(self.set_Q)
         for label, m in (("S", self.map_S), ("f", self.map_f)):
             for p in pts:
                 if not contains(self.set_Q, np.asarray(m(p), dtype=float), 1e-8):
@@ -341,6 +343,56 @@ class ProblemSpec:
     @property
     def nu(self) -> float:
         return float(self.map_A.ism_modulus)
+
+
+def _rd_points(d: int) -> np.ndarray:
+    """Points 1 .. 8 of the R_d sequence (Roberts 2018) in [0, 1)^d, one per row.
+
+    Point n is frac(0.5 + n * alpha) with alpha_j = phi**-(j + 1), j = 0 .. d - 1,
+    and phi the root > 1 of x**(d + 1) = x + 1. Newton's method finds phi from
+    above, where its steps decrease to the root, with + - * / alone (x**d by
+    squaring, no libm call), so the points are the same on every platform.
+    """
+    x = 1.0 + 1.0 / d  # (1 + 1/d)**(d + 1) > 2 + 1/d: above the root
+    while True:
+        power, base, n = 1.0, x, d
+        while n:
+            if n & 1:
+                power *= base
+            base *= base
+            n >>= 1
+        below = x - (power * x - x - 1.0) / ((d + 1) * power - 1.0)
+        if not below < x:
+            break
+        x = below
+    alpha, a = np.empty(d), 1.0
+    for j in range(d):
+        a /= x
+        alpha[j] = a
+    return (0.5 + np.arange(1.0, 9.0)[:, None] * alpha) % 1.0
+
+
+def _spot_points(cset) -> np.ndarray:
+    """The 32 points of ``cset`` on which :class:`ProblemSpec` checks that f and S map Q into Q.
+
+    Sixteen are projections onto ``cset`` of a fixed spread around the point
+    of ``cset`` nearest the origin: the eight R_d points mapped to [-1, 1)^d
+    at scales 16**-4 .. 16**3, and their negations, so that each coordinate
+    is met from both sides at every scale. A projection from outside lies on
+    the boundary. The other sixteen are a chain of midpoints, each the
+    midpoint of the last one and the next projection, so in Q by convexity:
+    the later ones mix all sixteen projections and lie in the interior when
+    any projection does, or when two of them differ on a ball.
+    """
+    scales = np.ldexp(1.0, np.arange(-16, 16, 4))[:, None]  # 16**-4 .. 16**3, exact
+    spread = (2.0 * _rd_points(cset.dim) - 1.0) * scales
+    centre = project(cset, np.zeros(cset.dim))
+    ends = project_rows(cset, centre + np.concatenate([spread, -spread]))
+    mids = np.empty_like(ends)
+    last = ends[-1]
+    for i, end in enumerate(ends):
+        last = mids[i] = 0.5 * (last + end)
+    return np.concatenate([ends, mids])
 
 
 def _jsonable(obj):

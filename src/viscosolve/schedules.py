@@ -1,4 +1,4 @@
-"""Parameter sequences {alpha_k}, {lambda_k}, {e_k} and convergence-hypothesis diagnostics.
+"""Parameter sequences {alpha_k}, {lambda_k}, {e_k} and the verdicts their diagnostics give.
 
 The solvers consume three sequences:
 
@@ -7,14 +7,13 @@ The solvers consume three sequences:
 * e_k      -- additive perturbations, either zero or X_k / k**2 with X_k
   uniform on the centered unit cube.
 
-:func:`hypothesis_report` grades the five standing hypotheses of the strong
-convergence theory on a finite horizon, with analytic verdicts for the
-recognized closed-form schedules and consistency checks for tabulated ones.
+The verdicts ``ANALYTIC``, ``CONSISTENT`` and ``VIOLATED`` are those of
+:func:`viscosolve.diagnostics.hypothesis_report`, which grades the five
+standing hypotheses of the strong convergence theory on these sequences.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from typing import ClassVar, Union
@@ -36,9 +35,6 @@ __all__ = [
     "lambda_at",
     "tabulate",
     "perturbation_stream",
-    "HypothesisCheck",
-    "HypothesisReport",
-    "hypothesis_report",
     "ANALYTIC",
     "CONSISTENT",
     "VIOLATED",
@@ -244,7 +240,7 @@ def _integer(value, name: str, minimum: int = 0, error: type[ValueError] = Value
     return number
 
 
-# Doubles in one block of steps: the engine and hypothesis_report draw e_k (and the
+# Doubles in one block of steps: the engine and diagnostics.hypothesis_report draw e_k (and the
 # engine tabulates alpha_k and lambda_k) _block_steps(width) steps at a time.
 _BLOCK_DOUBLES = 2**14
 
@@ -282,143 +278,8 @@ def perturbation_stream(p: Perturbation, n: int, dim: int, start: int = 1, gener
 
 
 # --------------------------------------------------------------------------
-# hypothesis diagnostics
+# verdicts of diagnostics.hypothesis_report
 
 ANALYTIC = "analytically-satisfied"
 CONSISTENT = "numerically-consistent"
 VIOLATED = "violated"
-
-
-@dataclass(frozen=True)
-class HypothesisCheck:
-    key: str
-    statement: str
-    verdict: str
-    evidence: dict
-
-
-@dataclass(frozen=True)
-class HypothesisReport:
-    """Verdicts for the five standing hypotheses, graded over k <= n.
-
-    Analytic verdicts are issued only for recognized closed-form schedules;
-    tabulated schedules receive finite-horizon consistency verdicts, which
-    certify nothing about the limit.
-    """
-
-    checks: tuple[HypothesisCheck, ...]
-    n: int
-    nu: float
-
-    def __getitem__(self, key: str) -> HypothesisCheck:
-        for c in self.checks:
-            if c.key == key:
-                return c
-        raise KeyError(key)
-
-    def all_satisfied(self) -> bool:
-        return all(c.verdict != VIOLATED for c in self.checks)
-
-
-def _tame_increments(num: np.ndarray, ref: np.ndarray) -> bool:
-    # finite-horizon consistency: the increment/ref ratio and the increment
-    # partial sums should both be settling in the tail half
-    inc = np.abs(np.diff(num))
-    if inc.size < 4:
-        return True
-    half = inc.size // 2
-    ratio = inc / np.maximum(ref[:-1], 1e-300)
-    ratio_settling = np.median(ratio[half:]) <= np.median(ratio[:half]) + 1e-12
-    sums_settling = inc[half:].sum() <= inc[:half].sum() + 1e-12
-    return bool(ratio_settling or sums_settling)
-
-
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # an alpha_k that underflows to 0 reads inf or nan
-def hypothesis_report(
-    s: ScheduleSpec,
-    p: Perturbation,
-    n: int,
-    *,
-    nu: float,
-    dim: int = 2,
-) -> HypothesisReport:
-    """Grade hypotheses (i)-(v) of the strong-convergence theory over k <= n.
-
-    (i)   alpha_k -> 0 and sum alpha_k = +inf
-    (ii)  0 < liminf lambda_k <= limsup lambda_k < 2 nu
-    (iii) |d alpha_k| / alpha_k -> 0 or sum |d alpha_k| < inf
-    (iv)  |d lambda_k| / alpha_k -> 0 or sum |d lambda_k| < inf
-    (v)   ||e_k|| / alpha_k -> 0 or sum ||e_k|| < inf
-    """
-    if n < 2:
-        raise ValueError("need n >= 2 to grade the hypotheses")
-    if n * 8 > _MAX_BYTES:  # before the loop that tabulates alpha_k
-        raise ValueError(f"n = {n} steps are more than numpy can tabulate")
-    alphas, lams = tabulate(s, n)
-    block, generator = _block_steps(dim), _generator(p)  # the stream one block at a time: only its norms are kept
-    e_norms = np.concatenate([
-        np.linalg.norm(perturbation_stream(p, min(block, n + 1 - k0), dim, k0, generator), axis=1)
-        for k0 in range(1, n + 1, block)
-    ])
-
-    half = n // 2
-    evidence_alpha = {
-        "alpha_last": float(alphas[-1]),
-        "alpha_partial_sum": float(alphas.sum()),
-        "alpha_ratio_last": float(abs(alphas[-1] - alphas[-2]) / alphas[-2]),
-        "sum_abs_dalpha": float(np.abs(np.diff(alphas)).sum()),
-    }
-    evidence_lambda = {
-        "lambda_liminf_est": float(lams[half:].min()),
-        "lambda_limsup_est": float(lams[half:].max()),
-        "sum_abs_dlambda": float(np.abs(np.diff(lams)).sum()),
-        "two_nu": float(2 * nu),
-    }
-    evidence_e = {
-        "e_norm_sum": float(e_norms.sum()),
-        "e_over_alpha_last": float(e_norms[-1] / alphas[-1]),
-    }
-
-    # (i)
-    if isinstance(s.alpha, PowerAlpha):
-        theta = s.alpha.theta
-        if theta <= 1:
-            v1 = ANALYTIC  # k**(-theta) -> 0 and the p-series diverges
-        else:
-            v1 = VIOLATED  # the p-series converges
-    else:
-        decaying = alphas[-1] <= 0.5 * alphas.max()
-        v1 = CONSISTENT if decaying else VIOLATED
-    c1 = HypothesisCheck("i", "alpha_k -> 0 and sum(alpha_k) diverges", v1, evidence_alpha)
-
-    # (ii)
-    lo, hi = evidence_lambda["lambda_liminf_est"], evidence_lambda["lambda_limsup_est"]
-    inside = 0 < lo <= hi < 2 * nu
-    if isinstance(s.lam, ConstantLambda):
-        v2 = ANALYTIC if inside else VIOLATED
-    else:
-        v2 = CONSISTENT if inside else VIOLATED
-    c2 = HypothesisCheck("ii", "0 < liminf lambda <= limsup lambda < 2*nu", v2, evidence_lambda)
-
-    # (iii)
-    if isinstance(s.alpha, PowerAlpha):
-        # theta < 1: |d alpha|/alpha ~ theta/k -> 0; theta >= 1: monotone
-        # decay makes sum |d alpha| telescope to alpha_1 - lim alpha < inf
-        v3 = ANALYTIC
-    else:
-        v3 = CONSISTENT if _tame_increments(alphas, alphas) else VIOLATED
-    c3 = HypothesisCheck("iii", "alpha increments vanish relative to alpha or are summable", v3, evidence_alpha)
-
-    # (iv)
-    if isinstance(s.lam, ConstantLambda):
-        v4 = ANALYTIC  # increments are identically zero
-    else:
-        v4 = CONSISTENT if _tame_increments(lams, alphas) else VIOLATED
-    c4 = HypothesisCheck("iv", "lambda increments vanish relative to alpha or are summable", v4, evidence_lambda)
-
-    # (v): e_k = 0, or ||e_k|| <= sqrt(dim)/k**2, absolutely summable
-    if not isinstance(p, NoPerturbation):
-        evidence_e["e_norm_sum_bound"] = float(math.sqrt(dim) * math.pi**2 / 6)
-    c5 = HypothesisCheck("v", "perturbation norms vanish relative to alpha or are summable", ANALYTIC, evidence_e)
-
-    return HypothesisReport(checks=(c1, c2, c3, c4, c5), n=n, nu=float(nu))

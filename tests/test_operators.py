@@ -6,7 +6,11 @@ import pytest
 import viscosolve.solvers as solvers
 from viscosolve import (
     AffineMap,
+    Ball,
+    Box,
     ConstantAnchor,
+    Halfspace,
+    Hyperplane,
     Identity,
     LeastSquaresGradient,
     NonFiniteError,
@@ -20,8 +24,10 @@ from viscosolve import (
     norm,
     project,
     register_mapping,
+    contains,
     viscosity_map,
 )
+from viscosolve.operators import _rd_points
 
 from oracles import inner
 
@@ -126,6 +132,20 @@ def test_ls_gradient_modulus_is_derived():
     assert A.ism_modulus == pytest.approx(0.1, abs=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (2, 2), (5, 3), (3, 5), (64, 64)])
+def test_ls_gradient_modulus_is_ls_lipschitz_bit_for_bit(shape):
+    # the gradient takes lambda_max from the B^T B it holds; ls_lipschitz forms B^T B itself
+    B = np.random.default_rng(list(shape)).normal(size=shape)
+    A = LeastSquaresGradient(B=B, b=np.zeros(shape[0]))
+    assert A.lipschitz == ls_lipschitz(B)
+
+
+def test_ls_gradient_of_a_zero_matrix_is_refused():
+    for f in (lambda B: LeastSquaresGradient(B=B, b=[1.0, 2.0]), ls_lipschitz):
+        with pytest.raises(ValueError, match="B must be a nonzero 2-D matrix"):
+            f(np.zeros((2, 3)))
+
+
 @pytest.mark.parametrize("B, b", [([[1e308, 1.0], [2.0, 2.0]], [3.0, 5.0]), ([[1.0, 1.0], [2.0, 2.0]], [1e308, 1e308])])
 def test_ls_gradient_whose_products_overflow_is_refused(B, b):
     # B^T B overflowed with a numpy warning and left a nan modulus
@@ -222,6 +242,86 @@ def test_problem_spec_validation():
             map_A=LeastSquaresGradient(B=np.eye(2), b=[0.0, 0.0]),
             map_f=ConstantAnchor([-1.0, -1.0]),
         )
+
+
+class RecordingMap:
+    """A nonexpansive S that returns its input and keeps a copy of it."""
+
+    lipschitz = 1.0
+
+    def __init__(self):
+        self.seen = []
+
+    def __call__(self, x):
+        self.seen.append(np.array(x))
+        return x
+
+
+def spot_check_set(kind, d):
+    """A set of ``kind`` in dimension ``d`` (parameters as the benchmark's d = 64 mix draws them) and a point outside it.
+
+    A ``far_`` box or ball sits 1000 from the origin in every coordinate.
+    """
+    rng = np.random.default_rng([d, 24])
+    shift = 1000.0 if kind.startswith("far_") else 0.0
+    if kind == "orthant":
+        return NonnegOrthant(d), -np.ones(d)
+    if kind.endswith("box"):
+        lo = shift + rng.uniform(-2.0, 0.0, d)
+        hi = lo + rng.uniform(0.5, 2.0, d)
+        return Box(lo, hi), hi + 1.0
+    if kind.endswith("ball"):
+        center, radius = shift + rng.normal(size=d), rng.uniform(1.0, 3.0)
+        return Ball(center, radius), center + radius + 1.0
+    if kind in ("halfspace", "hyperplane"):
+        normal, offset = rng.normal(size=d), rng.uniform(-1.0, 1.0)
+        cls = Halfspace if kind == "halfspace" else Hyperplane
+        return cls(normal, offset), normal * (offset + 1.0) / (normal @ normal)
+    total = rng.uniform(1.0, 3.0)
+    return Simplex(total, d), np.full(d, total)
+
+
+def slack(Q, x):
+    """The least slack of ``x`` over the defining inequalities of Q: 0 on the (relative) boundary, > 0 inside."""
+    if isinstance(Q, (NonnegOrthant, Simplex)):  # the simplex's sum is an equality: its relative interior
+        return x.min()
+    if isinstance(Q, Box):
+        return min((x - Q.lo).min(), (Q.hi - x).min())
+    if isinstance(Q, Ball):
+        return Q.radius - np.linalg.norm(x - Q.center)
+    return Q.offset - Q.normal @ x  # halfspace
+
+
+def spot_checked_points(Q, f):
+    S = RecordingMap()
+    ProblemSpec(set_Q=Q, map_S=S, map_A=LeastSquaresGradient(np.eye(Q.dim), np.zeros(Q.dim)), map_f=f)
+    return np.array(S.seen)
+
+
+@pytest.mark.parametrize("d", [2, 64])
+@pytest.mark.parametrize("kind", ["orthant", "box", "ball", "halfspace", "hyperplane", "simplex", "far_box", "far_ball"])
+def test_problem_spec_spot_checks_boundary_and_interior_points_of_q(kind, d):
+    Q, outside = spot_check_set(kind, d)
+    inside = ConstantAnchor(project(Q, np.zeros(d)))
+    pts = spot_checked_points(Q, inside)
+    assert pts.shape == (32, d)
+    assert all(contains(Q, p) for p in pts)
+    assert np.array_equal(pts, spot_checked_points(Q, inside))  # the same points on every construction
+    if kind == "hyperplane":  # all of it is its relative interior: the points are spread over it
+        assert len(np.unique(pts, axis=0)) == 32
+    else:
+        slacks = [slack(Q, p) for p in pts]
+        assert min(abs(s) for s in slacks) <= 1e-9  # a boundary point
+        assert max(slacks) > 1e-6  # an interior point
+    with pytest.raises(ValueError, match="does not map Q into Q"):
+        ProblemSpec(set_Q=Q, map_S=Identity(d), map_A=LeastSquaresGradient(np.eye(d), np.zeros(d)), map_f=ConstantAnchor(outside))
+
+
+def test_spot_check_spread_is_the_r_d_sequence():
+    # phi_1 is the golden ratio and phi_2 the plastic number; point n is frac(0.5 + n / phi**(j + 1))
+    for d, phi in ((1, (1 + math.sqrt(5)) / 2), (2, 1.324717957244746)):
+        alpha = phi ** -np.arange(1.0, d + 1.0)
+        assert np.allclose(_rd_points(d), (0.5 + np.arange(1.0, 9.0)[:, None] * alpha) % 1.0, rtol=0, atol=1e-14)
 
 
 def test_problem_spec_derived_moduli(problem):
