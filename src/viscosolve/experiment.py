@@ -287,9 +287,10 @@ def emit_tables(report: ExperimentReport, out_dir) -> list[Path]:
 def emit_report(report: ExperimentReport, out_dir, extra_metadata: dict | None = None) -> Path:
     """Write report.csv, all traces and meta.txt under ``out_dir``; ``extra_metadata`` joins meta.txt.
 
-    Each trace file holds the bytes :func:`emit_trace` writes. The traces are
-    written seed by seed, so that a seed's cells reuse each other's k, lambda
-    and e_norm cells; report.csv keeps the cells' order.
+    Each trace file holds the bytes :func:`emit_trace` writes. All traces go
+    through one writer call, chunk by chunk, so that cells formatted for one
+    trace's chunk (k and lambda of the sweep, alpha of its theta, e_norm of
+    its seed) serve every other trace's.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -300,7 +301,7 @@ def emit_report(report: ExperimentReport, out_dir, extra_metadata: dict | None =
     for c in report.cells:
         trace_name = f"traces/theta_{_fmt(c.theta)}_seed_{c.seed}.csv"
         if c.trace is not None:
-            traces.append((c.seed, c.trace, out_dir / trace_name))
+            traces.append((c.trace, out_dir / trace_name))
         hit_cells = [_ND if c.first_hit[e] is None else str(c.first_hit[e]) for e in eps]
         lines.append(
             ",".join(
@@ -311,7 +312,7 @@ def emit_report(report: ExperimentReport, out_dir, extra_metadata: dict | None =
         )
     if traces:
         (out_dir / "traces").mkdir(exist_ok=True)
-    _write_traces((trace, path) for _, trace, path in sorted(traces, key=lambda item: item[0]))
+    _write_traces(traces)
     (out_dir / "report.csv").write_text("\n".join(lines) + "\n")
 
     perturbation = report.config.template.perturbation

@@ -142,7 +142,7 @@ class LeastSquaresGradient:
             raise ValueError("B must be a nonzero 2-D matrix")
         object.__setattr__(self, "_gram", gram)
         object.__setattr__(self, "_bt_b", bt_b)
-        object.__setattr__(self, "lipschitz", float(np.linalg.eigvalsh(gram)[-1]))  # ls_lipschitz(B), on the B^T B held
+        object.__setattr__(self, "lipschitz", _gram_lipschitz(gram))
 
     @property
     def dim(self) -> int:
@@ -379,15 +379,22 @@ def _spot_points(cset) -> np.ndarray:
     of ``cset`` nearest the origin: the eight R_d points mapped to [-1, 1)^d
     at scales 16**-4 .. 16**3, and their negations, so that each coordinate
     is met from both sides at every scale. A projection from outside lies on
-    the boundary. The other sixteen are a chain of midpoints, each the
-    midpoint of the last one and the next projection, so in Q by convexity:
-    the later ones mix all sixteen projections and lie in the interior when
-    any projection does, or when two of them differ on a ball.
+    the boundary. While the whole spread lies in ``cset`` (a boundary more
+    than 4096 from the centre), it grows by 16, at most twice: farther out
+    the projections' rounding nears the check's 1e-8. The other sixteen are
+    a chain of midpoints, each the midpoint of the last one and the next
+    projection, so in Q by convexity: the later ones mix all sixteen
+    projections and lie in the interior when any projection does, or when
+    two of them differ on a ball.
     """
-    scales = np.ldexp(1.0, np.arange(-16, 16, 4))[:, None]  # 16**-4 .. 16**3, exact
-    spread = (2.0 * _rd_points(cset.dim) - 1.0) * scales
+    unit = 2.0 * _rd_points(cset.dim) - 1.0
     centre = project(cset, np.zeros(cset.dim))
-    ends = project_rows(cset, centre + np.concatenate([spread, -spread]))
+    for top in (12, 16, 20):  # scales 2**(top - 28) .. 2**top, exact: 16**-4 .. 16**3, then 16 and 256 times those
+        spread = unit * np.ldexp(1.0, np.arange(top - 28, top + 1, 4))[:, None]
+        starts = centre + np.concatenate([spread, -spread])
+        ends = project_rows(cset, starts)
+        if not np.array_equal(ends, starts):  # a projection met the boundary
+            break
     mids = np.empty_like(ends)
     last = ends[-1]
     for i, end in enumerate(ends):
@@ -432,4 +439,10 @@ def ls_lipschitz(B) -> float:
     B = np.asarray(B, dtype=float)
     if B.ndim != 2 or not np.any(B != 0):
         raise ValueError("B must be a nonzero 2-D matrix")
-    return float(np.linalg.eigvalsh(B.T @ B)[-1])
+    return _gram_lipschitz(B.T @ B)
+
+
+def _gram_lipschitz(gram: np.ndarray) -> float:
+    """lambda_max of a Gram matrix B^T B: the one place both :func:`ls_lipschitz` and
+    :class:`LeastSquaresGradient` (on the B^T B it holds) take it."""
+    return float(np.linalg.eigvalsh(gram)[-1])

@@ -173,9 +173,9 @@ def _check_records(cfg: SolverConfig, rows: int = 1) -> None:
     """Refuse ``rows`` runs of ``cfg`` whose record arrays numpy would refuse to size.
 
     A run records k = 1, 1 + stride, ... and n_max: (records, d) iterates a
-    row, and alpha and lambda of each distinct schedule and ||e|| of each
-    distinct stream, at most (3, records) values a row, allocated before its
-    first step.
+    row, and alpha of each distinct schedule, lambda of each with a lambda
+    table and ||e|| of each distinct stream, at most (3, records) values a
+    row, allocated before its first step.
     """
     n, stride = cfg.n_max, cfg.record_stride
     records = (n - 1) // stride + 1 + ((n - 1) % stride > 0)
@@ -194,7 +194,8 @@ def _point_of_Q(problem: ProblemSpec, x, name: str) -> np.ndarray:
     return v
 
 
-_CSV_CHUNK = 1000  # trace rows formatted per write
+_CSV_CHUNK = 500  # trace rows formatted per write
+_OPEN_TRACES = 128  # trace files one write keeps open at once: half of macOS's default limit of 256 descriptors
 
 
 def _csv_cells(values: np.ndarray) -> list[str]:
@@ -244,53 +245,45 @@ def _schedule_cells(col: np.ndarray) -> list[str]:
     return _csv_cells(col)
 
 
-def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether two 1-D columns are equal bit for bit: 0.0 and -0.0, or two NaN payloads, differ."""
-    if a.dtype != b.dtype or a.shape != b.shape:
-        return False
-    bits = np.dtype(f"u{a.dtype.itemsize}")
-    return bool((a.view(bits) == b.view(bits)).all())
-
-
 def _write_traces(items) -> None:
     """Write each ``(trace, path)`` of ``items`` as CSV: one row per record, shortest round-trip floats.
 
-    A trace is formatted column by column in chunks of ``_CSV_CHUNK`` rows.
-    The k, lambda and e_norm chunks of the last trace written are kept with
-    their cells, per chunk start; a chunk bit-equal to the kept one takes
-    those cells instead of being formatted again. The cells of one sweep
-    seed share all three, so writing them back to back formats each once.
-    alpha is not kept: consecutive cells of one seed never share a theta.
-    What is kept is one trace's shared cells, however many traces follow,
-    and nothing while the last trace is written.
+    The traces are written chunk by chunk: chunk j of every trace, ``_CSV_CHUNK`` rows each, goes out
+    before chunk j + 1 of any, so each trace's file stays open, ``_OPEN_TRACES`` files at a time (a
+    longer list is written in groups of that many). Within one chunk each distinct k, alpha, lambda and
+    e_norm column chunk, found by its bits (0.0 and -0.0, or two NaN payloads, differ), is formatted
+    once: the cells of a sweep share k and lambda, those of one seed e_norm and those of one theta
+    alpha. x and rel_err are formatted per trace. The writer holds one chunk's cells, whatever the
+    traces' length, and no file's bytes depend on the order of ``items``.
     """
     items = list(items)
-    kept = {}  # (column, chunk start) -> (values, cells)
+    memo = {}  # (dtype, bits) of a k, alpha, lambda or e_norm chunk -> its cells, for the chunk being written
 
-    def shared(name, values, lo, fmt, keep):
-        old = kept.get((name, lo))
-        if old is not None and _same_bits(old[0], values):
-            return old[1]
-        cells = fmt(values)
-        if keep:
-            kept[name, lo] = values, cells
-        return cells
+    def shared(values):
+        key = values.dtype.char, values.tobytes()
+        if key not in memo:
+            memo[key] = (_schedule_cells if values.dtype == np.float64 else _csv_cells)(values)
+        return memo[key]
 
-    for n, (trace, path) in enumerate(items, 1):
-        keep = n < len(items)  # a trace follows that may reuse the cells
-        d = trace.x.shape[1]
-        header = "k," + ",".join(f"x{i + 1}" for i in range(d)) + ",alpha,lambda,e_norm,rel_err"
-        with open(path, "w") as fh:
-            fh.write(header + "\n")
-            for lo in range(0, trace.k.size, _CSV_CHUNK):
+    for first in range(0, len(items), _OPEN_TRACES):
+        group = items[first : first + _OPEN_TRACES]
+        with contextlib.ExitStack() as stack:
+            files = [stack.enter_context(open(path, "w")) for _, path in group]
+            for (trace, _), fh in zip(group, files):
+                names = ",".join(f"x{i + 1}" for i in range(trace.x.shape[1]))
+                fh.write(f"k,{names},alpha,lambda,e_norm,rel_err\n")
+            for lo in range(0, max(trace.k.size for trace, _ in group), _CSV_CHUNK):
                 rows = slice(lo, lo + _CSV_CHUNK)
-                x = _csv_cells(trace.x[rows].ravel())
-                cols = [shared("k", trace.k[rows], lo, _csv_cells, keep)] + [x[i::d] for i in range(d)]
-                cols.append(_schedule_cells(trace.alpha[rows]))
-                cols.append(shared("lam", trace.lam[rows], lo, _schedule_cells, keep))
-                cols.append(shared("e_norm", trace.e_norm[rows], lo, _schedule_cells, keep))
-                cols.append(_csv_cells(trace.rel_err[rows]) if trace.rel_err is not None else [""] * len(cols[0]))
-                fh.write("\n".join(map(",".join, zip(*cols))) + "\n")
+                memo.clear()
+                for (trace, _), fh in zip(group, files):
+                    if trace.k.size <= lo:
+                        continue
+                    d = trace.x.shape[1]
+                    x = _csv_cells(trace.x[rows].ravel())
+                    cols = [shared(trace.k[rows])] + [x[i::d] for i in range(d)]
+                    cols += [shared(trace.alpha[rows]), shared(trace.lam[rows]), shared(trace.e_norm[rows])]
+                    cols.append(_csv_cells(trace.rel_err[rows]) if trace.rel_err is not None else [""] * len(cols[0]))
+                    fh.write("\n".join(map(",".join, zip(*cols))) + "\n")
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,6 +292,9 @@ class RunTrace:
 
     Row j holds the iterate x_k with k = k[j], the schedule values at k and,
     when a reference point was supplied, rel_err_k = ||x_k - ref|| / ||ref||.
+    A trace from :func:`run` or :func:`run_batch` holds read-only columns: k,
+    alpha, lam and e_norm are views of tables that runs of one batch share,
+    and a constant lambda is a zero-stride view of its one value.
     """
 
     k: np.ndarray
@@ -493,10 +489,10 @@ class _Rows:
 
     ``x`` is the start, then the iterate at which rows last left; the loop
     steps a local copy. ``sched`` and ``stream`` number each row's schedule
-    and perturbation stream among the batch's distinct ones. ``cols`` holds
-    alpha_k and lambda_k, ``calpha`` 1 - alpha_k (as Python's ``1.0 - a``
-    rounds it) and ``e`` the rows e_k of the current block,
-    k = k0 .. k0 + m - 1, as (C, 2, m), (C, m) and (C, m, d) arrays.
+    and perturbation stream among the batch's distinct ones. ``alpha``,
+    ``calpha`` and ``lam`` hold alpha_k, 1 - alpha_k (as Python's ``1.0 - a``
+    rounds it) and lambda_k, and ``e`` the rows e_k of the current block,
+    k = k0 .. k0 + m - 1, as (C, m) and (C, m, d) arrays.
     """
 
     def __init__(self, **fields):
@@ -517,8 +513,8 @@ class _Rows:
         than a Python float and rounds the same. Its rel_err is a Python float.
         """
         if self.x.shape[0] > 1:
-            return _Views(self.x, self.cols[:, 0].T[:, :, None], self.calpha.T[:, :, None],
-                          self.cols[:, 1].T[:, :, None], None if self.e is None else self.e.swapaxes(0, 1), self.u,
+            return _Views(self.x, self.alpha.T[:, :, None], self.calpha.T[:, :, None],
+                          self.lam.T[:, :, None], None if self.e is None else self.e.swapaxes(0, 1), self.u,
                           self.beta, self.cbeta, step, self.ref, self.nref, self.target, row_norms, np.ndarray.any)
 
         def first(v):
@@ -527,7 +523,7 @@ class _Rows:
         def scalars(col):  # nditer yields a 0-d view of each entry, cheaper than col[i, ...]
             return list(np.nditer(col, order="C"))
 
-        return _Views(self.x[0], scalars(self.cols[0, 0]), scalars(self.calpha[0]), scalars(self.cols[0, 1]),
+        return _Views(self.x[0], scalars(self.alpha[0]), scalars(self.calpha[0]), scalars(self.lam[0]),
                       first(self.e), first(self.u), self.beta[0, 0, ...], self.cbeta[0, 0, ...], step, first(self.ref),
                       None if self.nref is None else float(self.nref[0]),
                       None if self.target is None else float(self.target[0]), _vector_norm, bool)
@@ -558,8 +554,9 @@ def _lockstep(cfgs: list, extras: list) -> list:
     rows: 8192 steps for one row at d = 2, 256 at d = 64. A block tabulates alpha_k and lambda_k once per
     distinct schedule (by identity) and draws e_k once per distinct perturbation among the rows still
     stepping, then gathers each row's columns with one fancy index. The records hold each row's iterates,
-    and alpha_k, lambda_k and ||e_k|| on the record grid once per schedule and per stream: a run's memory
-    is its iterate and rel_err records, those tables and one block."""
+    and on the record grid alpha_k once per schedule, lambda_k once per schedule with a lambda table and
+    ||e_k|| once per stream; a constant lambda is recorded as its one value, which each trace views with
+    stride 0. A run's memory is its iterate and rel_err records, those tables and one block."""
     results = [None] * len(cfgs)
     if not cfgs:
         return results
@@ -597,8 +594,9 @@ def _lockstep(cfgs: list, extras: list) -> list:
         sched=np.array([sched_no[id(cfg.schedule)] for cfg in live]),
         stream=np.array([stream_no[cfg.perturbation] if rule == PERTURBED else 0 for cfg in live]),
         x=np.array([cfg.x1 for cfg in live]),
-        cols=None,
+        alpha=None,
         calpha=None,
+        lam=None,
         e=None,
         u=np.array([cfg.anchor for cfg in live]) if rule in (HALPERN, YAO_OUTER, YAO_INNER) else None,
         beta=betas,
@@ -611,14 +609,18 @@ def _lockstep(cfgs: list, extras: list) -> list:
 
     # records: the stride grid k = 1, 1 + stride, ..., n is shared; a row that
     # stops off the grid writes its stopping iterate into the next slot. Xrec holds
-    # each row's iterates, Atab alpha_k and lambda_k of each schedule and Etab
+    # each row's iterates, Atab alpha_k of each schedule, Ltab lambda_k of each
+    # schedule with a lambda table (a constant lambda is its one value) and Etab
     # ||e_k|| of each stream. Traces are views of them.
     kgrid = np.arange(1, n + 1, stride)
     if kgrid[-1] != n:
         kgrid = np.append(kgrid, n)
     kgrid.setflags(write=False)
+    tabled = [s for s, sched in enumerate(schedules) if isinstance(sched.lam, TableLambda)]
+    lam_no = {s: j for j, s in enumerate(tabled)}  # schedule -> its row of Ltab
     Xrec = np.empty((len(ids), kgrid.size, d))
-    Atab = np.empty((len(schedules), 2, kgrid.size))
+    Atab = np.empty((len(schedules), kgrid.size))
+    Ltab = np.empty((len(lam_no), kgrid.size))
     Etab = np.zeros((len(perts), kgrid.size))
 
     # one generator per stream for the whole run: each block's draws continue it
@@ -627,18 +629,21 @@ def _lockstep(cfgs: list, extras: list) -> list:
     def load(k0, m):
         """Tabulate and draw k = k0 .. k0 + m - 1, once for each schedule and stream of the rows still
         stepping, and record the values on the grid: a block whose every k is recorded (stride 1)
-        tabulates into the records. Returns the block's ||e_k||, one row per stream."""
+        tabulates alpha and draws into the records. Returns the block's ||e_k||, one row per stream."""
         lo, hi = np.searchsorted(kgrid, (k0, k0 + m))
         into = hi - lo == m
-        at = None if into else kgrid[lo:hi] - k0
-        coefs = Atab[:, :, lo:hi] if into else np.empty((len(schedules), 2, m))
+        at = slice(None) if into else kgrid[lo:hi] - k0
+        alphas = Atab[:, lo:hi] if into else np.empty((len(schedules), m))
+        lams = np.empty((len(schedules), m))
         e_norms = Etab[:, lo:hi] if into else np.zeros((len(perts), m))
         for s in set(rows.sched.tolist()):  # not np.unique, whose first call imports numpy.ma (1.7 MiB)
-            coefs[s] = tabulate(schedules[s], m, k0)
+            alphas[s], lams[s] = tabulate(schedules[s], m, k0)
             if not into:
-                Atab[s, :, lo:hi] = coefs[s][:, at]
-        rows.cols = _pick(coefs, rows.sched)
-        rows.calpha = 1.0 - rows.cols[:, 0]
+                Atab[s, lo:hi] = alphas[s, at]
+            if s in lam_no:
+                Ltab[lam_no[s], lo:hi] = lams[s, at]
+        rows.alpha, rows.lam = _pick(alphas, rows.sched), _pick(lams, rows.sched)
+        rows.calpha = 1.0 - rows.alpha
         if rule == PERTURBED:
             streams = sorted(set(rows.stream.tolist()))
             draws = [perturbation_stream(perts[p], m, d, k0, generators[p]) for p in streams]
@@ -652,11 +657,16 @@ def _lockstep(cfgs: list, extras: list) -> list:
 
     def finish(j, count, stopped_at=None, last=()):
         """Row j's trace of ``count`` records. A row that stopped off the grid passes ``last``, its
-        alpha_k, lambda_k and ||e_k|| there: its columns are copies that end in those values."""
+        alpha_k, lambda_k and ||e_k|| there: its columns are copies that end in those values. A constant
+        lambda is a zero-stride view of its one value, the same at every k."""
         i, b, s, p = rows.cfg[j], rows.rec[j], rows.sched[j], rows.stream[j]
-        columns = [kgrid[:count], Atab[s, 0, :count], Atab[s, 1, :count], Etab[p, :count]]
+        columns = [kgrid[:count], Atab[s, :count], Ltab[lam_no[s], :count] if s in lam_no else None,
+                   Etab[p, :count]]
         if last:
-            columns = [np.append(col[:-1], value) for col, value in zip(columns, (stopped_at, *last))]
+            columns = [col if col is None else np.append(col[:-1], value)
+                       for col, value in zip(columns, (stopped_at, *last))]
+        if columns[2] is None:
+            columns[2] = np.broadcast_to(np.float64(schedules[s].lam.value), count)
         for col in columns:  # the tables are shared, and a copy is as read-only as a view
             col.setflags(write=False)
         k, alpha, lam, e_norm = columns
@@ -718,7 +728,7 @@ def _lockstep(cfgs: list, extras: list) -> list:
                     if not on_grid:
                         Xrec[rows.rec[js], slot] = x.reshape(-1, d)[js]
                     for j in js:
-                        last = () if on_grid else (*rows.cols[j, :, i], e_norms[rows.stream[j], i])
+                        last = () if on_grid else (rows.alpha[j, i], rows.lam[j, i], e_norms[rows.stream[j], i])
                         finish(j, slot + 1, k, last)
                     if (v := leave(x, hit)) is None:
                         return results

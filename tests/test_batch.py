@@ -556,10 +556,35 @@ def test_write_traces_reuses_only_bit_equal_chunks(tmp_path):
         assert path.read_text() == repr_csv(tr), i
 
 
+def test_write_traces_beyond_the_open_file_bound_writes_each_file_as_written_alone(tmp_path, monkeypatch):
+    # with the bound at 2, five traces go out in three groups: never more than two files are open,
+    # and each file holds the bytes write_csv writes for its trace alone
+    trace, variant, _ = shared_column_traces()
+    traces = [trace, variant("k", 700, 700, rows=1999), variant("e_norm", 1500, -0.0), variant("lam", 300, 0.1, rows=7),
+              trace]
+    monkeypatch.setattr(solvers, "_OPEN_TRACES", 2)
+    opened = []
+
+    def counting_open(*args, **kwargs):
+        assert sum(not fh.closed for fh in opened) < 2
+        opened.append(fh := open(*args, **kwargs))
+        return fh
+
+    monkeypatch.setattr(solvers, "open", counting_open, raising=False)
+    paths = [tmp_path / f"group_{i}.csv" for i in range(len(traces))]
+    solvers._write_traces(zip(traces, paths))
+    assert len(opened) == len(traces) and all(fh.closed for fh in opened)
+    for i, (tr, path) in enumerate(zip(traces, paths)):
+        tr.write_csv(tmp_path / "alone.csv")
+        assert path.read_bytes() == (tmp_path / "alone.csv").read_bytes(), i
+        assert path.read_text() == repr_csv(tr), i
+
+
 def test_write_traces_formats_a_shared_chunk_once(tmp_path, monkeypatch):
     # three traces that share k, lambda and e_norm (as the cells of one sweep seed do) and
     # differ in x, alpha and rel_err: only the first formats the shared columns
-    n, chunks = 2503, 3
+    n = 2503
+    chunks = -(-n // solvers._CSV_CHUNK)
     traces = [dataclasses.replace(shared_column_traces(n)[0], x=x, alpha=a, rel_err=r)
               for x, a, r in [(np.full((n, 2), i + 0.5), np.full(n, 0.5 + i) + np.arange(n), np.arange(n) + i / 7)
                               for i in range(3)]]

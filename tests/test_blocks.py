@@ -276,7 +276,8 @@ def test_a_row_that_stops_off_the_grid_has_the_columns_of_one_that_stops_on_it()
     for name in ("k", "alpha", "lam", "e_norm"):
         cols = [getattr(t, name) for t in (free, on_trace, off_trace)]
         flags = [(c.dtype, c.flags.writeable, c.flags.c_contiguous) for c in cols]
-        assert flags == [(cols[0].dtype, False, True)] * 3
+        contiguous = name != "lam"  # a constant lambda is a zero-stride view of its one value
+        assert flags == [(cols[0].dtype, False, contiguous)] * 3
         for c in cols[1:]:  # each stop's records up to the last are the free run's
             assert same_bits(c[:-1], cols[0][: c.size - 1])
     assert on_trace.k[-1] == on and off_trace.k[-1] == off and (off - 1) % 7
@@ -409,8 +410,8 @@ def test_a_dense_batch_holds_its_schedule_columns_once():
 
 
 def test_a_batch_of_one_schedule_and_one_stream_records_them_once():
-    # 16 rows at stride 1: alpha_k, lambda_k and ||e_k|| are recorded once, 3 doubles a step, where
-    # columns of each row would take 16 x 3
+    # 16 rows at stride 1: alpha_k and ||e_k|| are recorded once and the constant lambda_k not at all,
+    # 2 doubles a step, where columns of each row would take 16 x 3
     cells, d, n = 16, 2, 10_000
     (cfg,) = least_squares_batch(d, 1, 1, n, seed=6)
     cfgs = [dataclasses.replace(cfg, x1=cfg.x1 * (1 + j / 32)) for j in range(cells)]
@@ -423,4 +424,4 @@ def test_a_batch_of_one_schedule_and_one_stream_records_them_once():
     assert all(t.k.size == n for t in batch)
     records = cells * n * (d + 1) * 8 + n * 8  # each row's iterates and rel_err, and the k they share
     block = 4 * _BLOCK_DOUBLES * 8  # a block's alpha and lambda columns, its draws and its rel_err rows
-    assert peak - records < 3 * n * 8 + block, (peak, records)
+    assert peak - records < 2 * n * 8 + block, (peak, records)

@@ -331,6 +331,37 @@ def test_emit_report_memory_stays_at_one_traces_shared_cells(tmp_path):
     assert whole <= alone + 1.5 * 2**20, (whole / 2**20, alone / 2**20)
 
 
+def test_emit_report_memory_does_not_grow_with_n_max(tmp_path):
+    # the writer holds the cells of one chunk of rows, whatever the traces' length: the traced
+    # peak of emission above the report at 24000 steps is that at 6000 up to one chunk's cells
+    # (7 columns of _CSV_CHUNK cells of at most 64 bytes)
+    import tracemalloc
+
+    from viscosolve import solvers
+
+    def emission_peak(n):
+        report = run_experiment(ExperimentConfig(thetas=(0.3, 0.9), seeds=(1, 2), n_max=n))
+        emit_report(report, tmp_path / f"warm_{n}")  # loads the formatter first
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            emit_report(report, tmp_path / f"report_{n}")
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    short, long = emission_peak(6000), emission_peak(24_000)
+    assert long <= short + 7 * solvers._CSV_CHUNK * 64, (short / 2**20, long / 2**20)
+
+
+def test_a_sweep_traces_lambda_is_a_read_only_zero_stride_view(grid_report):
+    # a constant lambda is held as its one value, not as an n_max-long column per theta
+    for c in grid_report.cells:
+        lam = c.trace.lam
+        assert lam.strides == (0,) and not lam.flags.writeable
+        assert lam.shape == c.trace.k.shape and (lam == grid_report.config.lam).all()
+
+
 def test_emit_report_formats_each_seeds_shared_chunks_once(tmp_path, grid_report, monkeypatch):
     from viscosolve import solvers
 
@@ -338,9 +369,10 @@ def test_emit_report_formats_each_seeds_shared_chunks_once(tmp_path, grid_report
     csv_cells = solvers._csv_cells
     monkeypatch.setattr(solvers, "_csv_cells", lambda v: calls.append(v.size) or csv_cells(v))
     emit_report(grid_report, tmp_path / "report")
-    # per chunk: x, alpha and rel_err of each of the 9 traces, e_norm once per seed and k once
-    # (lambda is one repeated value); in the cells' theta-major order e_norm would take 9
-    assert len(calls) == 3 * (9 * 3 + 3 + 1)
+    # per chunk: x and rel_err of each of the 9 traces, alpha once per theta, e_norm once per seed
+    # and k once (lambda is one repeated value)
+    chunks = -(-grid_report.config.n_max // solvers._CSV_CHUNK)
+    assert len(calls) == chunks * (9 * 2 + 3 + 3 + 1)
 
 
 def test_experiment_config_refuses_a_problem_without_a_target_set(monkeypatch):

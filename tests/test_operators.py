@@ -260,7 +260,8 @@ class RecordingMap:
 def spot_check_set(kind, d):
     """A set of ``kind`` in dimension ``d`` (parameters as the benchmark's d = 64 mix draws them) and a point outside it.
 
-    A ``far_`` box or ball sits 1000 from the origin in every coordinate.
+    A ``far_`` box or ball sits 1000 from the origin in every coordinate; a ``far_halfspace`` has offset 1000,
+    so its boundary lies beyond the spot check's first spread.
     """
     rng = np.random.default_rng([d, 24])
     shift = 1000.0 if kind.startswith("far_") else 0.0
@@ -273,9 +274,9 @@ def spot_check_set(kind, d):
     if kind.endswith("ball"):
         center, radius = shift + rng.normal(size=d), rng.uniform(1.0, 3.0)
         return Ball(center, radius), center + radius + 1.0
-    if kind in ("halfspace", "hyperplane"):
-        normal, offset = rng.normal(size=d), rng.uniform(-1.0, 1.0)
-        cls = Halfspace if kind == "halfspace" else Hyperplane
+    if kind.endswith(("halfspace", "hyperplane")):
+        normal, offset = rng.normal(size=d), 1000.0 if shift else rng.uniform(-1.0, 1.0)
+        cls = Hyperplane if kind == "hyperplane" else Halfspace
         return cls(normal, offset), normal * (offset + 1.0) / (normal @ normal)
     total = rng.uniform(1.0, 3.0)
     return Simplex(total, d), np.full(d, total)
@@ -299,7 +300,8 @@ def spot_checked_points(Q, f):
 
 
 @pytest.mark.parametrize("d", [2, 64])
-@pytest.mark.parametrize("kind", ["orthant", "box", "ball", "halfspace", "hyperplane", "simplex", "far_box", "far_ball"])
+@pytest.mark.parametrize("kind", ["orthant", "box", "ball", "halfspace", "hyperplane", "simplex", "far_box", "far_ball",
+                                  "far_halfspace"])
 def test_problem_spec_spot_checks_boundary_and_interior_points_of_q(kind, d):
     Q, outside = spot_check_set(kind, d)
     inside = ConstantAnchor(project(Q, np.zeros(d)))
@@ -315,6 +317,30 @@ def test_problem_spec_spot_checks_boundary_and_interior_points_of_q(kind, d):
         assert max(slacks) > 1e-6  # an interior point
     with pytest.raises(ValueError, match="does not map Q into Q"):
         ProblemSpec(set_Q=Q, map_S=Identity(d), map_A=LeastSquaresGradient(np.eye(d), np.zeros(d)), map_f=ConstantAnchor(outside))
+
+
+class LeavesNearTheBoundary:
+    """x -> x + max(0, 1 - depth) n / ||n||, depth the distance of x below a halfspace's boundary: it
+    leaves the halfspace only within 0.5 of its boundary."""
+
+    lipschitz = 1.0
+
+    def __init__(self, Q):
+        self.unit, self.level = Q.normal / np.linalg.norm(Q.normal), Q.offset / np.linalg.norm(Q.normal)
+
+    def __call__(self, x):
+        return x + max(0.0, 1.0 - (self.level - self.unit @ x)) * self.unit
+
+
+@pytest.mark.parametrize("seed", [0, 4, 17])
+def test_problem_spec_refuses_a_map_that_leaves_a_far_halfspace_only_near_its_boundary(seed):
+    # {<n, x> <= 1000} with these standard-normal n has its boundary 870 .. 5500 from the origin along n,
+    # and no point of the first spread (scales up to 4096) meets it: the spread grows until one does
+    normal = np.random.default_rng(seed).normal(size=2)
+    Q, A, f = Halfspace(normal, 1000.0), LeastSquaresGradient(np.eye(2), np.zeros(2)), ConstantAnchor(np.zeros(2))
+    ProblemSpec(set_Q=Q, map_S=Identity(2), map_A=A, map_f=f)  # a map of Q into Q passes
+    with pytest.raises(ValueError, match="map S does not map Q into Q"):
+        ProblemSpec(set_Q=Q, map_S=LeavesNearTheBoundary(Q), map_A=A, map_f=f)
 
 
 def test_spot_check_spread_is_the_r_d_sequence():
