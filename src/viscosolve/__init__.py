@@ -38,7 +38,6 @@ from .operators import (
     ProblemSpec,
     RegisteredMapping,
     TrigContraction,
-    ls_lipschitz,
     register_mapping,
 )
 from .schedules import (

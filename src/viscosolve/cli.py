@@ -222,6 +222,9 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError as exc:  # a request larger than memory, such as a record table for a huge --nmax
+        print(f"config error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
+        return EXIT_CONFIG
     except (DivergenceError, NonConvergenceError, NonFiniteError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE

@@ -320,11 +320,11 @@ def build_solver_config(resolved: dict, problem: ProblemSpec | None = None) -> S
             n_max=n_max,
             algorithm=str(body["algorithm"]),
             perturbation=perturbation,
-            anchor=body.get("anchor"),
-            beta=float(body.get("beta", 0.5)),
+            anchor=body["anchor"],
+            beta=float(body["beta"]),
             reference=body["reference"],
-            rel_err_target=body.get("rel_err_target"),
-            record_stride=_integer(body.get("stride", 1), "stride", 1),
+            rel_err_target=body["rel_err_target"],
+            record_stride=_integer(body["stride"], "stride", 1),
         )
 
 

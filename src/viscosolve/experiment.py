@@ -34,9 +34,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .configio import DEFAULT_EPSILONS, DEFAULT_SEEDS
-from .operators import Identity, LeastSquaresGradient, ProblemSpec, TrigContraction
-from .projections import NonnegOrthant, Simplex
+from .configio import DEFAULT_CONFIG, DEFAULT_EPSILONS, DEFAULT_SEEDS, build_problem
+from .operators import ProblemSpec
 from .schedules import (
     ConstantLambda,
     NoPerturbation,
@@ -63,26 +62,18 @@ __all__ = [
     "emit_report",
 ]
 
-BENCHMARK_X1 = (2.0, 3.0)
+BENCHMARK_X1 = tuple(DEFAULT_CONFIG["solver"]["x1"])
 
 _ND = "ND"
 
 
 def build_benchmark_problem() -> ProblemSpec:
-    """The built-in 2-D constrained least-squares instance.
+    """The built-in 2-D benchmark of the module docstring: the problem of ``DEFAULT_CONFIG``.
 
-    Q = nonnegative quadrant, S = identity, A = gradient of
-    0.5 ||B x - b||^2 with B = [[1, 1], [2, 2]] and b = (3, 5) (Lipschitz
-    constant 10, cocoercivity modulus 0.1), f = the trigonometric
-    contraction. The target set is the simplex slice {x >= 0 : sum x = 2.6}.
+    A = gradient of 0.5 ||B x - b||^2 has Lipschitz constant 10 and
+    cocoercivity modulus 0.1.
     """
-    return ProblemSpec(
-        set_Q=NonnegOrthant(dim=2),
-        map_S=Identity(dim=2),
-        map_A=LeastSquaresGradient(B=[[1.0, 1.0], [2.0, 2.0]], b=[3.0, 5.0]),
-        map_f=TrigContraction(),
-        reference_set_omega=Simplex(total=2.6, dim=2),
-    )
+    return build_problem(DEFAULT_CONFIG)
 
 
 def benchmark_schedule(theta: float, lam: float | None = None, problem: ProblemSpec | None = None) -> ScheduleSpec:
@@ -102,7 +93,7 @@ class ExperimentConfig:
 
     thetas: tuple[float, ...]
     seeds: tuple[int, ...] = DEFAULT_SEEDS
-    n_max: int = 6000
+    n_max: int = DEFAULT_CONFIG["experiment"]["nmax"]
     epsilons: tuple[float, ...] = DEFAULT_EPSILONS
     problem: ProblemSpec = field(default_factory=build_benchmark_problem)
     x1: np.ndarray = field(default_factory=lambda: np.array(BENCHMARK_X1))

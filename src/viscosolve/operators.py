@@ -22,6 +22,7 @@ T_t (the explicit rule's step at alpha = t), live in :mod:`viscosolve.solvers`.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Callable, ClassVar
 
@@ -41,7 +42,6 @@ __all__ = [
     "register_mapping",
     "ProblemSpec",
     "rows_of",
-    "ls_lipschitz",
 ]
 
 
@@ -142,7 +142,7 @@ class LeastSquaresGradient:
             raise ValueError("B must be a nonzero 2-D matrix")
         object.__setattr__(self, "_gram", gram)
         object.__setattr__(self, "_bt_b", bt_b)
-        object.__setattr__(self, "lipschitz", _gram_lipschitz(gram))
+        object.__setattr__(self, "lipschitz", float(np.linalg.eigvalsh(gram)[-1]))
 
     @property
     def dim(self) -> int:
@@ -228,6 +228,7 @@ class RegisteredMapping:
 
 _SPOT_CHECK_PAIRS = 1000
 _SPOT_CHECK_TOL = 1e-10
+_SPOT_CHECK_SEED = 20220702
 
 
 def register_mapping(
@@ -257,7 +258,7 @@ def register_mapping(
     if role == "ism" and not modulus > 0:
         raise ValueError(f"ism modulus must be > 0, got {modulus}")
 
-    rng = np.random.default_rng(20220702)
+    rng = np.random.default_rng(_SPOT_CHECK_SEED)
     xs = rng.normal(scale=2.0, size=(_SPOT_CHECK_PAIRS, dim))
     ys = rng.normal(scale=2.0, size=(_SPOT_CHECK_PAIRS, dim))
     for x, y in zip(xs, ys):
@@ -345,49 +346,24 @@ class ProblemSpec:
         return float(self.map_A.ism_modulus)
 
 
-def _rd_points(d: int) -> np.ndarray:
-    """Points 1 .. 8 of the R_d sequence (Roberts 2018) in [0, 1)^d, one per row.
-
-    Point n is frac(0.5 + n * alpha) with alpha_j = phi**-(j + 1), j = 0 .. d - 1,
-    and phi the root > 1 of x**(d + 1) = x + 1. Newton's method finds phi from
-    above, where its steps decrease to the root, with + - * / alone (x**d by
-    squaring, no libm call), so the points are the same on every platform.
-    """
-    x = 1.0 + 1.0 / d  # (1 + 1/d)**(d + 1) > 2 + 1/d: above the root
-    while True:
-        power, base, n = 1.0, x, d
-        while n:
-            if n & 1:
-                power *= base
-            base *= base
-            n >>= 1
-        below = x - (power * x - x - 1.0) / ((d + 1) * power - 1.0)
-        if not below < x:
-            break
-        x = below
-    alpha, a = np.empty(d), 1.0
-    for j in range(d):
-        a /= x
-        alpha[j] = a
-    return (0.5 + np.arange(1.0, 9.0)[:, None] * alpha) % 1.0
-
-
 def _spot_points(cset) -> np.ndarray:
     """The 32 points of ``cset`` on which :class:`ProblemSpec` checks that f and S map Q into Q.
 
     Sixteen are projections onto ``cset`` of a fixed spread around the point
-    of ``cset`` nearest the origin: the eight R_d points mapped to [-1, 1)^d
-    at scales 16**-4 .. 16**3, and their negations, so that each coordinate
-    is met from both sides at every scale. A projection from outside lies on
-    the boundary. While the whole spread lies in ``cset`` (a boundary more
-    than 4096 from the centre), it grows by 16, at most twice: farther out
-    the projections' rounding nears the check's 1e-8. The other sixteen are
-    a chain of midpoints, each the midpoint of the last one and the next
-    projection, so in Q by convexity: the later ones mix all sixteen
-    projections and lie in the interior when any projection does, or when
-    two of them differ on a ball.
+    of ``cset`` nearest the origin: eight points 2u - 1 of [-1, 1)^d, u from a
+    seeded ``random.Random`` (MT19937 is integer arithmetic, so the points are
+    the same on every platform), at scales 16**-4 .. 16**3, and their
+    negations, so that each coordinate is met from both sides at every scale.
+    A projection from outside lies on the boundary. While the whole spread
+    lies in ``cset`` (a boundary more than 4096 from the centre), it grows by
+    16, at most twice: farther out the projections' rounding nears the
+    check's 1e-8. The other sixteen are a chain of midpoints, each the
+    midpoint of the last one and the next projection, so in Q by convexity:
+    the later ones mix all sixteen projections and lie in the interior when
+    any projection does, or when two of them differ on a ball.
     """
-    unit = 2.0 * _rd_points(cset.dim) - 1.0
+    draw = random.Random(_SPOT_CHECK_SEED).random
+    unit = 2.0 * np.array([draw() for _ in range(8 * cset.dim)], float).reshape(8, cset.dim) - 1.0
     centre = project(cset, np.zeros(cset.dim))
     for top in (12, 16, 20):  # scales 2**(top - 28) .. 2**top, exact: 16**-4 .. 16**3, then 16 and 256 times those
         spread = unit * np.ldexp(1.0, np.arange(top - 28, top + 1, 4))[:, None]
@@ -428,21 +404,3 @@ def rows_of(mapping) -> Callable[[np.ndarray], np.ndarray]:
     if rows is not None:
         return rows
     return lambda X: np.array([np.asarray(mapping(x), dtype=float) for x in X]).reshape(np.shape(X))
-
-
-def ls_lipschitz(B) -> float:
-    """Largest eigenvalue of B^T B (squared spectral norm of B).
-
-    This is the Lipschitz constant of x -> B^T(Bx - b); its reciprocal is the
-    cocoercivity modulus of that gradient.
-    """
-    B = np.asarray(B, dtype=float)
-    if B.ndim != 2 or not np.any(B != 0):
-        raise ValueError("B must be a nonzero 2-D matrix")
-    return _gram_lipschitz(B.T @ B)
-
-
-def _gram_lipschitz(gram: np.ndarray) -> float:
-    """lambda_max of a Gram matrix B^T B: the one place both :func:`ls_lipschitz` and
-    :class:`LeastSquaresGradient` (on the B^T B it holds) take it."""
-    return float(np.linalg.eigvalsh(gram)[-1])

@@ -150,21 +150,28 @@ class Ball:
         return self.center + radii[:, None] * dirs
 
 
-@dataclass(frozen=True, eq=False)
-class Halfspace:
-    """{x : <normal, x> <= offset}."""
+class _AffineSet:
+    """The check of a halfspace's or hyperplane's descriptor: a nonzero normal and an offset.
 
-    normal: np.ndarray
-    offset: float
+    A plain base, not a dataclass: a third dataclass build adds about 0.4 ms to every import.
+    """
 
     def __post_init__(self):
         object.__setattr__(self, "normal", as_vector(self.normal, name="normal"))
         object.__setattr__(self, "offset", float(self.offset))
         if not np.any(self.normal != 0):
-            raise InvalidDescriptorError("halfspace normal must be nonzero")
+            raise InvalidDescriptorError(f"{type(self).__name__.lower()} normal must be nonzero")
         self.normal.setflags(write=False)
         object.__setattr__(self, "_normal_sq", float(np.dot(self.normal, self.normal)))  # not fields: digests ignore them
         object.__setattr__(self, "dim", self.normal.size)
+
+
+@dataclass(frozen=True, eq=False)
+class Halfspace(_AffineSet):
+    """{x : <normal, x> <= offset}."""
+
+    normal: np.ndarray
+    offset: float
 
     def project(self, x):
         excess = float(self.normal.dot(x)) - self.offset
@@ -177,20 +184,11 @@ class Halfspace:
 
 
 @dataclass(frozen=True, eq=False)
-class Hyperplane:
+class Hyperplane(_AffineSet):
     """{x : <normal, x> = offset}."""
 
     normal: np.ndarray
     offset: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "normal", as_vector(self.normal, name="normal"))
-        object.__setattr__(self, "offset", float(self.offset))
-        if not np.any(self.normal != 0):
-            raise InvalidDescriptorError("hyperplane normal must be nonzero")
-        self.normal.setflags(write=False)
-        object.__setattr__(self, "_normal_sq", float(np.dot(self.normal, self.normal)))  # not fields: digests ignore them
-        object.__setattr__(self, "dim", self.normal.size)
 
     def project(self, x):
         excess = float(self.normal.dot(x)) - self.offset

@@ -31,7 +31,7 @@ import numpy as np
 
 from .__about__ import __version__ as _VERSION
 from .operators import ParameterError, ProblemSpec, _jsonable, rows_of
-from .projections import contains, project, project_rows
+from .projections import MEMBERSHIP_TOL, contains, project, project_rows
 from .schedules import (
     NoPerturbation,
     Perturbation,
@@ -88,7 +88,6 @@ ALGORITHMS = (
     YAO_INNER,
 )
 
-_X1_TOL = 1e-10
 _AA_DEPTH = 5  # Anderson memory of the contraction solver
 
 
@@ -187,10 +186,10 @@ def _check_records(cfg: SolverConfig, rows: int = 1) -> None:
 
 
 def _point_of_Q(problem: ProblemSpec, x, name: str) -> np.ndarray:
-    """``x`` as a vector (:func:`~viscosolve.space.as_vector`) of Q up to ``_X1_TOL``, else a ConfigurationError."""
+    """``x`` as a vector (:func:`~viscosolve.space.as_vector`) of Q up to ``MEMBERSHIP_TOL``, else a ConfigurationError."""
     v = as_vector(x, dim=problem.dim, name=name)
-    if not contains(problem.set_Q, v, _X1_TOL):
-        raise ConfigurationError(f"{name} = {v!r} is not in Q (tolerance {_X1_TOL})")
+    if not contains(problem.set_Q, v):
+        raise ConfigurationError(f"{name} = {v!r} is not in Q (tolerance {MEMBERSHIP_TOL})")
     return v
 
 

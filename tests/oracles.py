@@ -1,5 +1,6 @@
 """Oracles the tests share: one step of a run from any iterate, the scalar comparison recursion,
-the checked inner product, the plain Banach reference solve and the viscosity map written out."""
+the checked inner product, lambda_max of B^T B, the plain Banach reference solve and the viscosity map
+written out."""
 
 import math
 import warnings
@@ -69,6 +70,18 @@ def inner(x: np.ndarray, y: np.ndarray) -> float:
     if not math.isfinite(out):
         raise NonFiniteError("inner product is not finite (NaN/Inf or overflowing input)")
     return out
+
+
+def ls_lipschitz(B) -> float:
+    """Largest eigenvalue of B^T B (squared spectral norm of B).
+
+    This is the Lipschitz constant of x -> B^T(Bx - b); its reciprocal is the
+    cocoercivity modulus of that gradient.
+    """
+    B = np.asarray(B, dtype=float)
+    if B.ndim != 2 or not np.any(B != 0):
+        raise ValueError("B must be a nonzero 2-D matrix")
+    return float(np.linalg.eigvalsh(B.T @ B)[-1])
 
 
 def banach_reference_solution(problem, tol: float = 1e-12, max_iter: int = 100_000) -> np.ndarray:

@@ -37,7 +37,6 @@ from viscosolve import (
     UniformSquarePerturbation,
     benchmark_schedule,
     contains,
-    ls_lipschitz,
     norm,
     project,
     project_rows,
@@ -49,7 +48,7 @@ from viscosolve import solvers
 from viscosolve.operators import rows_of
 from viscosolve.solvers import PERTURBED, _csv_cells
 
-from oracles import step_at
+from oracles import ls_lipschitz, step_at
 
 SET_KINDS = ("orthant", "box", "ball", "halfspace", "hyperplane", "simplex")
 

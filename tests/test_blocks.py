@@ -28,7 +28,6 @@ from viscosolve import (
     UniformSquarePerturbation,
     hypothesis_report,
     lambda_at,
-    ls_lipschitz,
     perturbation_stream,
     run,
     run_batch,
@@ -37,7 +36,7 @@ from viscosolve import solvers
 from viscosolve.schedules import _BLOCK_DOUBLES, _block_steps, tabulate
 from viscosolve.solvers import PERTURBED
 
-from oracles import step_at
+from oracles import ls_lipschitz, step_at
 from test_batch import assert_same_trace, explicit_loop, least_squares_batch, run_or_error, same_bits
 
 D = 64

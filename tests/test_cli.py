@@ -511,6 +511,22 @@ def test_io_failure_exit_code(tmp_path):
     assert run_cli("solve", "--nmax", "20", "--seed", "1", "--out", blocker) == EXIT_IO
 
 
+@pytest.mark.parametrize("command, module, name, exc, message", [
+    ("solve", "cli", "run", MemoryError("Unable to allocate 7.28 TiB"), "config error: out of memory: Unable to allocate 7.28 TiB\n"),
+    ("experiment", "experiment", "run_batch", MemoryError(), "config error: out of memory\n"),
+])
+def test_running_out_of_memory_is_config_error(tmp_path, capsys, monkeypatch, command, module, name, exc, message):
+    # a huge --nmax used to end in an uncaught numpy _ArrayMemoryError, exit 1: the code of a failed check
+    import importlib
+
+    def out_of_memory(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(importlib.import_module(f"viscosolve.{module}"), name, out_of_memory)
+    assert run_cli(command, "--nmax", "50", "--seed", "1", "--out", tmp_path / "out") == EXIT_CONFIG
+    assert capsys.readouterr().err == message
+
+
 @pytest.mark.parametrize("command, flag", [("solve", ("--algorithm", "halpern")), ("solve", ("--nmax", "5")),
                                            ("check", ("--nmax", "5"))])
 def test_non_object_section_with_flag_is_config_error(tmp_path, capsys, command, flag):

@@ -7,7 +7,10 @@ trace, of a d = 64 ``solve`` trace over a simplex, ball, box or halfspace, or
 of the benchmark's ``implicit_path.csv`` (which also pins the reference point
 its distances are measured to) fails here; so does any change to the
 property battery's results on the benchmark problem (name, verdict and the
-repr of its worst value, per check). Run this file as a script to print the current digests.
+repr of its worst value, per check). Two set-up pins sit beside them: the
+benchmark instance (its problem's config digest and the sweep's defaults) and
+the points on which ``ProblemSpec`` spot-checks that f and S map Q into Q.
+Run this file as a script to print the current digests and pins.
 
 The two experiment digests were re-pinned once, on purpose, when meta.txt
 took its ``config_digest`` from the command's config.json instead of a digest
@@ -17,14 +20,19 @@ of its own: that line is the only byte of either directory that moved.
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from viscosolve import ALGORITHMS, build_benchmark_problem
+from viscosolve import ALGORITHMS, Ball, Box, ExperimentConfig, Halfspace, NonnegOrthant, Simplex, build_benchmark_problem
 from viscosolve.cli import EXIT_OK, main
 from viscosolve.diagnostics import run_property_checks
+from viscosolve.operators import _spot_points
+from viscosolve.solvers import config_digest
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "benchmark.json"
 
@@ -40,6 +48,14 @@ SOLVE_TRACE_DIGESTS = {
 }
 IMPLICIT_DIGEST = "8c14ef692b0f36afd42229c4d52b0802c77c4414499e5a23024deee2c081ab24"
 PROPERTY_CHECKS_DIGEST = "5a8934baabb8768bf914d7e97af39bd75a2644428f52155956dda40731b8feda"
+SPOT_POINTS_DIGEST = "d778bcc01dcdb1d6728b8d6a54db1842916041196741257fb829e82007350368"
+BENCHMARK_INSTANCE = {
+    "problem": "71a2b4cf7737b89c",
+    "n_max": 6000,
+    "seeds": list(range(1, 21)),
+    "epsilons": [0.5, 0.1, 0.05, 0.01, 0.005, 0.001],
+    "x1": [2.0, 3.0],
+}
 
 # d = 64 problems shaped like the benchmark's mixed workload: least-squares A,
 # constant f (the anchor), identity S, strided records, no reference
@@ -110,6 +126,28 @@ def property_checks_digest() -> str:
     return hashlib.sha256("".join(f"{r.name},{r.passed},{r.worst!r}\n" for r in results).encode()).hexdigest()
 
 
+def spot_sets(d: int):
+    """An orthant, box, ball, halfspace and simplex in dimension ``d``, from + - * / alone."""
+    j = np.arange(d, dtype=float)
+    return (NonnegOrthant(d), Box(-1.0 - j / d, 0.5 + j / d), Ball(j % 3 - 1.0, 1.5), Halfspace(1.0 + j % 4, 0.5),
+            Simplex(2.0, d))
+
+
+def spot_points_digest() -> str:
+    h = hashlib.sha256()
+    for d in (2, 64):
+        for Q in spot_sets(d):
+            h.update(_spot_points(Q).tobytes())
+    return h.hexdigest()
+
+
+def benchmark_instance() -> dict:
+    """The benchmark problem's config digest and the defaults of a one-theta sweep."""
+    cfg = ExperimentConfig(thetas=(0.9,))
+    return {"problem": config_digest(build_benchmark_problem()), "n_max": cfg.n_max, "seeds": list(cfg.seeds),
+            "epsilons": list(cfg.epsilons), "x1": cfg.x1.tolist()}
+
+
 def mix_set(kind: str, rng: np.random.Generator, d: int):
     """A set descriptor of ``kind`` plus two points of it (x1 and the anchor u)."""
     if kind == "simplex":
@@ -178,6 +216,25 @@ def test_property_checks_digest():
     assert property_checks_digest() == PROPERTY_CHECKS_DIGEST
 
 
+def test_benchmark_instance():
+    assert benchmark_instance() == BENCHMARK_INSTANCE
+
+
+def test_spot_points_digest():
+    assert spot_points_digest() == SPOT_POINTS_DIGEST
+
+
+@pytest.mark.parametrize("hash_seed", ["1", "2"])
+def test_spot_points_are_the_same_in_a_fresh_interpreter(hash_seed):
+    # the spread is drawn from an integer seed, so neither str hashing nor the interpreter moves it
+    here = Path(__file__).resolve().parent
+    code = f"import sys; sys.path[:0] = [{str(here.parent / 'src')!r}, {str(here)!r}]\n" \
+           "from test_golden_outputs import spot_points_digest; print(spot_points_digest())"
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == spot_points_digest()
+
+
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 @pytest.mark.parametrize("kind", MIX_KINDS)
 def test_d64_trace_digest(tmp_path, kind, algorithm):
@@ -197,6 +254,8 @@ if __name__ == "__main__":
         print("}")
         print("IMPLICIT_DIGEST =", repr(implicit_digest(tmp / "implicit")))
         print("PROPERTY_CHECKS_DIGEST =", repr(property_checks_digest()))
+        print("SPOT_POINTS_DIGEST =", repr(spot_points_digest()))
+        print("BENCHMARK_INSTANCE =", repr(benchmark_instance()))
         print("MIX_TRACE_DIGESTS = {")
         for kind in MIX_KINDS:
             for algorithm in ALGORITHMS:

@@ -21,7 +21,7 @@ EXPORTS = [
     "ScheduleViolationWarning", "Simplex", "SolverConfig", "TAKAHASHI_TOYODA", "TableAlpha", "TableLambda",
     "TrigContraction", "UniformSquarePerturbation", "YAO_INNER", "YAO_OUTER", "alpha_at", "as_vector",
     "benchmark_schedule", "build_benchmark_problem", "contains", "emit_report", "emit_tables", "emit_trace",
-    "experiment", "hypothesis_report", "implicit_path", "lambda_at", "ls_lipschitz", "norm", "operators",
+    "experiment", "hypothesis_report", "implicit_path", "lambda_at", "norm", "operators",
     "perturbation_stream", "project", "project_rows", "projections", "reference_solution", "register_mapping",
     "run", "run_batch", "run_experiment", "sample", "schedules", "solvers", "space", "viscosity_map",
 ]

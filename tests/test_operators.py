@@ -20,16 +20,14 @@ from viscosolve import (
     ScheduleViolationWarning,
     Simplex,
     TrigContraction,
-    ls_lipschitz,
     norm,
     project,
     register_mapping,
     contains,
     viscosity_map,
 )
-from viscosolve.operators import _rd_points
 
-from oracles import inner
+from oracles import inner, ls_lipschitz
 
 
 def theta_map(x, problem, lam):
@@ -341,13 +339,6 @@ def test_problem_spec_refuses_a_map_that_leaves_a_far_halfspace_only_near_its_bo
     ProblemSpec(set_Q=Q, map_S=Identity(2), map_A=A, map_f=f)  # a map of Q into Q passes
     with pytest.raises(ValueError, match="map S does not map Q into Q"):
         ProblemSpec(set_Q=Q, map_S=LeavesNearTheBoundary(Q), map_A=A, map_f=f)
-
-
-def test_spot_check_spread_is_the_r_d_sequence():
-    # phi_1 is the golden ratio and phi_2 the plastic number; point n is frac(0.5 + n / phi**(j + 1))
-    for d, phi in ((1, (1 + math.sqrt(5)) / 2), (2, 1.324717957244746)):
-        alpha = phi ** -np.arange(1.0, d + 1.0)
-        assert np.allclose(_rd_points(d), (0.5 + np.arange(1.0, 9.0)[:, None] * alpha) % 1.0, rtol=0, atol=1e-14)
 
 
 def test_problem_spec_derived_moduli(problem):
