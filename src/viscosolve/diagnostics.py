@@ -14,7 +14,6 @@ problem the user configured.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +24,7 @@ from .schedules import (
     _block_steps, _generator, perturbation_stream, tabulate,
 )
 from .solvers import _target_point, viscosity_map
-from .space import NonFiniteError, row_inners, row_norms
+from .space import NonFiniteError, record, row_inners, row_norms
 
 __all__ = ["HypothesisCheck", "HypothesisReport", "hypothesis_report", "CheckResult", "run_property_checks"]
 
@@ -34,7 +33,7 @@ __all__ = ["HypothesisCheck", "HypothesisReport", "hypothesis_report", "CheckRes
 # hypothesis grader
 
 
-@dataclass(frozen=True)
+@record
 class HypothesisCheck:
     key: str
     statement: str
@@ -42,7 +41,7 @@ class HypothesisCheck:
     evidence: dict
 
 
-@dataclass(frozen=True)
+@record
 class HypothesisReport:
     """Verdicts for the five standing hypotheses, graded over k <= n.
 
@@ -173,7 +172,7 @@ def hypothesis_report(
 # property battery
 
 
-@dataclass(frozen=True)
+@record
 class CheckResult:
     name: str
     passed: bool

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass, field, replace
+from dataclasses import field, replace
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +46,7 @@ from .schedules import (
 )
 # run is not called here: the benchmark's self-test calls viscosolve.experiment.run
 from .solvers import PERTURBED, ConfigurationError, RunTrace, SolverConfig, _check_records, _write_traces, run, run_batch
+from .space import record
 
 __all__ = [
     "build_benchmark_problem",
@@ -83,7 +84,7 @@ def benchmark_schedule(theta: float, lam: float | None = None, problem: ProblemS
     return ScheduleSpec(alpha=PowerAlpha(theta), lam=ConstantLambda(lam), bounds=(lam, lam))
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class ExperimentConfig:
     """The (theta, seed) sweep of the perturbed rule on one problem.
 
@@ -129,7 +130,7 @@ class ExperimentConfig:
         object.__setattr__(self, "lam", template.schedule.lam.value)
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class CellResult:
     theta: float
     seed: int
@@ -139,7 +140,7 @@ class CellResult:
     error: str | None = None
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class ExperimentReport:
     config: ExperimentConfig
     reference: np.ndarray

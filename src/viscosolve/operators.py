@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import field, fields, is_dataclass
 from typing import Callable, ClassVar
 
 import numpy as np
 
 from .projections import ConvexSet, contains, project, project_rows
-from .space import DimensionMismatchError, NonFiniteError, as_vector
+from .space import DimensionMismatchError, NonFiniteError, as_vector, record
 
 __all__ = [
     "ParameterError",
@@ -49,7 +49,7 @@ class ParameterError(ValueError):
     """An algorithm parameter left its admissible interval."""
 
 
-@dataclass(frozen=True)
+@record
 class Identity:
     dim: int
     lipschitz: ClassVar[float] = 1.0
@@ -62,7 +62,7 @@ class Identity:
         return X
 
 
-@dataclass(frozen=True)
+@record
 class TrigContraction:
     """f(x) = ((5 + cos(x1 + x2)) / 2, (6 - sin(x1 + x2)) / 2) on the plane.
 
@@ -91,7 +91,7 @@ class TrigContraction:
             raise NonFiniteError("a coordinate sum is not finite") from None
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class ConstantAnchor:
     """f(x) = value for all x; the degenerate contraction (modulus 0)."""
 
@@ -111,7 +111,7 @@ class ConstantAnchor:
         return self.value
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class LeastSquaresGradient:
     """A(x) = B^T (B x - b), the gradient of phi(x) = 0.5 ||B x - b||^2.
 
@@ -165,7 +165,7 @@ class LeastSquaresGradient:
         return 0.5 * float(np.dot(r, r))
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class AffineMap:
     """x -> M x + c with Lipschitz bound ||M||_2."""
 
@@ -195,7 +195,7 @@ class AffineMap:
         return self.M @ x + self.c
 
 
-@dataclass(frozen=True)
+@record
 class RegisteredMapping:
     """A user-supplied mapping with a declared role and modulus, passed to :class:`ProblemSpec`.
 
@@ -284,7 +284,7 @@ def register_mapping(
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class ProblemSpec:
     """The quadruple (Q, S, A, f) with its certified moduli.
 

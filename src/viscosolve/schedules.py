@@ -15,10 +15,11 @@ standing hypotheses of the strong convergence theory on these sequences.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import ClassVar, Union
 
 import numpy as np
+
+from .space import record
 
 __all__ = [
     "ScheduleViolationWarning",
@@ -49,7 +50,7 @@ class ScheduleViolationError(ValueError):
     """A schedule value left its hypothesis interval (strict mode)."""
 
 
-@dataclass(frozen=True)
+@record
 class PowerAlpha:
     """alpha_k = k**(-theta) for k >= 1, so alpha_1 = 1.
 
@@ -65,7 +66,7 @@ class PowerAlpha:
             raise ValueError(f"power exponent must be > 0, got {self.theta}")
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class TableAlpha:
     """Explicit table of alpha values in (0, 1], indexed from k = 1."""
 
@@ -81,7 +82,7 @@ class TableAlpha:
         object.__setattr__(self, "values", v)
 
 
-@dataclass(frozen=True)
+@record
 class ConstantLambda:
     value: float
 
@@ -91,7 +92,7 @@ class ConstantLambda:
             raise ValueError(f"lambda must be >= 0, got {self.value}")
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class TableLambda:
     values: np.ndarray
 
@@ -109,7 +110,7 @@ AlphaSchedule = Union[PowerAlpha, TableAlpha]
 LambdaSchedule = Union[ConstantLambda, TableLambda]
 
 
-@dataclass(frozen=True)
+@record
 class ScheduleSpec:
     """alpha and lambda schedules plus the target interval [a, b] for lambda.
 
@@ -192,7 +193,7 @@ def _check_horizon(s: ScheduleSpec, n: int) -> None:
 # perturbations
 
 
-@dataclass(frozen=True)
+@record
 class NoPerturbation:
     """e_k = 0 for all k."""
 
@@ -201,7 +202,7 @@ class NoPerturbation:
     seed: ClassVar[None] = None
 
 
-@dataclass(frozen=True)
+@record
 class UniformSquarePerturbation:
     """e_k = X_k / k**2 with X_k uniform on [-1, 1]^dim, independent over k.
 

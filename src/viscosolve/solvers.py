@@ -18,12 +18,11 @@ explicit_viscosity step at a = t, and the reference solver for the limit point
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import json
 import math
 import warnings
 from collections import deque, namedtuple
-from dataclasses import dataclass, field
+from dataclasses import field
 from functools import partial
 from typing import Callable
 
@@ -48,7 +47,7 @@ from .schedules import (
     perturbation_stream,
     tabulate,
 )
-from .space import NonFiniteError, as_vector, norm, row_norms
+from .space import NonFiniteError, as_vector, norm, record, row_norms
 
 __all__ = [
     "EXPLICIT_VISCOSITY",
@@ -113,7 +112,7 @@ class NonConvergenceError(RuntimeError):
         self.iterations = iterations
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class SolverConfig:
     """One run: problem + schedules + start point + stopping/recording policy."""
 
@@ -285,7 +284,7 @@ def _write_traces(items) -> None:
                     fh.write("\n".join(map(",".join, zip(*cols))) + "\n")
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class RunTrace:
     """Per-iteration records of one run, plus run metadata.
 
@@ -768,7 +767,7 @@ def _lockstep(cfgs: list, extras: list) -> list:
 # implicit path
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class ImplicitConfig:
     """Settings for the implicit curve t -> x_t.
 
@@ -810,7 +809,7 @@ class ImplicitConfig:
         return self.lambda_of_t
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class PathPoint:
     """x_t; iterations counts evaluations of T_t, dist_bound = residual / (sigma t) >= ||x - x_t||."""
 
@@ -931,4 +930,6 @@ def _target_point(problem: ProblemSpec) -> np.ndarray | None:
 def config_digest(obj) -> str:
     """Short stable hash of a configuration's structure and numbers: the first 16 hex digits
     of the sha256 of ``json.dumps(_jsonable(obj), sort_keys=True)``."""
+    import hashlib  # here, not at the top: with its OpenSSL binding it adds about 3 ms to every import of the package
+
     return hashlib.sha256(json.dumps(_jsonable(obj), sort_keys=True).encode()).hexdigest()[:16]

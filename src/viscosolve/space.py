@@ -3,11 +3,16 @@
 Vectors are plain numpy arrays. Every operation is a pure function; nothing
 here mutates its inputs. NaN/Inf are rejected at operation boundaries so that
 iterative loops fail fast instead of silently propagating garbage.
+
+:func:`record`, the frozen dataclass of the package's records, lives here because every module imports this one.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields, is_dataclass
+from inspect import Parameter, Signature
+from reprlib import recursive_repr
 
 import numpy as np
 
@@ -67,3 +72,82 @@ def row_inners(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 def row_norms(X: np.ndarray) -> np.ndarray:
     """:func:`norm` of each row of the (C, d) array X, bit for bit, without the finiteness check."""
     return np.sqrt(row_inners(X, X))
+
+
+# The methods that record() gives every record class. Each reads the class's field table, ``_record_spec``:
+# the init fields by name, the names of those without a default, and whether the class has __post_init__.
+def _init(self, /, *args, **kwargs):
+    params, required, post_init = type(self)._record_spec
+    given = dict(zip(params, args), **kwargs)
+    if len(given) < len(args) + len(kwargs) or not params.keys() >= given.keys() >= required:
+        type(self).__signature__.bind(*args, **kwargs)  # raises the TypeError of a def with these parameters
+    for name, f in params.items():
+        value = given[name] if name in given else f.default if f.default_factory is MISSING else f.default_factory()
+        object.__setattr__(self, name, value)
+    if post_init:
+        self.__post_init__()
+
+
+@recursive_repr()
+def _repr(self):
+    shown = ", ".join(f"{f.name}={getattr(self, f.name)!r}" for f in fields(self) if f.repr)
+    return f"{type(self).__qualname__}({shown})"
+
+
+def _frozen(self, name, *value):
+    raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
+def _values(self) -> tuple:
+    return tuple(getattr(self, name) for name in type(self)._record_spec[0])
+
+
+def _eq(self, other):
+    return _values(self) == _values(other) if other.__class__ is self.__class__ else NotImplemented
+
+
+def _hash(self):
+    return hash(_values(self))
+
+
+class _Signed:
+    def __get__(self, obj, cls):  # a record class's fields; an instance has none, so ``__call__`` signs a callable record
+        if obj is not None or cls.__init__ is not _init:
+            raise AttributeError("__signature__")
+        empty = Parameter.empty
+        return Signature([Parameter(f.name, Parameter.POSITIONAL_OR_KEYWORD, annotation=f.type, default=_FACTORY if
+                                    f.default_factory is not MISSING else empty if f.default is MISSING else f.default)
+                          for f in fields(cls)], return_annotation=None)
+
+
+_FACTORY = type("_Factory", (), {"__repr__": lambda self: "<factory>"})()  # how the stdlib shows a default_factory
+_METHODS = {"__init__": _init, "__repr__": _repr, "__setattr__": _frozen, "__delattr__": _frozen, "__signature__": _Signed()}
+_EQ_METHODS = {**_METHODS, "__eq__": _eq, "__hash__": _hash}
+
+
+def record(cls=None, /, *, eq=True):
+    """``@dataclass(frozen=True, eq=eq)`` with methods that all records share, where the stdlib compiles them per class.
+
+    That compiling costs 0.4-1.0 ms a class at import. ``dataclass``, asked here for none of the methods, still makes
+    the class a dataclass to ``fields``, ``replace`` and ``is_dataclass``. Refused, as the shared methods do not
+    implement them: ``InitVar``, ``kw_only`` and ``init=False`` fields (each makes ``__match_args__`` differ from the
+    fields), ``compare`` and ``hash`` options, a default before a field without one, a class's own such method, and a
+    dataclass base. A plain subclass of a record inherits its fields and methods; a stdlib frozen dataclass may extend it.
+    """
+    if cls is None:
+        return lambda cls: record(cls, eq=eq)
+    methods = _EQ_METHODS if eq else _METHODS
+    if methods.keys() & cls.__dict__.keys() or any(is_dataclass(base) for base in cls.__mro__[1:]):
+        raise TypeError(f"record {cls.__qualname__} defines one of {sorted(methods)} or extends a dataclass")
+    for name, method in methods.items():  # before dataclass(), whose docstring for a class without one reads the signature
+        setattr(cls, name, method)
+    own = fields(dataclass(init=False, repr=False, eq=False)(cls))
+    required = {f.name for f in own if f.default is MISSING and f.default_factory is MISSING}
+    plain = all(f.compare and f.hash is None for f in own) and cls.__match_args__ == tuple(f.name for f in own)
+    if not plain or any(a.name not in required and b.name in required for a, b in zip(own, own[1:])):
+        raise TypeError(f"record {cls.__qualname__} takes plain fields, defaults last")
+    params = cls.__dataclass_params__  # as the methods behave, so that a stdlib frozen dataclass may extend the class
+    params.init = params.repr = params.frozen = True
+    params.eq = eq
+    cls._record_spec = ({f.name: f for f in own}, required, hasattr(cls, "__post_init__"))
+    return cls

@@ -109,3 +109,29 @@ def test_an_unknown_name_is_an_attribute_error():
         "try:\n    viscosolve.no_such_name\nexcept AttributeError as exc:\n    print(exc)\n"
     )
     assert fresh(code) == "module 'viscosolve' has no attribute 'no_such_name'"
+
+
+def test_import_loads_no_hashlib_until_a_digest_is_taken():
+    code = (
+        "import viscosolve\n"
+        + loaded(("hashlib", "_hashlib"))
+        + "\nviscosolve.solvers.config_digest({'a': 1})\n"
+        + loaded(("hashlib",))
+    )
+    assert fresh(code).splitlines() == ["[]", "['hashlib']"]
+
+
+def test_every_package_dataclass_is_a_record_with_the_shared_methods():
+    # a stdlib @dataclass(frozen=True) here would compile its own methods at every import again
+    code = (
+        "import dataclasses, inspect\n"
+        "import viscosolve, viscosolve.experiment, viscosolve.diagnostics\n"
+        "from viscosolve import space\n"
+        "classes = {c for name, m in sys.modules.items() if name.startswith('viscosolve') for c in vars(m).values()\n"
+        "           if isinstance(c, type) and dataclasses.is_dataclass(c) and c.__module__.startswith('viscosolve')}\n"
+        "print(len(classes))\n"
+        "print(sorted(c.__name__ for c in classes if c.__init__ is not space._init\n"
+        "             or list(inspect.signature(c).parameters) != [f.name for f in dataclasses.fields(c)]))\n"
+    )
+    count, strays = fresh(code).splitlines()
+    assert int(count) == 31 and strays == "[]"
