@@ -83,12 +83,16 @@ class TrigContraction:
             raise NonFiniteError(f"coordinate sum {s} is not finite") from None
 
     def rows(self, X):
-        # the __call__ formula per row, with math.cos / math.sin (np.cos may round differently)
+        # the __call__ formula per row, with math.cos / math.sin (np.cos may round differently), into a
+        # C-contiguous (C, 2) array: a transposed (2, C) one costs each later product about twice as much
         s = (X[:, 0] + X[:, 1]).tolist()
+        out = np.empty((len(s), 2))
         try:
-            return np.array([[(5.0 + math.cos(v)) / 2.0 for v in s], [(6.0 - math.sin(v)) / 2.0 for v in s]]).T
+            out[:, 0] = [(5.0 + math.cos(v)) / 2.0 for v in s]
+            out[:, 1] = [(6.0 - math.sin(v)) / 2.0 for v in s]
         except ValueError:
             raise NonFiniteError("a coordinate sum is not finite") from None
+        return out
 
 
 @record(eq=False)

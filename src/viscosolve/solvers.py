@@ -331,12 +331,12 @@ class RunTrace:
 
 # --------------------------------------------------------------------------
 # step rules, written once over the rows of a (C, d) array: a builder takes
-# P_Q, A, f and S and returns step(X, a, ca, lam, E, U, B, cB), where a, ca
-# and lam are the (C, 1) columns of alpha_k, 1 - alpha_k and lambda_k, E holds
-# the rows of e_k, U the anchors and B and cB the (C, 1) columns of beta and
-# 1 - beta. Fed the problem's 1-D maps and projection, the same step moves one
-# 1-D iterate with 0-d coefficients. Every rule applies the forward-backward
-# map P(X - lam A(X)).
+# P_Q, A, f and S and returns step(X, a, ca, lam, E, U, B, cB), where a, ca,
+# lam, E, U, B and cB hold alpha_k, 1 - alpha_k, lambda_k, e_k, the anchors,
+# beta and 1 - beta of each row, each in X's C-contiguous (C, d) shape (a
+# coefficient spread over its row). Fed the problem's 1-D maps and projection,
+# the same step moves one 1-D iterate with 0-d coefficients. Every rule applies
+# the forward-backward map P(X - lam A(X)).
 
 
 def _explicit(P, A, f, S):
@@ -477,7 +477,7 @@ def _vector_norm(v):
 
 
 # What a step reads, the nine fields the loop binds to locals: x; the alpha, 1 - alpha, lambda and e
-# tables of the block, indexed by k - k0; u, beta, 1 - beta and the step. Then what the stop test reads:
+# operands of the slab, indexed by step; u, beta, 1 - beta and the step. Then what the stop test reads:
 # the reference, its norm, the rel_err target, the norm and the any-row-at-target test.
 _Views = namedtuple("_Views", "x alpha calpha lam e u beta cbeta step ref nref target norms any_of")
 
@@ -487,10 +487,9 @@ class _Rows:
 
     ``x`` is the start, then the iterate at which rows last left; the loop
     steps a local copy. ``sched`` and ``stream`` number each row's schedule
-    and perturbation stream among the batch's distinct ones. ``alpha``,
-    ``calpha`` and ``lam`` hold alpha_k, 1 - alpha_k (as Python's ``1.0 - a``
-    rounds it) and lambda_k, and ``e`` the rows e_k of the current block,
-    k = k0 .. k0 + m - 1, as (C, m) and (C, m, d) arrays.
+    and perturbation stream among the batch's distinct ones. ``lam`` is each
+    row's constant lambda spread over d columns, or None when a schedule of
+    the batch has a lambda table; ``beta`` and ``cbeta`` are spread likewise.
     """
 
     def __init__(self, **fields):
@@ -501,18 +500,28 @@ class _Rows:
             if value is not None:
                 setattr(self, name, value[mask])
 
-    def views(self, step) -> _Views:
-        """The views of the rows for ``step``, which is built for rows or, for a single row, for one vector.
+    def views(self, step, alphas, lams, draws) -> _Views:
+        """The views of the rows for ``step``, built for rows or, for a single row, for one vector, over a slab
+        whose alpha_k and lambda_k are ``alphas`` and ``lams``, one row per schedule, and whose e_k are
+        ``draws``, one column per stream (or None).
+
+        Rows step on operands of the iterate's C-contiguous (C, d) shape: the slab's alpha_k, 1 - alpha_k, a
+        lambda table and e_k of its s steps are gathered into (s, C, d) arrays; a constant lambda is ``lam``.
+        numpy takes a broadcast (C, 1) or a strided operand through loops that cost about twice as much.
 
         A single row steps as a 1-D vector through the problem's own 1-D maps
         and projection, which cost less than (1, d) kernels. Its coefficients
-        are 0-d float64 views of the block's alpha_k, 1 - alpha_k and
+        are 0-d float64 views of the slab's alpha_k, 1 - alpha_k and
         lambda_k, beta and 1 - beta. numpy takes a 0-d array operand faster
         than a Python float and rounds the same. Its rel_err is a Python float.
         """
         if self.x.shape[0] > 1:
-            return _Views(self.x, self.alpha.T[:, :, None], self.calpha.T[:, :, None],
-                          self.lam.T[:, :, None], None if self.e is None else self.e.swapaxes(0, 1), self.u,
+            def spread(table):
+                return np.repeat(table[self.sched].T[:, :, None], self.x.shape[1], axis=2)
+
+            a = spread(alphas)
+            return _Views(self.x, a, 1.0 - a, spread(lams) if self.lam is None else [self.lam] * len(a),
+                          None if draws is None else np.take(draws, self.stream, axis=1), self.u,
                           self.beta, self.cbeta, step, self.ref, self.nref, self.target, row_norms, np.ndarray.any)
 
         def first(v):
@@ -521,15 +530,11 @@ class _Rows:
         def scalars(col):  # nditer yields a 0-d view of each entry, cheaper than col[i, ...]
             return list(np.nditer(col, order="C"))
 
-        return _Views(self.x[0], scalars(self.alpha[0]), scalars(self.calpha[0]), scalars(self.lam[0]),
-                      first(self.e), first(self.u), self.beta[0, 0, ...], self.cbeta[0, 0, ...], step, first(self.ref),
-                      None if self.nref is None else float(self.nref[0]),
+        s = self.sched[0]
+        return _Views(self.x[0], scalars(alphas[s]), scalars(1.0 - alphas[s]), scalars(lams[s]),
+                      None if draws is None else draws[:, self.stream[0]], first(self.u), self.beta[0, 0, ...],
+                      self.cbeta[0, 0, ...], step, first(self.ref), None if self.nref is None else float(self.nref[0]),
                       None if self.target is None else float(self.target[0]), _vector_norm, bool)
-
-
-def _pick(table: np.ndarray, of: np.ndarray) -> np.ndarray:
-    """Row ``of[j]`` of ``table`` for each row j: one fancy index, or a view for a single row."""
-    return table[of] if of.size > 1 else table[of[0] : of[0] + 1]
 
 
 def _rel_errs(X: np.ndarray, ref: np.ndarray, nref: float) -> np.ndarray:
@@ -551,10 +556,11 @@ def _lockstep(cfgs: list, extras: list) -> list:
     The batch steps in blocks of ``_block_steps(C * d)`` steps, about 2**14 doubles a field across its C
     rows: 8192 steps for one row at d = 2, 256 at d = 64. A block tabulates alpha_k and lambda_k once per
     distinct schedule (by identity) and draws e_k once per distinct perturbation among the rows still
-    stepping, then gathers each row's columns with one fancy index. The records hold each row's iterates,
+    stepping. Rows step it one slab of a quarter block at a time, on operands gathered for the slab (see
+    :meth:`_Rows.views`); a batch of one row steps each block as one slab. The records hold each row's iterates,
     and on the record grid alpha_k once per schedule, lambda_k once per schedule with a lambda table and
     ||e_k|| once per stream; a constant lambda is recorded as its one value, which each trace views with
-    stride 0. A run's memory is its iterate and rel_err records, those tables and one block."""
+    stride 0. A run's memory is its iterate and rel_err records, those tables, one block and one slab."""
     results = [None] * len(cfgs)
     if not cfgs:
         return results
@@ -579,23 +585,21 @@ def _lockstep(cfgs: list, extras: list) -> list:
     ids, live = list(violations), [cfgs[i] for i in violations]
     d = problem.dim
     targets = [cfg.rel_err_target for cfg in live]
-    betas = np.array([[cfg.beta] for cfg in live])
+    betas = np.repeat([[cfg.beta] for cfg in live], d, axis=1)
     # the batch's distinct schedules (by identity) and perturbation streams, in order of first use;
     # without perturbation every row reads one stream of zeros
     schedules = list({id(cfg.schedule): cfg.schedule for cfg in live}.values())
     perts = list(dict.fromkeys(cfg.perturbation for cfg in live)) if rule == PERTURBED else [NoPerturbation()]
     sched_no = {id(s): j for j, s in enumerate(schedules)}
     stream_no = {p: j for j, p in enumerate(perts)}
+    tabled = [s for s, sched in enumerate(schedules) if isinstance(sched.lam, TableLambda)]
     rows = _Rows(
         cfg=np.array(ids),
         rec=np.arange(len(ids)),
         sched=np.array([sched_no[id(cfg.schedule)] for cfg in live]),
         stream=np.array([stream_no[cfg.perturbation] if rule == PERTURBED else 0 for cfg in live]),
         x=np.array([cfg.x1 for cfg in live]),
-        alpha=None,
-        calpha=None,
-        lam=None,
-        e=None,
+        lam=None if tabled else np.repeat([[cfg.schedule.lam.value] for cfg in live], d, axis=1),
         u=np.array([cfg.anchor for cfg in live]) if rule in (HALPERN, YAO_OUTER, YAO_INNER) else None,
         beta=betas,
         cbeta=1.0 - betas,
@@ -614,7 +618,6 @@ def _lockstep(cfgs: list, extras: list) -> list:
     if kgrid[-1] != n:
         kgrid = np.append(kgrid, n)
     kgrid.setflags(write=False)
-    tabled = [s for s, sched in enumerate(schedules) if isinstance(sched.lam, TableLambda)]
     lam_no = {s: j for j, s in enumerate(tabled)}  # schedule -> its row of Ltab
     Xrec = np.empty((len(ids), kgrid.size, d))
     Atab = np.empty((len(schedules), kgrid.size))
@@ -627,7 +630,8 @@ def _lockstep(cfgs: list, extras: list) -> list:
     def load(k0, m):
         """Tabulate and draw k = k0 .. k0 + m - 1, once for each schedule and stream of the rows still
         stepping, and record the values on the grid: a block whose every k is recorded (stride 1)
-        tabulates alpha and draws into the records. Returns the block's ||e_k||, one row per stream."""
+        tabulates alpha and draws into the records. Returns the block's alpha_k and lambda_k, one row per
+        schedule, its e_k, one column per stream (or None), and its ||e_k||, one row per stream."""
         lo, hi = np.searchsorted(kgrid, (k0, k0 + m))
         into = hi - lo == m
         at = slice(None) if into else kgrid[lo:hi] - k0
@@ -640,18 +644,17 @@ def _lockstep(cfgs: list, extras: list) -> list:
                 Atab[s, lo:hi] = alphas[s, at]
             if s in lam_no:
                 Ltab[lam_no[s], lo:hi] = lams[s, at]
-        rows.alpha, rows.lam = _pick(alphas, rows.sched), _pick(lams, rows.sched)
-        rows.calpha = 1.0 - rows.alpha
-        if rule == PERTURBED:
-            streams = sorted(set(rows.stream.tolist()))
-            draws = [perturbation_stream(perts[p], m, d, k0, generators[p]) for p in streams]
-            for p, e in zip(streams, draws):
-                e_norms[p] = np.linalg.norm(e, axis=1)
-                if not into:
-                    Etab[p, lo:hi] = e_norms[p, at]
-            stacked = draws[0][None] if len(draws) == 1 else np.stack(draws)
-            rows.e = _pick(stacked, np.searchsorted(streams, rows.stream))
-        return e_norms
+        draws = np.zeros((m, len(perts), d)) if rule == PERTURBED and len(perts) > 1 else None
+        for p in sorted(set(rows.stream.tolist())) if rule == PERTURBED else ():
+            e = perturbation_stream(perts[p], m, d, k0, generators[p])
+            e_norms[p] = np.linalg.norm(e, axis=1)
+            if not into:
+                Etab[p, lo:hi] = e_norms[p, at]
+            if draws is None:  # the one stream: a view of its draw
+                draws = e[:, None]
+            else:
+                draws[:, p] = e
+        return alphas, lams, draws, e_norms
 
     def finish(j, count, stopped_at=None, last=()):
         """Row j's trace of ``count`` records. A row that stopped off the grid passes ``last``, its
@@ -696,23 +699,32 @@ def _lockstep(cfgs: list, extras: list) -> list:
         rows.keep(~gone)
         if not rows.rec.size:
             return None
-        return rows.views(_build_step(problem, rule) if rows.rec.size == 1 else step)
+        return rows.views(_build_step(problem, rule) if rows.rec.size == 1 else step, alphas, lams, draws)
+
+    def slabs():
+        """Each slab's first k, its alpha_k, lambda_k and e_k tables (as :meth:`_Rows.views` takes them) and its
+        ||e_k||: a block's, loaded when the rows still stepping reach it, cut into slabs."""
+        block = _block_steps(len(ids) * d)
+        slab = block if len(ids) == 1 else max(1, block // 4)
+        for b0 in range(1, n + 1, block):
+            alphas, lams, draws, e_norms = load(b0, min(block, n + 1 - b0))
+            for lo in range(0, alphas.shape[1], slab):
+                cut = slice(lo, lo + slab)
+                yield b0 + lo, alphas[:, cut], lams[:, cut], None if draws is None else draws[cut], e_norms[:, cut]
 
     step = _build_step(problem, rule, rows=len(ids) > 1)
     count_nonzero, isfinite = np.count_nonzero, np.isfinite
     written = slice(None)  # record rows a record writes: all, until one leaves
     slot = 0
-    block = _block_steps(len(ids) * d)
     # numpy's overflow and invalid warnings stay inside: the finiteness test turns what they
     # flag into a DivergenceError of exactly the rows concerned (one errstate per call, not per step)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k0 in range(1, n + 1, block):
-            e_norms = load(k0, min(block, n + 1 - k0))
-            v = rows.views(step)
+        for k0, alphas, lams, draws, e_norms in slabs():
+            v = rows.views(step, alphas, lams, draws)
             if k0 == 1:
                 x = v.x
             _, alpha, calpha, lam, e, u, beta, cbeta, step = v[:9]
-            for i, k in enumerate(range(k0, min(k0 + block, n + 1))):
+            for i, k in enumerate(range(k0, k0 + len(alpha))):
                 on_grid = (k - 1) % stride == 0 or k == n
                 if has_target:
                     # only the stop test reads rel_err during the run; it may overflow
@@ -726,7 +738,8 @@ def _lockstep(cfgs: list, extras: list) -> list:
                     if not on_grid:
                         Xrec[rows.rec[js], slot] = x.reshape(-1, d)[js]
                     for j in js:
-                        last = () if on_grid else (rows.alpha[j, i], rows.lam[j, i], e_norms[rows.stream[j], i])
+                        s = rows.sched[j]
+                        last = () if on_grid else (alphas[s, i], lams[s, i], e_norms[rows.stream[j], i])
                         finish(j, slot + 1, k, last)
                     if (v := leave(x, hit)) is None:
                         return results

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, FrozenInstanceError, dataclass, fields, is_dataclass
-from inspect import Parameter, Signature
+from inspect import Parameter, Signature, signature
 from reprlib import recursive_repr
 
 import numpy as np
@@ -75,15 +75,23 @@ def row_norms(X: np.ndarray) -> np.ndarray:
 
 
 # The methods that record() gives every record class. Each reads the class's field table, ``_record_spec``:
-# the init fields by name, the names of those without a default, and whether the class has __post_init__.
+# the init fields' names in order, those with a default by name, and whether the class has __post_init__.
 def _init(self, /, *args, **kwargs):
-    params, required, post_init = type(self)._record_spec
-    given = dict(zip(params, args), **kwargs)
-    if len(given) < len(args) + len(kwargs) or not params.keys() >= given.keys() >= required:
+    names, defaults, post_init = type(self)._record_spec
+    setter, given = object.__setattr__, len(args) + len(kwargs)
+    for name, value in zip(names, args):
+        setter(self, name, value)
+    for name in names[len(args):]:
+        if name in kwargs:
+            setter(self, name, kwargs[name])
+        elif name in defaults:
+            f, given = defaults[name], given + 1
+            setter(self, name, f.default if f.default_factory is MISSING else f.default_factory())
+        else:  # a field without a default, not given
+            given = -1
+            break
+    if given != len(names):  # a field missing, or an argument unknown, repeated or one too many
         type(self).__signature__.bind(*args, **kwargs)  # raises the TypeError of a def with these parameters
-    for name, f in params.items():
-        value = given[name] if name in given else f.default if f.default_factory is MISSING else f.default_factory()
-        object.__setattr__(self, name, value)
     if post_init:
         self.__post_init__()
 
@@ -139,15 +147,19 @@ def record(cls=None, /, *, eq=True):
     methods = _EQ_METHODS if eq else _METHODS
     if methods.keys() & cls.__dict__.keys() or any(is_dataclass(base) for base in cls.__mro__[1:]):
         raise TypeError(f"record {cls.__qualname__} defines one of {sorted(methods)} or extends a dataclass")
-    for name, method in methods.items():  # before dataclass(), whose docstring for a class without one reads the signature
+    for name, method in methods.items():
         setattr(cls, name, method)
+    doc = cls.__doc__
+    cls.__doc__ = doc or "-"  # so that dataclass() reads no signature: 3.10's refuses a default first with ValueError
     own = fields(dataclass(init=False, repr=False, eq=False)(cls))
-    required = {f.name for f in own if f.default is MISSING and f.default_factory is MISSING}
-    plain = all(f.compare and f.hash is None for f in own) and cls.__match_args__ == tuple(f.name for f in own)
-    if not plain or any(a.name not in required and b.name in required for a, b in zip(own, own[1:])):
+    names = tuple(f.name for f in own)
+    defaults = {f.name: f for f in own if f.default is not MISSING or f.default_factory is not MISSING}
+    if not all(f.compare and f.hash is None for f in own) or cls.__match_args__ != names or any(
+            a.name in defaults and b.name not in defaults for a, b in zip(own, own[1:])):
         raise TypeError(f"record {cls.__qualname__} takes plain fields, defaults last")
+    cls.__doc__ = doc or cls.__name__ + str(signature(cls)).replace(" -> None", "")  # the stdlib's docstring
     params = cls.__dataclass_params__  # as the methods behave, so that a stdlib frozen dataclass may extend the class
     params.init = params.repr = params.frozen = True
     params.eq = eq
-    cls._record_spec = ({f.name: f for f in own}, required, hasattr(cls, "__post_init__"))
+    cls._record_spec = (names, defaults, hasattr(cls, "__post_init__"))
     return cls

@@ -698,6 +698,18 @@ def test_import_does_not_load_the_trace_formatter():
     assert out.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize("cells", (1, 2, 16))
+def test_built_in_map_rows_are_c_contiguous_and_equal_each_rows_call(cells):
+    # a step multiplies and adds these rows: a transposed or broadcast result takes numpy's slower loops
+    rng = np.random.default_rng(cells)
+    for m in (Identity(2), TrigContraction(), LeastSquaresGradient(rng.normal(size=(3, 2)), rng.normal(size=3))):
+        X = rng.normal(scale=3.0, size=(cells, 2))
+        got = m.rows(X)
+        assert got.shape == X.shape and got.flags.c_contiguous, type(m).__name__
+        for x, row in zip(X, got):
+            assert same_bits(row, m(x)), type(m).__name__
+
+
 def test_map_rows_equal_calls_on_each_row():
     rng = np.random.default_rng(11)
     maps = [

@@ -253,6 +253,64 @@ def test_a_batch_across_its_own_blocks_equals_each_row_run_alone(cells, shared):
             assert got.metadata["stopped_at"] == got.k[-1] == stops[j] > block
 
 
+def test_a_batch_mixing_a_lambda_table_with_constant_lambdas_equals_each_row_run_alone():
+    # 4 rows at d = 64 step in blocks of 64 and slabs of 16: row 0 has a lambda table and stops off the
+    # stride-7 grid inside a block's second or later slab, row 1 (lambda = 20 / L) diverges, row 3 stops on
+    # the grid, and row 2 then steps alone to n_max, across blocks and slabs
+    n, block = 2 * B + 1, _block_steps(4 * D)
+    slab = block // 4
+    cfgs = toward_the_end(d64_cfgs(4, n, 7, seed=30))
+    lam = cfgs[0].schedule.lam.value
+    table = lam * np.random.default_rng(30).uniform(0.5, 1.0, size=n)
+    cfgs[0] = dataclasses.replace(cfgs[0], schedule=ScheduleSpec(cfgs[0].schedule.alpha, TableLambda(table),
+                                                                 (lam / 2, lam)))
+    cfgs[0], stop = stopping_at(cfgs[0], block + slab, on_grid=False)
+    cfgs[1] = dataclasses.replace(cfgs[1], schedule=ScheduleSpec(cfgs[1].schedule.alpha, ConstantLambda(20 * lam),
+                                                                 (20 * lam, 20 * lam)))
+    cfgs[3], last = stopping_at(cfgs[3], stop, on_grid=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ScheduleViolationWarning)  # lambda = 20 / L > 2 nu
+        batch, alone = run_batch(cfgs), [run_or_error(cfg) for cfg in cfgs]
+    assert (stop - 1) % block > slab and (stop - 1) % slab and (stop - 1) % 7 and stop < last < n
+    assert [type(r) for r in alone] == [RunTrace, DivergenceError, RunTrace, RunTrace]
+    assert type(batch[1]) is DivergenceError and batch[1].step == alone[1].step < n
+    assert same_bits(batch[1].last_state, alone[1].last_state)
+    for j in (0, 2, 3):
+        assert_same_trace(batch[j], alone[j])
+        assert_whole_run_columns(batch[j], cfgs[j])
+    assert [t.k[-1] for t in (batch[0], batch[2], batch[3])] == [stop, n, last]
+
+
+def test_the_row_path_steps_on_operands_of_the_iterates_shape(monkeypatch):
+    # alpha_k, 1 - alpha_k, lambda_k, e_k, the anchors and beta reach each step of a batch C-contiguous and
+    # (C, d), as the iterate is: a broadcast (C, 1) column or a strided view takes numpy's slower loops
+    built, seen = solvers._build_step, []
+
+    def checked(problem, rule, rows=False):
+        step = built(problem, rule, rows)
+        if not rows:
+            return step
+
+        def recording(X, *operands):
+            seen.append([(v.shape == X.shape, v.flags.c_contiguous) for v in (X, *operands) if v is not None])
+            return step(X, *operands)
+        return recording
+
+    monkeypatch.setattr(solvers, "_build_step", checked)
+    cfgs = [dataclasses.replace(cfg, anchor=cfg.x1, beta=0.25) for cfg in d64_cfgs(3, 40, 3, seed=31)]
+    tabled = dataclasses.replace(cfgs[1].schedule, lam=TableLambda(np.full(40, cfgs[1].schedule.lam.value)))
+    for rule in solvers.ALGORITHMS:
+        for lams in ("constant", "a table"):
+            batch = [dataclasses.replace(cfg, algorithm=rule) for cfg in cfgs]
+            if lams == "a table":
+                batch[1] = dataclasses.replace(batch[1], schedule=tabled)
+            seen.clear()
+            run_batch(batch)
+            assert len(seen) == 39 and all(all(map(all, step)) for step in seen), (rule, lams)
+            # X, alpha, 1 - alpha, lambda, beta and 1 - beta, and e_k or the anchors where the rule reads them
+            assert len(seen[0]) == (6 if rule in ("explicit_viscosity", "takahashi_toyoda") else 7)
+
+
 def test_columns_of_batch_rows_are_read_only():
     # the rows' alpha, lambda and ||e|| are views of tables that rows of one schedule or stream share
     cfgs = d64_cfgs(3, 100, 7, seed=8)
