@@ -127,7 +127,7 @@ def _cmd_solve(args) -> int:
     _write_resolved(out, resolved, defaulted, digest)
     final = ", ".join(repr(float(v)) for v in trace.final)
     print(f"solve: {cfg.algorithm}, {trace.k.size} recorded iterates, final x = ({final})")
-    if trace.rel_err is not None:
+    if trace.reference is not None:
         print(f"solve: min rel_err = {trace.min_rel_err()!r}")
     print(f"solve: wrote {out / 'trace.csv'}")
     return EXIT_OK

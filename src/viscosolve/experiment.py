@@ -45,7 +45,8 @@ from .schedules import (
     _integer,
 )
 # run is not called here: the benchmark's self-test calls viscosolve.experiment.run
-from .solvers import PERTURBED, ConfigurationError, RunTrace, SolverConfig, _check_records, _write_traces, run, run_batch
+from .solvers import (PERTURBED, ConfigurationError, RunTrace, SolverConfig, _check_records, _first_hit, _write_traces, run,
+                      run_batch)
 from .space import record
 
 __all__ = [
@@ -204,8 +205,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                 CellResult(theta, seed, float("nan"), {e: None for e in cfg.epsilons}, None, error=str(trace))
             )
             continue
-        hits = {eps: trace.first_hit(eps) for eps in cfg.epsilons}
-        cells.append(CellResult(theta, seed, trace.min_rel_err(), hits, trace))
+        rel_err = trace.rel_err  # computed once for the cell's summary, then dropped
+        hits = {eps: _first_hit(trace.k, rel_err, eps) for eps in cfg.epsilons}
+        cells.append(CellResult(theta, seed, float(rel_err.min()), hits, trace))
     return ExperimentReport(config=cfg, reference=cfg.template.reference, cells=tuple(cells))
 
 

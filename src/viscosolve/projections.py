@@ -65,6 +65,12 @@ _ZERO = np.zeros(())
 _ZERO.setflags(write=False)
 
 
+def _slack(tol: float, terms: np.ndarray) -> float:
+    """``tol`` plus 4 (d + 1) eps times the sum of |terms|, the d terms a membership test adds up: the rounding of that
+    sum and, for a point at the set's own scale, of the projection that made it (below 1e-13 at unit scale, small d)."""
+    return tol + 4 * (terms.size + 1) * math.ulp(1.0) * float(np.abs(terms).sum())
+
+
 class InvalidDescriptorError(ValueError):
     """The convex-set descriptor violates its own invariants."""
 
@@ -140,7 +146,7 @@ class Ball:
 
     def contains(self, x, tol=MEMBERSHIP_TOL):
         d = x - self.center
-        return float(np.sqrt(np.dot(d, d))) <= self.radius + tol
+        return float(np.sqrt(np.dot(d, d))) <= self.radius + _slack(tol, np.abs(x) + np.abs(self.center))
 
     def sample(self, rng, n):
         dirs = rng.normal(size=(n, self.dim))
@@ -176,7 +182,7 @@ class Halfspace(_AffineSet):
         return x - (excess / self._normal_sq) * self.normal
 
     def contains(self, x, tol=MEMBERSHIP_TOL):
-        return float(np.dot(self.normal, x)) <= self.offset + tol
+        return float(np.dot(self.normal, x)) <= self.offset + _slack(tol, self.normal * x)
 
 
 class Hyperplane(_AffineSet):
@@ -187,7 +193,7 @@ class Hyperplane(_AffineSet):
         return x - (excess / self._normal_sq) * self.normal
 
     def contains(self, x, tol=MEMBERSHIP_TOL):
-        return abs(float(np.dot(self.normal, x)) - self.offset) <= tol
+        return abs(float(np.dot(self.normal, x)) - self.offset) <= _slack(tol, self.normal * x)
 
 
 @record
@@ -212,7 +218,7 @@ class Simplex:
         return np.maximum(x - threshold, _ZERO)
 
     def contains(self, x, tol=MEMBERSHIP_TOL):
-        return bool(np.all(x >= -tol)) and abs(float(np.sum(x)) - self.total) <= tol
+        return bool(np.all(x >= -tol)) and abs(float(np.sum(x)) - self.total) <= _slack(tol, x)
 
 
 ConvexSet = Union[NonnegOrthant, Box, Ball, Halfspace, Hyperplane, Simplex]
@@ -301,7 +307,7 @@ def project_rows(cset, X) -> np.ndarray:
 
 
 def contains(cset, x, tol: float = MEMBERSHIP_TOL) -> bool:
-    """True iff ``x`` violates every defining constraint of ``cset`` by at most ``tol``."""
+    """True iff ``x`` violates every defining constraint of ``cset`` by at most ``tol``, plus its rounding allowance."""
     try:
         kernel = cset.contains
     except AttributeError:

@@ -243,6 +243,24 @@ def _schedule_cells(col: np.ndarray) -> list[str]:
     return _csv_cells(col)
 
 
+def _rel_errs(X: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """norm(x_k - ref) / norm(ref) of each row x_k of X, bit for bit, through row_norms one block of rows at a time
+    (each row's norm is its own dot product, so any chunk of X gives the same bits); an overflowing norm reads inf."""
+    out = np.empty(len(X))
+    rows = _block_steps(X.shape[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, len(X), rows):
+            out[lo : lo + rows] = row_norms(X[lo : lo + rows] - ref)
+    out /= norm(ref)
+    return out
+
+
+def _first_hit(k: np.ndarray, rel_err: np.ndarray, eps: float) -> int | None:
+    """The first k[j] with rel_err[j] <= eps, or None if there is none."""
+    idx = np.flatnonzero(rel_err <= eps)
+    return int(k[idx[0]]) if idx.size else None
+
+
 def _write_traces(items) -> None:
     """Write each ``(trace, path)`` of ``items`` as CSV: one row per record, shortest round-trip floats.
 
@@ -251,8 +269,9 @@ def _write_traces(items) -> None:
     longer list is written in groups of that many). Within one chunk each distinct k, alpha, lambda and
     e_norm column chunk, found by its bits (0.0 and -0.0, or two NaN payloads, differ), is formatted
     once: the cells of a sweep share k and lambda, those of one seed e_norm and those of one theta
-    alpha. x and rel_err are formatted per trace. The writer holds one chunk's cells, whatever the
-    traces' length, and no file's bytes depend on the order of ``items``.
+    alpha. x and rel_err, computed from the chunk's x, are formatted per trace. The writer holds one
+    chunk's cells and rel_err values, whatever the traces' length, and no file's bytes depend on the
+    order of ``items``.
     """
     items = list(items)
     memo = {}  # (dtype, bits) of a k, alpha, lambda or e_norm chunk -> its cells, for the chunk being written
@@ -280,7 +299,8 @@ def _write_traces(items) -> None:
                     x = _csv_cells(trace.x[rows].ravel())
                     cols = [shared(trace.k[rows])] + [x[i::d] for i in range(d)]
                     cols += [shared(trace.alpha[rows]), shared(trace.lam[rows]), shared(trace.e_norm[rows])]
-                    cols.append(_csv_cells(trace.rel_err[rows]) if trace.rel_err is not None else [""] * len(cols[0]))
+                    ref = trace.reference
+                    cols.append(_csv_cells(_rel_errs(trace.x[rows], ref)) if ref is not None else [""] * len(cols[0]))
                     fh.write("\n".join(map(",".join, zip(*cols))) + "\n")
 
 
@@ -288,11 +308,13 @@ def _write_traces(items) -> None:
 class RunTrace:
     """Per-iteration records of one run, plus run metadata.
 
-    Row j holds the iterate x_k with k = k[j], the schedule values at k and,
-    when a reference point was supplied, rel_err_k = ||x_k - ref|| / ||ref||.
-    A trace from :func:`run` or :func:`run_batch` holds read-only columns: k,
-    alpha, lam and e_norm are views of tables that runs of one batch share,
-    and a constant lambda is a zero-stride view of its one value.
+    Row j holds the iterate x_k with k = k[j] and the schedule values at k.
+    ``reference`` is the run's reference point, or None. The rel_err column
+    is derived from it and the iterates on each read, not stored. A trace
+    from :func:`run` or :func:`run_batch` holds read-only columns: k, alpha,
+    lam and e_norm are views of tables that runs of one batch share, a
+    constant lambda is a zero-stride view of its one value, and the
+    reference is its config's own array, which the cells of a sweep share.
     """
 
     k: np.ndarray
@@ -300,24 +322,29 @@ class RunTrace:
     alpha: np.ndarray
     lam: np.ndarray
     e_norm: np.ndarray
-    rel_err: np.ndarray | None
+    reference: np.ndarray | None
     metadata: dict
 
     @property
     def final(self) -> np.ndarray:
         return self.x[-1]
 
-    def min_rel_err(self) -> float:
-        if self.rel_err is None:
+    @property
+    def rel_err(self) -> np.ndarray | None:
+        """||x_k - ref|| / ||ref|| of each record (inf where a norm overflows), or None without a reference."""
+        return None if self.reference is None else _rel_errs(self.x, self.reference)
+
+    def _checked_rel_err(self) -> np.ndarray:
+        if self.reference is None:
             raise ValueError("trace has no rel_err column (no reference was supplied)")
-        return float(self.rel_err.min())
+        return self.rel_err
+
+    def min_rel_err(self) -> float:
+        return float(self._checked_rel_err().min())
 
     def first_hit(self, eps: float) -> int | None:
         """Smallest recorded k with rel_err_k <= eps, or None if never reached."""
-        if self.rel_err is None:
-            raise ValueError("trace has no rel_err column (no reference was supplied)")
-        idx = np.nonzero(self.rel_err <= eps)[0]
-        return int(self.k[idx[0]]) if idx.size else None
+        return _first_hit(self.k, self._checked_rel_err(), eps)
 
     def write_csv(self, path) -> None:
         """One row per record, shortest round-trip floats; written column by column in chunks."""
@@ -537,16 +564,6 @@ class _Rows:
                       None if self.target is None else float(self.target[0]), _vector_norm, bool)
 
 
-def _rel_errs(X: np.ndarray, ref: np.ndarray, nref: float) -> np.ndarray:
-    """norm(x_k - ref) / nref of each row x_k of X, bit for bit, through row_norms one block of rows at a time."""
-    out = np.empty(len(X))
-    rows = _block_steps(X.shape[1])
-    for lo in range(0, len(X), rows):
-        out[lo : lo + rows] = row_norms(X[lo : lo + rows] - ref)
-    out /= nref
-    return out
-
-
 def _lockstep(cfgs: list, extras: list) -> list:
     """The engine of :func:`run` and :func:`run_batch`: each config's trace, or the exception that ended its row.
 
@@ -560,7 +577,8 @@ def _lockstep(cfgs: list, extras: list) -> list:
     :meth:`_Rows.views`); a batch of one row steps each block as one slab. The records hold each row's iterates,
     and on the record grid alpha_k once per schedule, lambda_k once per schedule with a lambda table and
     ||e_k|| once per stream; a constant lambda is recorded as its one value, which each trace views with
-    stride 0. A run's memory is its iterate and rel_err records, those tables, one block and one slab."""
+    stride 0. A run's memory is its iterate records (a trace derives rel_err from them), those tables, one block
+    and one slab."""
     results = [None] * len(cfgs)
     if not cfgs:
         return results
@@ -689,7 +707,7 @@ def _lockstep(cfgs: list, extras: list) -> list:
             alpha=alpha,
             lam=lam,
             e_norm=e_norm,
-            rel_err=_rel_errs(Xrec[b, :count], rows.ref[j], rows.nref[j]) if with_ref else None,
+            reference=cfgs[i].reference,
             metadata=metadata,
         )
 

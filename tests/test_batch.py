@@ -3,6 +3,7 @@
 import dataclasses
 import subprocess
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,9 +31,11 @@ from viscosolve import (
     RunTrace,
     ProblemSpec,
     ScheduleSpec,
+    ScheduleViolationWarning,
     Simplex,
     SolverConfig,
     TableAlpha,
+    TableLambda,
     TrigContraction,
     UniformSquarePerturbation,
     benchmark_schedule,
@@ -369,6 +372,41 @@ def test_rel_err_in_a_batch_with_one_target_is_exact_on_every_row():
         assert_same_trace(got, run(cfg))
 
 
+@pytest.mark.parametrize("stride", (1, 7))
+def test_a_runs_rel_err_is_that_of_each_record_when_it_stops_at_a_target(stride):
+    (cfg,) = least_squares_batch(2, 1, stride, 400, seed=41)
+    cfg = dataclasses.replace(cfg, reference=run(cfg).final)  # rel_err falls as the run goes on
+    dense = run(dataclasses.replace(cfg, record_stride=1)).rel_err
+    lowest = np.minimum.accumulate(dense)
+    # the first k past 100, off the stride-7 grid, where rel_err is below every earlier value
+    k = next(k for k in range(101, 400) if dense[k - 1] < lowest[k - 2] and (k - 1) % 7)
+    trace = run(dataclasses.replace(cfg, rel_err_target=float(dense[k - 1])))
+    assert trace.metadata["stopped_at"] == trace.k[-1] == k
+    assert_rel_err_of_records(trace, cfg.reference)
+
+
+def test_each_rows_rel_err_in_a_mixed_batch_is_that_of_its_records():
+    # diverging_batch's line with the anchor (2, -2), where x_k = c_k (1, -1) tends to (2, -2) / (1 + lambda):
+    # row 0 steps with a lambda table, row 1 stops at k = 2 off the stride-3 grid (c_2 = 1.25 is the nearest
+    # c_k to the reference's 1.2), row 2 diverges (lambda = 50) and row 3 runs to n_max
+    n = 300
+    problem = ProblemSpec(set_Q=Hyperplane(normal=[1.0, 1.0], offset=0.0), map_S=Identity(2),
+                          map_A=LeastSquaresGradient(B=np.eye(2), b=[0.0, 0.0]), map_f=ConstantAnchor([2.0, -2.0]))
+    lams = [TableLambda(np.linspace(0.5, 1.5, n)), ConstantLambda(0.5), ConstantLambda(50.0), ConstantLambda(1.5)]
+    cfgs = [SolverConfig(problem=problem, schedule=ScheduleSpec(TableAlpha(np.full(n, 0.5)), lam, (0.5, 50.0)),
+                         x1=[1.0, -1.0], n_max=n, reference=[1.2, -1.2], record_stride=3,
+                         rel_err_target=0.05 if j == 1 else None)
+            for j, lam in enumerate(lams)]
+    with pytest.warns(ScheduleViolationWarning):
+        batch = run_batch(cfgs)
+    assert [type(r) for r in batch] == [RunTrace, RunTrace, DivergenceError, RunTrace]
+    assert batch[1].metadata["stopped_at"] == batch[1].k[-1] == 2 and batch[3].k[-1] == n
+    for cfg, got in zip(cfgs, batch):
+        if isinstance(got, RunTrace):
+            assert got.reference is cfg.reference
+            assert_rel_err_of_records(got, cfg.reference)
+
+
 def test_a_reference_of_norm_zero_is_refused(problem):
     with pytest.raises(ConfigurationError, match="nonzero norm"):
         SolverConfig(problem=problem, schedule=benchmark_schedule(0.9, problem=problem), x1=[2.0, 3.0],
@@ -479,8 +517,14 @@ def test_csv_writer_matches_per_row_repr(tmp_path, with_rel):
     lam[1500] = -0.0
     lam[-1] = 0.2
     alpha = np.concatenate([[0.5, 0.5], rng.random(n - 2)])
-    rel = rng.random(n) * 1e-7 if with_rel else None
-    tr = RunTrace(k=np.arange(1, n + 1), x=x, alpha=alpha, lam=lam, e_norm=np.zeros(n), rel_err=rel, metadata={})
+    ref = None
+    if with_rel:  # x near the reference: rel_err from 1e-11 to about 1e-4, in exponent form and in the 0.0000d... band
+        ref = np.array([1.5, -2.5, 0.0])
+        x[:, :2] = ref[:2] + rng.normal(size=(n, 2)) * (norm(ref) * 10.0 ** rng.uniform(-11, -4, size=(n, 1)))
+    tr = RunTrace(k=np.arange(1, n + 1), x=x, alpha=alpha, lam=lam, e_norm=np.zeros(n), reference=ref, metadata={})
+    if with_rel:
+        rel = tr.rel_err
+        assert (rel < 1e-9).any() and ((rel >= 1e-9) & (rel < 1e-5)).any() and ((rel >= 1e-5) & (rel < 1e-4)).any()
     path = tmp_path / "trace.csv"
     tr.write_csv(path)
     assert path.read_text() == repr_csv(tr)
@@ -488,12 +532,12 @@ def test_csv_writer_matches_per_row_repr(tmp_path, with_rel):
 
 def repr_csv(trace):
     """The trace CSV written row by row with repr: the oracle of ``RunTrace.write_csv``."""
-    d = trace.x.shape[1]
+    d, rel = trace.x.shape[1], trace.rel_err
     lines = ["k," + ",".join(f"x{i + 1}" for i in range(d)) + ",alpha,lambda,e_norm,rel_err"]
     for j in range(trace.k.size):
         cells = [str(int(trace.k[j]))] + [repr(float(v)) for v in trace.x[j]]
         cells += [repr(float(v[j])) for v in (trace.alpha, trace.lam, trace.e_norm)]
-        cells.append("" if trace.rel_err is None else repr(float(trace.rel_err[j])))
+        cells.append("" if rel is None else repr(float(rel[j])))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -512,17 +556,23 @@ def test_csv_writer_matches_per_row_repr_on_a_perturbed_run(tmp_path, problem, q
 
 
 def shared_column_traces(n=2503, seed=23):
-    """A trace of three chunks (the last partial) and variants that differ from it in one chunk of one column."""
+    """A trace of three chunks (the last partial) and variants that differ from it in one chunk of one column.
+
+    Its x lies near its reference, so that its rel_err cells are in exponent form and in the 0.0000d... band.
+    """
     rng = np.random.default_rng(seed)
     e_norm = rng.random(n) * 1e-6
     e_norm[1500] = 0.0
-    base = dict(k=np.arange(1, n + 1), x=rng.normal(size=(n, 2)), alpha=rng.random(n), lam=np.full(n, 0.1),
-                e_norm=e_norm, rel_err=rng.random(n), metadata={})
+    ref = np.array([0.75, 1.25])
+    x = ref + rng.normal(size=(n, 2)) * (norm(ref) * 10.0 ** rng.uniform(-8, -4, size=(n, 1)))
+    base = dict(k=np.arange(1, n + 1), x=x, alpha=rng.random(n), lam=np.full(n, 0.1), e_norm=e_norm, reference=ref,
+                metadata={})
 
     def variant(name, index, value, rows=n):
         cols = {key: v.copy() if isinstance(v, np.ndarray) else v for key, v in base.items()}
         cols[name][index] = value
-        return RunTrace(**{key: v[:rows] if isinstance(v, np.ndarray) else v for key, v in cols.items()})
+        return RunTrace(**{key: v[:rows] if isinstance(v, np.ndarray) and key != "reference" else v
+                           for key, v in cols.items()})
 
     return RunTrace(**base), variant, base
 
@@ -584,9 +634,8 @@ def test_write_traces_formats_a_shared_chunk_once(tmp_path, monkeypatch):
     # differ in x, alpha and rel_err: only the first formats the shared columns
     n = 2503
     chunks = -(-n // solvers._CSV_CHUNK)
-    traces = [dataclasses.replace(shared_column_traces(n)[0], x=x, alpha=a, rel_err=r)
-              for x, a, r in [(np.full((n, 2), i + 0.5), np.full(n, 0.5 + i) + np.arange(n), np.arange(n) + i / 7)
-                              for i in range(3)]]
+    traces = [dataclasses.replace(shared_column_traces(n)[0], x=x, alpha=a)  # rel_err follows x
+              for x, a in [(np.full((n, 2), i + 0.5), np.full(n, 0.5 + i) + np.arange(n)) for i in range(3)]]
     calls = []
     csv_cells = solvers._csv_cells
     monkeypatch.setattr(solvers, "_csv_cells", lambda v: calls.append(v.size) or csv_cells(v))
@@ -725,3 +774,24 @@ def test_map_rows_equal_calls_on_each_row():
             got = np.broadcast_to(rows_of(m)(X), X.shape)
             for x, row in zip(X, got):
                 assert same_bits(row, np.asarray(m(x), dtype=float)), type(m).__name__
+
+
+def test_the_csv_rel_err_column_is_the_traces_across_its_chunks(tmp_path):
+    trace, _, _ = shared_column_traces()
+    assert trace.k.size == 2503 and solvers._CSV_CHUNK < trace.k.size
+    trace.write_csv(tmp_path / "trace.csv")
+    column = [line.rsplit(",", 1)[1] for line in (tmp_path / "trace.csv").read_text().splitlines()[1:]]
+    assert column == [repr(v) for v in trace.rel_err.tolist()]
+
+
+def test_a_finite_iterate_whose_rel_err_overflows_reads_inf_without_a_warning(tmp_path):
+    x = np.array([[1.0, 2.0], [HUGE, -HUGE], [3.0, 4.0]])
+    trace = RunTrace(k=np.arange(1, 4), x=x, alpha=np.full(3, 0.5), lam=np.full(3, 0.1), e_norm=np.zeros(3),
+                     reference=np.array([1.0, 1.0]), metadata={})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rel = trace.rel_err
+        trace.write_csv(tmp_path / "trace.csv")
+        assert trace.min_rel_err() == rel[0] and trace.first_hit(np.inf) == 1
+    assert np.isfinite(x).all() and rel[1] == np.inf and np.isfinite(rel[[0, 2]]).all()
+    assert (tmp_path / "trace.csv").read_text().splitlines()[2].endswith(",inf")

@@ -482,3 +482,20 @@ def test_a_batch_of_one_schedule_and_one_stream_records_them_once():
     records = cells * n * (d + 1) * 8 + n * 8  # each row's iterates and rel_err, and the k they share
     block = 4 * _BLOCK_DOUBLES * 8  # a block's alpha and lambda columns, its draws and its rel_err rows
     assert peak - records < 2 * n * 8 + block, (peak, records)
+
+
+def test_a_dense_batch_holds_no_rel_err_column():
+    # 16 rows with references at stride 1: the traces hold the iterates, the k they share and one alpha and one
+    # ||e|| table, and derive rel_err when it is read, where a stored column would hold n doubles a row
+    cells, d, n = 16, 2, 10_000
+    (cfg,) = least_squares_batch(d, 1, 1, n, seed=6)
+    cfgs = [dataclasses.replace(cfg, x1=cfg.x1 * (1 + j / 32)) for j in range(cells)]
+    tracemalloc.start()
+    try:
+        batch = run_batch(cfgs)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert all(t.k.size == n and t.rel_err is not None for t in batch)
+    records = cells * n * d * 8 + 3 * n * 8
+    assert held - records < cells * n * 8 / 2, (held, records)

@@ -54,6 +54,12 @@ def test_min_rel_err_matches_trace(small_report):
         assert np.all(np.diff(running) <= 0)
 
 
+def test_cell_summaries_are_those_of_their_trace(small_report):
+    for c in small_report.cells:
+        assert c.min_rel_err.hex() == c.trace.min_rel_err().hex()
+        assert c.first_hit == {eps: c.trace.first_hit(eps) for eps in small_report.config.epsilons}
+
+
 def test_first_hit_consistency(small_report):
     # looser thresholds are hit no later; ND absorbs
     for c in small_report.cells:

@@ -341,6 +341,14 @@ def test_problem_spec_refuses_a_map_that_leaves_a_far_halfspace_only_near_its_bo
         ProblemSpec(set_Q=Q, map_S=LeavesNearTheBoundary(Q), map_A=A, map_f=f)
 
 
+def test_problem_spec_takes_an_identity_s_on_a_large_simplex():
+    # the spot points' projections onto this simplex sum to 1e8 up to a rounding far above the check's 1e-8
+    B = np.random.default_rng(0).normal(size=(64, 64))
+    problem = ProblemSpec(set_Q=Simplex(1e8, 64), map_S=Identity(64), map_A=LeastSquaresGradient(B, np.zeros(64)),
+                          map_f=ConstantAnchor(np.full(64, 1e8 / 64)))
+    assert problem.dim == 64
+
+
 def test_problem_spec_derived_moduli(problem):
     assert problem.rho == pytest.approx(math.sqrt(2) / 2, abs=1e-15)
     assert problem.sigma == pytest.approx(1 - math.sqrt(2) / 2, abs=1e-15)
