@@ -34,7 +34,6 @@ from .operators import (
     ConstantAnchor,
     Identity,
     LeastSquaresGradient,
-    ParameterError,
     ProblemSpec,
     RegisteredMapping,
     TrigContraction,
@@ -45,7 +44,6 @@ from .schedules import (
     NoPerturbation,
     PowerAlpha,
     ScheduleSpec,
-    ScheduleViolationError,
     ScheduleViolationWarning,
     TableAlpha,
     TableLambda,

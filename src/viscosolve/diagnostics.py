@@ -54,12 +54,6 @@ class HypothesisReport:
     n: int
     nu: float
 
-    def __getitem__(self, key: str) -> HypothesisCheck:
-        for c in self.checks:
-            if c.key == key:
-                return c
-        raise KeyError(key)
-
     def all_satisfied(self) -> bool:
         return all(c.verdict != VIOLATED for c in self.checks)
 

@@ -32,7 +32,6 @@ from .projections import ConvexSet, contains, project, project_rows
 from .space import DimensionMismatchError, NonFiniteError, as_vector, record
 
 __all__ = [
-    "ParameterError",
     "Identity",
     "TrigContraction",
     "ConstantAnchor",
@@ -43,10 +42,6 @@ __all__ = [
     "ProblemSpec",
     "rows_of",
 ]
-
-
-class ParameterError(ValueError):
-    """An algorithm parameter left its admissible interval."""
 
 
 @record

@@ -23,7 +23,6 @@ from .space import record
 
 __all__ = [
     "ScheduleViolationWarning",
-    "ScheduleViolationError",
     "PowerAlpha",
     "TableAlpha",
     "ConstantLambda",
@@ -43,11 +42,7 @@ __all__ = [
 
 
 class ScheduleViolationWarning(UserWarning):
-    """A schedule value left its hypothesis interval (run proceeds)."""
-
-
-class ScheduleViolationError(ValueError):
-    """A schedule value left its hypothesis interval (strict mode)."""
+    """A schedule value left its hypothesis interval: the run proceeds, unless a warnings filter makes this an error."""
 
 
 @record

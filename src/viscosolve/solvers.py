@@ -29,13 +29,12 @@ from typing import Callable
 import numpy as np
 
 from .__about__ import __version__ as _VERSION
-from .operators import ParameterError, ProblemSpec, _jsonable, rows_of
+from .operators import ProblemSpec, _jsonable, rows_of
 from .projections import MEMBERSHIP_TOL, contains, project, project_rows
 from .schedules import (
     NoPerturbation,
     Perturbation,
     ScheduleSpec,
-    ScheduleViolationError,
     ScheduleViolationWarning,
     TableLambda,
     _block_steps,
@@ -127,7 +126,6 @@ class SolverConfig:
     reference: np.ndarray | str | None = None  # or "auto": q* (see _target_point), solved after every other check
     rel_err_target: float | None = None
     record_stride: int = 1
-    strict_schedule: bool = False
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
@@ -236,13 +234,6 @@ def _csv_cells(values: np.ndarray) -> list[str]:
     return cells
 
 
-def _schedule_cells(col: np.ndarray) -> list[str]:
-    """:func:`_csv_cells`, formatting a column of one repeated value (such as a constant lambda) once."""
-    if (col.view(np.uint64) == col[:1].view(np.uint64)).all():
-        return [repr(float(col[0]))] * col.size
-    return _csv_cells(col)
-
-
 def _rel_errs(X: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """norm(x_k - ref) / norm(ref) of each row x_k of X, bit for bit, through row_norms one block of rows at a time
     (each row's norm is its own dot product, so any chunk of X gives the same bits); an overflowing norm reads inf."""
@@ -279,7 +270,7 @@ def _write_traces(items) -> None:
     def shared(values):
         key = values.dtype.char, values.tobytes()
         if key not in memo:
-            memo[key] = (_schedule_cells if values.dtype == np.float64 else _csv_cells)(values)
+            memo[key] = _csv_cells(values)
         return memo[key]
 
     for first in range(0, len(items), _OPEN_TRACES):
@@ -426,7 +417,7 @@ def viscosity_map(x, problem: ProblemSpec, t: float, mu: float) -> np.ndarray:
     through the row kernels, each row bit-identical to its 1-D call.
     """
     if not (0 < t <= 1):
-        raise ParameterError(f"t must be in (0, 1], got {t}")
+        raise ConfigurationError(f"t must be in (0, 1], got {t}")
     nu = problem.nu
     if mu < 0 or mu > 2 * nu:
         warnings.warn(f"lambda = {mu} outside [0, 2*nu = {2 * nu}]", ScheduleViolationWarning, stacklevel=2)
@@ -476,7 +467,7 @@ def _violations(cfg: SolverConfig) -> tuple[int, int]:
 
     Raises what the run's tables would raise, before the first step: the
     ``IndexError`` of an alpha or lambda table that ends before n_max, and the
-    :class:`ScheduleViolationError` of a strict run.
+    :class:`ScheduleViolationWarning` itself where a warnings filter makes it an error.
     """
     s, n = cfg.schedule, cfg.n_max
     _check_horizon(s, n)
@@ -488,14 +479,12 @@ def _violations(cfg: SolverConfig) -> tuple[int, int]:
     n_outside_bounds = repeats * int(np.count_nonzero((lams < a_lo) | (lams > a_hi)))
     n_outside_2nu = repeats * int(np.count_nonzero((lams < 0) | (lams > 2 * cfg.problem.nu)))
     if n_outside_2nu:
-        msg = (
-            f"{n_outside_2nu} lambda value(s) outside [0, 2*nu = {2 * cfg.problem.nu}]; "
-            "convergence guarantees void"
-        )
-        if cfg.strict_schedule:
-            raise ScheduleViolationError(msg)
         # _violations <- _lockstep <- run / run_batch <- their caller
-        warnings.warn(msg, ScheduleViolationWarning, stacklevel=4)
+        warnings.warn(
+            f"{n_outside_2nu} lambda value(s) outside [0, 2*nu = {2 * cfg.problem.nu}]; convergence guarantees void",
+            ScheduleViolationWarning,
+            stacklevel=4,
+        )
     return n_outside_bounds, n_outside_2nu
 
 
@@ -662,16 +651,13 @@ def _lockstep(cfgs: list, extras: list) -> list:
                 Atab[s, lo:hi] = alphas[s, at]
             if s in lam_no:
                 Ltab[lam_no[s], lo:hi] = lams[s, at]
-        draws = np.zeros((m, len(perts), d)) if rule == PERTURBED and len(perts) > 1 else None
+        draws = np.zeros((m, len(perts), d)) if rule == PERTURBED else None
         for p in sorted(set(rows.stream.tolist())) if rule == PERTURBED else ():
             e = perturbation_stream(perts[p], m, d, k0, generators[p])
             e_norms[p] = np.linalg.norm(e, axis=1)
             if not into:
                 Etab[p, lo:hi] = e_norms[p, at]
-            if draws is None:  # the one stream: a view of its draw
-                draws = e[:, None]
-            else:
-                draws[:, p] = e
+            draws[:, p] = e
         return alphas, lams, draws, e_norms
 
     def finish(j, count, stopped_at=None, last=()):

@@ -1,6 +1,6 @@
 """Oracles the tests share: one step of a run from any iterate, the scalar comparison recursion,
-the checked inner product, lambda_max of B^T B, the plain Banach reference solve and the viscosity map
-written out."""
+the checked inner product, lambda_max of B^T B, the plain Banach reference solve, the viscosity map
+written out and the 2-D benchmark's perturbed iteration in 40-digit arithmetic."""
 
 import math
 import warnings
@@ -12,7 +12,6 @@ from viscosolve import (
     DimensionMismatchError,
     NonConvergenceError,
     NonFiniteError,
-    ParameterError,
     ScheduleViolationWarning,
     alpha_at,
     lambda_at,
@@ -122,7 +121,7 @@ def viscosity_map(x, problem, t: float, mu: float) -> np.ndarray:
     row by row through the row kernels, each row bit-identical to its 1-D call.
     """
     if not (0 < t <= 1):
-        raise ParameterError(f"t must be in (0, 1], got {t}")
+        raise ConfigurationError(f"t must be in (0, 1], got {t}")
     nu = problem.nu
     if mu < 0 or mu > 2 * nu:
         msg = f"lambda = {mu} outside [0, 2*nu = {2 * nu}]"
@@ -133,3 +132,32 @@ def viscosity_map(x, problem, t: float, mu: float) -> np.ndarray:
     fx = problem.map_f(x)
     z = project(problem.set_Q, x - mu * problem.map_A(x))
     return t * fx + (1.0 - t) * problem.map_S(z)
+
+
+def perturbed_benchmark_mp(problem, theta: float, lam: float, x1, e, n: int, digits: int = 40) -> list:
+    """x_1 .. x_n of the perturbed rule on the 2-D benchmark problem, in mpmath at ``digits`` digits.
+
+    The benchmark's pieces, written out: P is the projection onto the
+    nonnegative orthant, A x = B^T (B x - b) with ``problem.map_A``'s B and b,
+    f the trig contraction and S the identity. Step k adds the double e[k - 1]
+    (row k of the run's own perturbation stream), and alpha_k = k**(-theta) is
+    evaluated in mpmath. Returns each x_k as a list of mpf.
+    """
+    import mpmath
+
+    with mpmath.workdps(digits):
+        mpf = mpmath.mpf
+        B = [[mpf(float(v)) for v in row] for row in problem.map_A.B]
+        b = [mpf(float(v)) for v in problem.map_A.b]
+        lam, theta = mpf(lam), mpf(theta)
+        x = [mpf(float(v)) for v in x1]
+        xs = [x]
+        for k in range(1, n):
+            a = mpf(k) ** -theta
+            r = [sum(Bi[j] * x[j] for j in range(2)) - bi for Bi, bi in zip(B, b)]
+            y = [max(x[j] - lam * sum(B[i][j] * r[i] for i in range(len(b))), 0) for j in range(2)]
+            s = x[0] + x[1]
+            f = [(5 + mpmath.cos(s)) / 2, (6 - mpmath.sin(s)) / 2]
+            x = [max(a * f[j] + (1 - a) * y[j] + mpf(float(e[k - 1][j])), 0) for j in range(2)]
+            xs.append(x)
+    return xs

@@ -640,8 +640,8 @@ def test_write_traces_formats_a_shared_chunk_once(tmp_path, monkeypatch):
     csv_cells = solvers._csv_cells
     monkeypatch.setattr(solvers, "_csv_cells", lambda v: calls.append(v.size) or csv_cells(v))
     solvers._write_traces((tr, tmp_path / f"t{i}.csv") for i, tr in enumerate(traces))
-    # per chunk: x, alpha and rel_err of every trace, k and e_norm once (lambda is one repeated value)
-    assert len(calls) == chunks * (3 * 3 + 2)
+    # per chunk: x, alpha and rel_err of every trace, k, lambda and e_norm once
+    assert len(calls) == chunks * (3 * 3 + 3)
     for i, tr in enumerate(traces):
         assert (tmp_path / f"t{i}.csv").read_text() == repr_csv(tr)
 

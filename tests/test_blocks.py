@@ -20,7 +20,6 @@ from viscosolve import (
     ProblemSpec,
     RunTrace,
     ScheduleSpec,
-    ScheduleViolationError,
     ScheduleViolationWarning,
     SolverConfig,
     TableAlpha,
@@ -146,7 +145,7 @@ def test_hypothesis_report_evidence_of_a_blockwise_stream_equals_the_whole_strea
     s = ScheduleSpec(PowerAlpha(0.9), ConstantLambda(0.1), (0.1, 0.1))
     p = UniformSquarePerturbation(seed=5)
     e_norms = np.linalg.norm(perturbation_stream(p, n, dim), axis=1)
-    evidence = hypothesis_report(s, p, n, nu=0.1, dim=dim)["v"].evidence
+    (evidence,) = [c.evidence for c in hypothesis_report(s, p, n, nu=0.1, dim=dim).checks if c.key == "v"]
     assert evidence["e_norm_sum"] == float(e_norms.sum())
     assert evidence["e_over_alpha_last"] == float(e_norms[-1] / tabulate(s, n)[0][-1])
 
@@ -389,11 +388,20 @@ def test_table_lambda_violations_past_the_first_block_are_counted_before_steppin
     lam[B + 30] = 0.75  # inside [0, 2 nu], outside the bounds
     lam[n:] = 5.0  # past n_max: not counted
     schedule = ScheduleSpec(PowerAlpha(0.8), TableLambda(lam), (0.5, 0.5))
-    (cfg,) = d64_cfgs(1, n, 50, seed=2, schedule=schedule, map_A=counting_identity())
+    cfgs = d64_cfgs(3, n, 50, seed=2, schedule=schedule, map_A=counting_identity())
+    cfg = cfgs[1]
+    ok = ScheduleSpec(PowerAlpha(0.8), ConstantLambda(0.5), (0.5, 0.5))
+    cfgs[0], cfgs[2] = (dataclasses.replace(c, schedule=ok) for c in (cfgs[0], cfgs[2]))
     msg = "11 lambda value(s) outside [0, 2*nu = 2.0]; convergence guarantees void"
-    with pytest.raises(ScheduleViolationError) as err:
-        run(dataclasses.replace(cfg, strict_schedule=True))
-    assert str(err.value) == msg and CountingMap.calls == 0
+    with warnings.catch_warnings():  # strict mode: the warning is an error, raised before the first step
+        warnings.simplefilter("error", ScheduleViolationWarning)
+        with pytest.raises(ScheduleViolationWarning) as err:
+            run(cfg)
+        assert str(err.value) == msg and CountingMap.calls == 0
+        first, failed, last = run_batch(cfgs)  # the row it refuses fails alone
+        assert type(failed) is ScheduleViolationWarning and str(failed) == msg
+        assert_same_trace(first, run(cfgs[0]))
+        assert_same_trace(last, run(cfgs[2]))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         trace = run(cfg)

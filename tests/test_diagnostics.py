@@ -9,6 +9,7 @@ from viscosolve import (
     AffineMap,
     Ball,
     Box,
+    ConfigurationError,
     ConstantAnchor,
     Halfspace,
     Hyperplane,
@@ -16,7 +17,6 @@ from viscosolve import (
     LeastSquaresGradient,
     NonFiniteError,
     NonnegOrthant,
-    ParameterError,
     ProblemSpec,
     Simplex,
     build_benchmark_problem,
@@ -250,5 +250,5 @@ def test_viscosity_map_on_rows_equals_each_row_and_keeps_its_guards():
             want = np.stack([viscosity_map(x, problem, t, problem.nu) for x in X])
             assert viscosity_map(X, problem, t, problem.nu).tobytes() == want.tobytes()
         for t in (0.0, 1.5):
-            with pytest.raises(ParameterError):
+            with pytest.raises(ConfigurationError):
                 viscosity_map(X, problem, t, problem.nu)

@@ -376,9 +376,9 @@ def test_emit_report_formats_each_seeds_shared_chunks_once(tmp_path, grid_report
     monkeypatch.setattr(solvers, "_csv_cells", lambda v: calls.append(v.size) or csv_cells(v))
     emit_report(grid_report, tmp_path / "report")
     # per chunk: x and rel_err of each of the 9 traces, alpha once per theta, e_norm once per seed
-    # and k once (lambda is one repeated value)
+    # and k and lambda once
     chunks = -(-grid_report.config.n_max // solvers._CSV_CHUNK)
-    assert len(calls) == chunks * (9 * 2 + 3 + 3 + 1)
+    assert len(calls) == chunks * (9 * 2 + 3 + 3 + 2)
 
 
 def test_experiment_config_refuses_a_problem_without_a_target_set(monkeypatch):

@@ -16,8 +16,8 @@ EXPORTS = [
     "ConstantLambda", "ConvexSet", "DimensionMismatchError", "DivergenceError", "EXPLICIT_VISCOSITY",
     "ExperimentConfig", "ExperimentReport", "HALPERN", "Halfspace", "Hyperplane", "HypothesisReport",
     "Identity", "ImplicitConfig", "InvalidDescriptorError", "LeastSquaresGradient", "NoPerturbation",
-    "NonConvergenceError", "NonFiniteError", "NonnegOrthant", "PERTURBED", "ParameterError", "PathPoint",
-    "PowerAlpha", "ProblemSpec", "RegisteredMapping", "RunTrace", "ScheduleSpec", "ScheduleViolationError",
+    "NonConvergenceError", "NonFiniteError", "NonnegOrthant", "PERTURBED", "PathPoint",
+    "PowerAlpha", "ProblemSpec", "RegisteredMapping", "RunTrace", "ScheduleSpec",
     "ScheduleViolationWarning", "Simplex", "SolverConfig", "TAKAHASHI_TOYODA", "TableAlpha", "TableLambda",
     "TrigContraction", "UniformSquarePerturbation", "YAO_INNER", "YAO_OUTER", "alpha_at", "as_vector",
     "benchmark_schedule", "build_benchmark_problem", "contains", "emit_report", "emit_tables", "emit_trace",

@@ -8,6 +8,7 @@ from viscosolve import (
     AffineMap,
     Ball,
     Box,
+    ConfigurationError,
     ConstantAnchor,
     Halfspace,
     Hyperplane,
@@ -15,7 +16,6 @@ from viscosolve import (
     LeastSquaresGradient,
     NonFiniteError,
     NonnegOrthant,
-    ParameterError,
     ProblemSpec,
     ScheduleViolationWarning,
     Simplex,
@@ -102,9 +102,9 @@ def test_viscosity_map_examples(problem):
         assert np.allclose(viscosity_map(x, problem, 1.0, mu), problem.map_f(x), atol=1e-15)
     out = viscosity_map(x, problem, 0.5, 0.1)
     assert np.allclose(out, [1.72092, 2.63973], atol=5e-6)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigurationError):
         viscosity_map(x, problem, 0.0, 0.1)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigurationError):
         viscosity_map(x, problem, 1.5, 0.1)
 
 

@@ -53,7 +53,7 @@ from viscosolve import (
     viscosity_map,
 )
 
-from oracles import banach_reference_solution, inner, step_at, xu_recursion
+from oracles import banach_reference_solution, inner, perturbed_benchmark_mp, step_at, xu_recursion
 
 
 def make_cfg(problem, qstar=None, **kw):
@@ -112,6 +112,19 @@ def test_perturbed_step_with_zero_noise_reduces_bit_exactly(problem):
 
 
 # -------------------------------------------------------------- run
+
+
+@pytest.mark.parametrize("theta", (0.3, 0.9, 1.0))
+def test_perturbed_run_tracks_a_40_digit_oracle(problem, theta):
+    # the same e_k doubles drive both; the oracle takes alpha_k = k**(-theta) and every operation exactly
+    n = 2000
+    cfg = make_cfg(problem, schedule=benchmark_schedule(theta, 0.1), n_max=n, algorithm=PERTURBED,
+                   perturbation=UniformSquarePerturbation(1))
+    trace = run(cfg)
+    oracle = perturbed_benchmark_mp(problem, theta, 0.1, cfg.x1, perturbation_stream(cfg.perturbation, n, 2), n)
+    for k in (600, n):
+        want = np.array([float(v) for v in oracle[k - 1]])
+        assert norm(trace.x[k - 1] - want) <= 1e-13 * norm(want)
 
 
 def test_run_trace_contract(problem, qstar):
