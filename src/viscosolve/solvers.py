@@ -20,6 +20,9 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import os
+import pickle
+import threading
 import warnings
 from collections import deque, namedtuple
 from dataclasses import field
@@ -255,6 +258,87 @@ def _first_hit(k: np.ndarray, rel_err: np.ndarray, eps: float) -> int | None:
 def _write_traces(items) -> None:
     """Write each ``(trace, path)`` of ``items`` as CSV: one row per record, shortest round-trip floats.
 
+    The items are split into one contiguous share per CPU this process may run on, at most one per
+    trace (:func:`_share_count`). The calling process writes the first share and a child, forked before
+    any trace file is opened, writes each other share, so each file has one writer and the bytes
+    :func:`_write_share` gives it. Every child is reaped before this returns or raises. The first
+    failure is raised: this process's own, else the first child's, with its class and message (an
+    OSError keeps its filename), else an error naming how a child that did not report ended.
+    """
+    items = list(items)
+    shares = _share_count(len(items))
+    cuts = [len(items) * i // shares for i in range(shares + 1)]
+    own, children = items[: cuts[1]], []
+    try:
+        for lo, hi in zip(cuts[1:-1], cuts[2:]):
+            try:
+                children.append(_fork_writer(items[lo:hi]))
+            except OSError:  # no process or pipe to spare: this process writes the share too
+                own += items[lo:hi]
+        _write_share(own)
+    finally:
+        failures = [exc for exc in map(_reap, children) if exc is not None]
+    if failures:
+        raise failures[0]
+
+
+def _share_count(n: int) -> int:
+    """Writers for n traces: one per CPU in this process's affinity, at most n. One where the platform has no
+    affinity query, or while another Python thread runs: a forked child holds only the forking thread, and
+    any lock another thread held stays locked in it."""
+    if n < 2 or not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+        return 1
+    return min(n, len(os.sched_getaffinity(0)))
+
+
+def _fork_writer(items) -> tuple[int, int]:
+    """Fork a child that writes ``items`` and leaves through ``os._exit``: code 0 once written, code 1 after
+    sending its exception, pickled, through a pipe (a RuntimeError naming it if it does not pickle). Returns
+    the child's pid and the pipe's read end."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid:
+        os.close(w)
+        return pid, r
+    code = 1
+    try:
+        os.close(r)
+        _write_share(items)
+        code = 0
+    except BaseException as exc:  # the child never returns into its caller's code, whatever it raised
+        try:
+            blob = pickle.dumps(exc)
+            pickle.loads(blob)  # a class that pickles may still not unpickle
+        except Exception:
+            blob = pickle.dumps(RuntimeError(f"trace writer failed with an unpicklable {type(exc).__name__}: {exc}"))
+        with os.fdopen(w, "wb") as pipe:
+            pipe.write(blob)
+    finally:
+        os._exit(code)
+
+
+def _reap(child: tuple[int, int]) -> BaseException | None:
+    """Wait for a writer child of :func:`_fork_writer`; its failure, or None when it wrote its share."""
+    pid, r = child
+    with os.fdopen(r, "rb") as pipe:  # read to the end first: a report larger than the pipe holds the child
+        blob = pipe.read()
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code == 0:
+        return None
+    if code == 1 and blob:
+        return pickle.loads(blob)
+    how = f"signal {-code}" if code < 0 else f"exit code {code}"
+    return RuntimeError(f"trace writer process {pid} ended by {how} without reporting")
+
+
+def _write_share(items) -> None:
+    """Write each ``(trace, path)`` of the list ``items`` as CSV, in this process.
+
     The traces are written chunk by chunk: chunk j of every trace, ``_CSV_CHUNK`` rows each, goes out
     before chunk j + 1 of any, so each trace's file stays open, ``_OPEN_TRACES`` files at a time (a
     longer list is written in groups of that many). Within one chunk each distinct k, alpha, lambda and
@@ -264,7 +348,6 @@ def _write_traces(items) -> None:
     chunk's cells and rel_err values, whatever the traces' length, and no file's bytes depend on the
     order of ``items``.
     """
-    items = list(items)
     memo = {}  # (dtype, bits) of a k, alpha, lambda or e_norm chunk -> its cells, for the chunk being written
 
     def shared(values):

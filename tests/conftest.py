@@ -1,3 +1,5 @@
+import os
+
 import hypothesis
 import numpy as np
 import pytest
@@ -21,3 +23,21 @@ def qstar(problem):
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """``cpus(n)`` makes the affinity query report n CPUs, so the trace writer splits its traces into at most n
+    shares."""
+    def set_cpus(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+    return set_cpus
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The list of os.fork calls made in this process from here on (each appended before it forks)."""
+    made, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: made.append(1) or fork())
+    return made

@@ -1,8 +1,12 @@
 """The lockstep engine: every row of a batch is its own batch-of-one run, bit for bit."""
 
 import dataclasses
+import errno
+import os
+import signal
 import subprocess
 import sys
+import threading
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -577,6 +581,13 @@ def shared_column_traces(n=2503, seed=23):
     return RunTrace(**base), variant, base
 
 
+def five_traces():
+    """The five traces of the open-file test: two of other lengths, one variant, the base trace twice."""
+    trace, variant, _ = shared_column_traces()
+    return [trace, variant("k", 700, 700, rows=1999), variant("e_norm", 1500, -0.0), variant("lam", 300, 0.1, rows=7),
+            trace]
+
+
 def test_write_traces_reuses_only_bit_equal_chunks(tmp_path):
     # consecutive traces that differ from the kept cells in one chunk only, and traces of other
     # lengths (the chunks at the same start then differ in shape): each file is its solo write
@@ -605,12 +616,11 @@ def test_write_traces_reuses_only_bit_equal_chunks(tmp_path):
         assert path.read_text() == repr_csv(tr), i
 
 
-def test_write_traces_beyond_the_open_file_bound_writes_each_file_as_written_alone(tmp_path, monkeypatch):
+def test_write_traces_beyond_the_open_file_bound_writes_each_file_as_written_alone(tmp_path, monkeypatch, cpus):
     # with the bound at 2, five traces go out in three groups: never more than two files are open,
-    # and each file holds the bytes write_csv writes for its trace alone
-    trace, variant, _ = shared_column_traces()
-    traces = [trace, variant("k", 700, 700, rows=1999), variant("e_norm", 1500, -0.0), variant("lam", 300, 0.1, rows=7),
-              trace]
+    # and each file holds the bytes write_csv writes for its trace alone (one CPU: this process opens all)
+    cpus(1)
+    traces = five_traces()
     monkeypatch.setattr(solvers, "_OPEN_TRACES", 2)
     opened = []
 
@@ -629,9 +639,10 @@ def test_write_traces_beyond_the_open_file_bound_writes_each_file_as_written_alo
         assert path.read_text() == repr_csv(tr), i
 
 
-def test_write_traces_formats_a_shared_chunk_once(tmp_path, monkeypatch):
+def test_write_traces_formats_a_shared_chunk_once(tmp_path, monkeypatch, cpus):
     # three traces that share k, lambda and e_norm (as the cells of one sweep seed do) and
-    # differ in x, alpha and rel_err: only the first formats the shared columns
+    # differ in x, alpha and rel_err: only the first formats the shared columns (one CPU: one share)
+    cpus(1)
     n = 2503
     chunks = -(-n // solvers._CSV_CHUNK)
     traces = [dataclasses.replace(shared_column_traces(n)[0], x=x, alpha=a)  # rel_err follows x
@@ -644,6 +655,100 @@ def test_write_traces_formats_a_shared_chunk_once(tmp_path, monkeypatch):
     assert len(calls) == chunks * (3 * 3 + 3)
     for i, tr in enumerate(traces):
         assert (tmp_path / f"t{i}.csv").read_text() == repr_csv(tr)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):  # every writer child was reaped: this process has none
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_write_traces_in_two_or_three_shares_writes_the_bytes_of_one(tmp_path, monkeypatch, cpus, forks):
+    # with two files open at a time, a forked child writes each share past the first, and every file
+    # holds the bytes one process writes
+    traces = five_traces()
+    monkeypatch.setattr(solvers, "_OPEN_TRACES", 2)
+    written = {}
+    for shares in (1, 2, 3):
+        cpus(shares)
+        paths = [tmp_path / f"shares_{shares}_{i}.csv" for i in range(len(traces))]
+        solvers._write_traces(zip(traces, paths))
+        written[shares] = [path.read_bytes() for path in paths]
+        assert len(forks) == shares * (shares - 1) // 2  # one child per share past the first
+        assert_no_child_left()
+    assert written[2] == written[1] and written[3] == written[1]
+    assert [blob.decode() for blob in written[1]] == [repr_csv(tr) for tr in traces]
+
+
+@pytest.mark.parametrize("bad", [0, 3], ids=["own share", "child's share"])
+def test_write_traces_raises_a_shares_os_error_with_its_filename_and_leaves_no_child(tmp_path, cpus, forks, bad):
+    # five traces in two shares: this process writes traces 0-1, a child 2-4
+    cpus(2)
+    paths = [tmp_path / f"t{i}.csv" for i in range(5)]
+    paths[bad] = tmp_path / "missing" / "t.csv"
+    with pytest.raises(FileNotFoundError) as info:
+        solvers._write_traces(zip(five_traces(), paths))
+    assert info.value.filename == str(paths[bad]) and info.value.errno == errno.ENOENT
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_write_traces_names_a_child_failure_it_cannot_send_as_is(tmp_path, cpus, monkeypatch):
+    # a child that dies without reporting, or fails with an exception that does not pickle (a local
+    # class), makes this process raise a RuntimeError that says what happened
+    class LocalError(Exception):
+        pass
+
+    def killed(items):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    def unpicklable(items):
+        raise LocalError("not for pickle")
+
+    cpus(2)
+    parent, write_share = os.getpid(), solvers._write_share
+    for fail, message in [(killed, f"ended by signal {int(signal.SIGKILL)} without reporting"),
+                          (unpicklable, "failed with an unpicklable LocalError: not for pickle")]:
+        monkeypatch.setattr(solvers, "_write_share", lambda items: write_share(items) if os.getpid() == parent
+                            else fail(items))
+        with pytest.raises(RuntimeError, match=message):
+            solvers._write_traces(zip(five_traces(), [tmp_path / f"t{i}.csv" for i in range(5)]))
+        assert_no_child_left()
+
+
+def test_write_traces_writes_every_share_itself_when_it_cannot_fork(tmp_path, cpus, monkeypatch):
+    # fork refused (as at a process limit): no pipe is left open and each file holds its bytes
+    cpus(3)
+
+    def refused():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", refused)
+    fds = len(os.listdir("/proc/self/fd"))
+    traces, paths = five_traces(), [tmp_path / f"t{i}.csv" for i in range(5)]
+    solvers._write_traces(zip(traces, paths))
+    assert len(os.listdir("/proc/self/fd")) == fds
+    assert [path.read_text() for path in paths] == [repr_csv(tr) for tr in traces]
+
+
+@pytest.mark.parametrize("case", ["one trace", "one CPU", "another thread"])
+def test_write_traces_forks_nothing_for_one_trace_one_cpu_or_while_another_thread_runs(tmp_path, cpus, monkeypatch,
+                                                                                       case):
+    # a forked child holds only the forking thread, so a write while another thread runs stays here
+    traces = five_traces()[: 1 if case == "one trace" else 5]
+    cpus(1 if case == "one CPU" else 3)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    stop = threading.Event()
+    worker = threading.Thread(target=stop.wait, args=(60,))
+    if case == "another thread":
+        worker.start()
+    try:
+        solvers._write_traces((tr, tmp_path / f"t{i}.csv") for i, tr in enumerate(traces))
+    finally:
+        stop.set()
+        if worker.is_alive():
+            worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert [(tmp_path / f"t{i}.csv").read_text() for i in range(len(traces))] == [repr_csv(tr) for tr in traces]
 
 
 def repr_cells(values):

@@ -1,4 +1,8 @@
+import errno
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -509,6 +513,35 @@ def test_io_failure_exit_code(tmp_path):
     blocker = tmp_path / "blocked"
     blocker.write_text("a file where the output directory should go")
     assert run_cli("solve", "--nmax", "20", "--seed", "1", "--out", blocker) == EXIT_IO
+
+
+@pytest.mark.parametrize("shares", [1, 2])
+def test_io_failure_of_a_trace_exit_code(tmp_path, capsys, cpus, shares):
+    # in two shares a forked child writes the second trace: its OSError reaches main with its filename
+    cpus(shares)
+    blocker = tmp_path / "out" / "traces" / "theta_0.9_seed_2.csv"
+    blocker.mkdir(parents=True)  # a directory where the trace file should go
+    code = run_cli("experiment", "--theta", "0.9", "--seeds", "1", "2", "--nmax", "50", "--out", tmp_path / "out")
+    assert code == EXIT_IO
+    assert capsys.readouterr().err == f"i/o error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {str(blocker)!r}\n"
+
+
+def test_experiment_pinned_to_one_cpu_writes_the_directory_two_cpus_write(tmp_path):
+    # the default sweep's 160 traces in one share and in two: only each command's process is pinned
+    allowed = sorted(os.sched_getaffinity(0))
+    if len(allowed) < 2:
+        pytest.skip("needs two CPUs in this process's affinity")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+
+    def experiment(out, pinned):
+        subprocess.run([sys.executable, "-c", "from viscosolve.cli import cli_main; cli_main()",
+                        "experiment", "--nmax", "300", "--out", str(out)],
+                       env=env, preexec_fn=lambda: os.sched_setaffinity(0, pinned), capture_output=True, check=True,
+                       timeout=300)
+        return {p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+    one, two = experiment(tmp_path / "one", allowed[:1]), experiment(tmp_path / "two", allowed[:2])
+    assert len(one) == 9 + 160 and one == two
 
 
 @pytest.mark.parametrize("command, module, name, exc, message", [

@@ -312,11 +312,14 @@ def test_emit_report_with_a_failed_cell_inside_a_seed_group(tmp_path, grid_repor
     assert not (tmp_path / "report" / "traces" / "theta_0.6_seed_1.csv").exists()
 
 
-def test_emit_report_memory_stays_at_one_traces_shared_cells(tmp_path):
+def test_emit_report_memory_stays_at_one_traces_shared_cells(tmp_path, cpus):
     # emission is the sweep's peak-memory phase: what the writer keeps lands on top of the peak.
     # A memo of the whole report's cells would grow with its seeds and thetas; one trace's k,
-    # lambda and e_norm cells (about 0.7 MiB at 6000 rows) do not
+    # lambda and e_norm cells (about 0.7 MiB at 6000 rows) do not. One CPU: tracemalloc sees
+    # the whole write only when this process makes it
     import tracemalloc
+
+    cpus(1)
 
     report = run_experiment(ExperimentConfig(thetas=(0.1, 0.2, 0.3, 0.4, 0.6, 0.8, 0.9, 1.0), seeds=(1, 2),
                                              n_max=6000))
@@ -337,13 +340,15 @@ def test_emit_report_memory_stays_at_one_traces_shared_cells(tmp_path):
     assert whole <= alone + 1.5 * 2**20, (whole / 2**20, alone / 2**20)
 
 
-def test_emit_report_memory_does_not_grow_with_n_max(tmp_path):
+def test_emit_report_memory_does_not_grow_with_n_max(tmp_path, cpus):
     # the writer holds the cells of one chunk of rows, whatever the traces' length: the traced
     # peak of emission above the report at 24000 steps is that at 6000 up to one chunk's cells
-    # (7 columns of _CSV_CHUNK cells of at most 64 bytes)
+    # (7 columns of _CSV_CHUNK cells of at most 64 bytes; one CPU, so this process writes all)
     import tracemalloc
 
     from viscosolve import solvers
+
+    cpus(1)
 
     def emission_peak(n):
         report = run_experiment(ExperimentConfig(thetas=(0.3, 0.9), seeds=(1, 2), n_max=n))
@@ -360,6 +365,20 @@ def test_emit_report_memory_does_not_grow_with_n_max(tmp_path):
     assert long <= short + 7 * solvers._CSV_CHUNK * 64, (short / 2**20, long / 2**20)
 
 
+def test_emit_report_writes_the_same_directory_in_one_two_and_three_shares(tmp_path, cpus, forks):
+    # the 16 traces of the bench sweep (8 thetas x 2 seeds), three chunks each: a forked child writes
+    # each share past the first, and the directory is the one one process writes
+    report = run_experiment(ExperimentConfig(thetas=(0.1, 0.2, 0.3, 0.4, 0.6, 0.8, 0.9, 1.0), seeds=(1, 2),
+                                             n_max=1200))
+    written = {}
+    for shares in (1, 2, 3):
+        cpus(shares)
+        out = emit_report(report, tmp_path / f"shares_{shares}")
+        written[shares] = {p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    assert len(forks) == 3 and len(written[1]) == 2 + 16
+    assert written[2] == written[1] and written[3] == written[1]
+
+
 def test_a_sweep_traces_lambda_is_a_read_only_zero_stride_view(grid_report):
     # a constant lambda is held as its one value, not as an n_max-long column per theta
     for c in grid_report.cells:
@@ -368,9 +387,10 @@ def test_a_sweep_traces_lambda_is_a_read_only_zero_stride_view(grid_report):
         assert lam.shape == c.trace.k.shape and (lam == grid_report.config.lam).all()
 
 
-def test_emit_report_formats_each_seeds_shared_chunks_once(tmp_path, grid_report, monkeypatch):
+def test_emit_report_formats_each_seeds_shared_chunks_once(tmp_path, grid_report, monkeypatch, cpus):
     from viscosolve import solvers
 
+    cpus(1)  # one share: the calls are counted in this process
     calls = []
     csv_cells = solvers._csv_cells
     monkeypatch.setattr(solvers, "_csv_cells", lambda v: calls.append(v.size) or csv_cells(v))

@@ -376,3 +376,14 @@ def test_least_squares_gradient_equals_the_matmul_form_and_its_rows_bit_for_bit(
         got = grad(x)
         assert got.tobytes() == (grad._gram @ x - grad._bt_b).tobytes()
         assert got.tobytes() == row.tobytes()
+
+
+def test_numpy_trig_equals_libm_bit_for_bit():
+    # TrigContraction.rows calls math.cos / math.sin per row; batched np.cos / np.sin rows would keep every
+    # output's bytes only while numpy returns libm's doubles
+    rng = np.random.default_rng(20221021)
+    for lo, hi in [(0.0, 6.0), (-50.0, 50.0)]:
+        s = rng.uniform(lo, hi, 200_000)
+        for np_trig, libm_trig in [(np.cos, math.cos), (np.sin, math.sin)]:
+            want = np.array([libm_trig(v) for v in s.tolist()])
+            assert np.array_equal(np_trig(s).view(np.uint64), want.view(np.uint64)), (lo, hi, np_trig.__name__)
