@@ -21,7 +21,6 @@ import contextlib
 import json
 import math
 import os
-import pickle
 import threading
 import warnings
 from collections import deque, namedtuple
@@ -261,25 +260,36 @@ def _write_traces(items) -> None:
     The items are split into one contiguous share per CPU this process may run on, at most one per
     trace (:func:`_share_count`). The calling process writes the first share and a child, forked before
     any trace file is opened, writes each other share, so each file has one writer and the bytes
-    :func:`_write_share` gives it. Every child is reaped before this returns or raises. The first
-    failure is raised: this process's own, else the first child's, with its class and message (an
-    OSError keeps its filename), else an error naming how a child that did not report ended.
+    :func:`_write_share` gives it. A child leaves through ``os._exit``: code 0 once its share is written,
+    1 on any exception. Every child is reaped before this returns or raises. An error of this process's
+    own share is raised as it is, and nothing is written again. Otherwise this process then writes each
+    share whose child did not end with status 0, and each it could not fork for: a failure that recurs
+    is raised from here with its class, message and filename, and one that does not (a killed child)
+    leaves complete files.
     """
     items = list(items)
     shares = _share_count(len(items))
     cuts = [len(items) * i // shares for i in range(shares + 1)]
-    own, children = items[: cuts[1]], []
+    children, again = {}, []
     try:
         for lo, hi in zip(cuts[1:-1], cuts[2:]):
             try:
-                children.append(_fork_writer(items[lo:hi]))
-            except OSError:  # no process or pipe to spare: this process writes the share too
-                own += items[lo:hi]
-        _write_share(own)
+                pid = os.fork()
+            except OSError:  # no process to spare: this process writes the share
+                again.append(items[lo:hi])
+                continue
+            if not pid:  # the child never returns into its caller's code, whatever it raises
+                try:
+                    _write_share(items[lo:hi])
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            children[pid] = items[lo:hi]
+        _write_share(items[: cuts[1]])
     finally:
-        failures = [exc for exc in map(_reap, children) if exc is not None]
-    if failures:
-        raise failures[0]
+        again += [share for pid, share in children.items() if os.waitpid(pid, 0)[1]]
+    for share in again:
+        _write_share(share)
 
 
 def _share_count(n: int) -> int:
@@ -289,51 +299,6 @@ def _share_count(n: int) -> int:
     if n < 2 or not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
         return 1
     return min(n, len(os.sched_getaffinity(0)))
-
-
-def _fork_writer(items) -> tuple[int, int]:
-    """Fork a child that writes ``items`` and leaves through ``os._exit``: code 0 once written, code 1 after
-    sending its exception, pickled, through a pipe (a RuntimeError naming it if it does not pickle). Returns
-    the child's pid and the pipe's read end."""
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        raise
-    if pid:
-        os.close(w)
-        return pid, r
-    code = 1
-    try:
-        os.close(r)
-        _write_share(items)
-        code = 0
-    except BaseException as exc:  # the child never returns into its caller's code, whatever it raised
-        try:
-            blob = pickle.dumps(exc)
-            pickle.loads(blob)  # a class that pickles may still not unpickle
-        except Exception:
-            blob = pickle.dumps(RuntimeError(f"trace writer failed with an unpicklable {type(exc).__name__}: {exc}"))
-        with os.fdopen(w, "wb") as pipe:
-            pipe.write(blob)
-    finally:
-        os._exit(code)
-
-
-def _reap(child: tuple[int, int]) -> BaseException | None:
-    """Wait for a writer child of :func:`_fork_writer`; its failure, or None when it wrote its share."""
-    pid, r = child
-    with os.fdopen(r, "rb") as pipe:  # read to the end first: a report larger than the pipe holds the child
-        blob = pipe.read()
-    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if code == 0:
-        return None
-    if code == 1 and blob:
-        return pickle.loads(blob)
-    how = f"signal {-code}" if code < 0 else f"exit code {code}"
-    return RuntimeError(f"trace writer process {pid} ended by {how} without reporting")
 
 
 def _write_share(items) -> None:
@@ -575,10 +540,10 @@ def _vector_norm(v):
     return math.sqrt(v.dot(v))
 
 
-# What a step reads, the nine fields the loop binds to locals: x; the alpha, 1 - alpha, lambda and e
-# operands of the slab, indexed by step; u, beta, 1 - beta and the step. Then what the stop test reads:
-# the reference, its norm, the rel_err target, the norm and the any-row-at-target test.
-_Views = namedtuple("_Views", "x alpha calpha lam e u beta cbeta step ref nref target norms any_of")
+# What a step reads, the eight fields the loop binds to locals: x; the alpha, 1 - alpha, lambda and e
+# operands of the slab, indexed by step; u, beta and 1 - beta. Then what the stop test reads: the
+# reference, its norm, the rel_err target, the norm and the any-row-at-target test.
+_Views = namedtuple("_Views", "x alpha calpha lam e u beta cbeta ref nref target norms any_of")
 
 
 class _Rows:
@@ -599,29 +564,29 @@ class _Rows:
             if value is not None:
                 setattr(self, name, value[mask])
 
-    def views(self, step, alphas, lams, draws) -> _Views:
-        """The views of the rows for ``step``, built for rows or, for a single row, for one vector, over a slab
-        whose alpha_k and lambda_k are ``alphas`` and ``lams``, one row per schedule, and whose e_k are
+    def views(self, rows: bool, alphas, lams, draws) -> _Views:
+        """The views of the rows, built for rows or, unless ``rows``, for the one row as one vector, over a
+        slab whose alpha_k and lambda_k are ``alphas`` and ``lams``, one row per schedule, and whose e_k are
         ``draws``, one column per stream (or None).
 
         Rows step on operands of the iterate's C-contiguous (C, d) shape: the slab's alpha_k, 1 - alpha_k, a
         lambda table and e_k of its s steps are gathered into (s, C, d) arrays; a constant lambda is ``lam``.
         numpy takes a broadcast (C, 1) or a strided operand through loops that cost about twice as much.
 
-        A single row steps as a 1-D vector through the problem's own 1-D maps
+        A batch of one row steps as a 1-D vector through the problem's own 1-D maps
         and projection, which cost less than (1, d) kernels. Its coefficients
         are 0-d float64 views of the slab's alpha_k, 1 - alpha_k and
         lambda_k, beta and 1 - beta. numpy takes a 0-d array operand faster
         than a Python float and rounds the same. Its rel_err is a Python float.
         """
-        if self.x.shape[0] > 1:
+        if rows:
             def spread(table):
                 return np.repeat(table[self.sched].T[:, :, None], self.x.shape[1], axis=2)
 
             a = spread(alphas)
             return _Views(self.x, a, 1.0 - a, spread(lams) if self.lam is None else [self.lam] * len(a),
                           None if draws is None else np.take(draws, self.stream, axis=1), self.u,
-                          self.beta, self.cbeta, step, self.ref, self.nref, self.target, row_norms, np.ndarray.any)
+                          self.beta, self.cbeta, self.ref, self.nref, self.target, row_norms, np.ndarray.any)
 
         def first(v):
             return None if v is None else v[0]
@@ -632,7 +597,7 @@ class _Rows:
         s = self.sched[0]
         return _Views(self.x[0], scalars(alphas[s]), scalars(1.0 - alphas[s]), scalars(lams[s]),
                       None if draws is None else draws[:, self.stream[0]], first(self.u), self.beta[0, 0, ...],
-                      self.cbeta[0, 0, ...], step, first(self.ref), None if self.nref is None else float(self.nref[0]),
+                      self.cbeta[0, 0, ...], first(self.ref), None if self.nref is None else float(self.nref[0]),
                       None if self.target is None else float(self.target[0]), _vector_norm, bool)
 
 
@@ -646,11 +611,11 @@ def _lockstep(cfgs: list, extras: list) -> list:
     rows: 8192 steps for one row at d = 2, 256 at d = 64. A block tabulates alpha_k and lambda_k once per
     distinct schedule (by identity) and draws e_k once per distinct perturbation among the rows still
     stepping. Rows step it one slab of a quarter block at a time, on operands gathered for the slab (see
-    :meth:`_Rows.views`); a batch of one row steps each block as one slab. The records hold each row's iterates,
-    and on the record grid alpha_k once per schedule, lambda_k once per schedule with a lambda table and
-    ||e_k|| once per stream; a constant lambda is recorded as its one value, which each trace views with
-    stride 0. A run's memory is its iterate records (a trace derives rel_err from them), those tables, one block
-    and one slab."""
+    :meth:`_Rows.views`); a batch of one row steps each block as one slab, as one vector, and a larger batch
+    steps as rows to its end. The records hold each row's iterates, and on the record grid alpha_k once per
+    schedule, lambda_k once per schedule with a lambda table and ||e_k|| once per stream; a constant lambda
+    is recorded as its one value, which each trace views with stride 0. A run's memory is its iterate
+    records (a trace derives rel_err from them), those tables, one block and one slab."""
     results = [None] * len(cfgs)
     if not cfgs:
         return results
@@ -786,7 +751,7 @@ def _lockstep(cfgs: list, extras: list) -> list:
         rows.keep(~gone)
         if not rows.rec.size:
             return None
-        return rows.views(_build_step(problem, rule) if rows.rec.size == 1 else step, alphas, lams, draws)
+        return rows.views(batched, alphas, lams, draws)
 
     def slabs():
         """Each slab's first k, its alpha_k, lambda_k and e_k tables (as :meth:`_Rows.views` takes them) and its
@@ -799,7 +764,8 @@ def _lockstep(cfgs: list, extras: list) -> list:
                 cut = slice(lo, lo + slab)
                 yield b0 + lo, alphas[:, cut], lams[:, cut], None if draws is None else draws[cut], e_norms[:, cut]
 
-    step = _build_step(problem, rule, rows=len(ids) > 1)
+    batched = len(ids) > 1
+    step = _build_step(problem, rule, rows=batched)
     count_nonzero, isfinite = np.count_nonzero, np.isfinite
     written = slice(None)  # record rows a record writes: all, until one leaves
     slot = 0
@@ -807,10 +773,10 @@ def _lockstep(cfgs: list, extras: list) -> list:
     # flag into a DivergenceError of exactly the rows concerned (one errstate per call, not per step)
     with np.errstate(over="ignore", invalid="ignore"):
         for k0, alphas, lams, draws, e_norms in slabs():
-            v = rows.views(step, alphas, lams, draws)
+            v = rows.views(batched, alphas, lams, draws)
             if k0 == 1:
                 x = v.x
-            _, alpha, calpha, lam, e, u, beta, cbeta, step = v[:9]
+            _, alpha, calpha, lam, e, u, beta, cbeta = v[:8]
             for i, k in enumerate(range(k0, k0 + len(alpha))):
                 on_grid = (k - 1) % stride == 0 or k == n
                 if has_target:
@@ -830,7 +796,7 @@ def _lockstep(cfgs: list, extras: list) -> list:
                         finish(j, slot + 1, k, last)
                     if (v := leave(x, hit)) is None:
                         return results
-                    x, alpha, calpha, lam, e, u, beta, cbeta, step = v[:9]
+                    x, alpha, calpha, lam, e, u, beta, cbeta = v[:8]
                     written = rows.rec
                 if on_grid:
                     slot += 1
@@ -855,7 +821,7 @@ def _lockstep(cfgs: list, extras: list) -> list:
                         )
                     if (v := leave(x_next, bad)) is None:
                         return results
-                    x_next, alpha, calpha, lam, e, u, beta, cbeta, step = v[:9]
+                    x_next, alpha, calpha, lam, e, u, beta, cbeta = v[:8]
                     written = rows.rec
                 x = x_next
         for j in range(rows.rec.size):

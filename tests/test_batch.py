@@ -692,27 +692,59 @@ def test_write_traces_raises_a_shares_os_error_with_its_filename_and_leaves_no_c
     assert_no_child_left()
 
 
-def test_write_traces_names_a_child_failure_it_cannot_send_as_is(tmp_path, cpus, monkeypatch):
-    # a child that dies without reporting, or fails with an exception that does not pickle (a local
-    # class), makes this process raise a RuntimeError that says what happened
+def count_own_writes(monkeypatch, child_write=None):
+    """The ``_write_share`` calls made in this process, each as its list of paths; a forked child calls
+    ``child_write`` in its place, when given."""
+    parent, write_share, calls = os.getpid(), solvers._write_share, []
+
+    def write(items):
+        if os.getpid() == parent:
+            calls.append([path for _, path in items])
+        elif child_write:
+            return child_write(items)
+        return write_share(items)
+
+    monkeypatch.setattr(solvers, "_write_share", write)
+    return calls
+
+
+@pytest.mark.parametrize("how", ["SIGKILL", "local class", "exit 3"])
+def test_write_traces_writes_again_the_share_of_a_child_that_fails(tmp_path, cpus, monkeypatch, how):
+    # five traces in two shares: a child that does not end with status 0 (killed, raising an exception of
+    # a class local to this test, or leaving with code 3) leaves its share, traces 2-4, to this process,
+    # which writes it once its own share is written and the child reaped
     class LocalError(Exception):
         pass
 
-    def killed(items):
-        os.kill(os.getpid(), signal.SIGKILL)
-
-    def unpicklable(items):
-        raise LocalError("not for pickle")
+    def fail(items):
+        if how == "SIGKILL":
+            os.kill(os.getpid(), signal.SIGKILL)
+        if how == "local class":
+            raise LocalError("not for pickle")
+        os._exit(3)
 
     cpus(2)
-    parent, write_share = os.getpid(), solvers._write_share
-    for fail, message in [(killed, f"ended by signal {int(signal.SIGKILL)} without reporting"),
-                          (unpicklable, "failed with an unpicklable LocalError: not for pickle")]:
-        monkeypatch.setattr(solvers, "_write_share", lambda items: write_share(items) if os.getpid() == parent
-                            else fail(items))
-        with pytest.raises(RuntimeError, match=message):
-            solvers._write_traces(zip(five_traces(), [tmp_path / f"t{i}.csv" for i in range(5)]))
-        assert_no_child_left()
+    calls = count_own_writes(monkeypatch, fail)
+    traces, paths = five_traces(), [tmp_path / f"t{i}.csv" for i in range(5)]
+    solvers._write_traces(zip(traces, paths))
+    assert [path.read_text() for path in paths] == [repr_csv(tr) for tr in traces]
+    assert calls == [paths[:2], paths[2:]]
+    assert_no_child_left()
+
+
+def test_write_traces_raises_its_own_shares_failure_and_writes_no_failed_share_again(tmp_path, cpus, forks,
+                                                                                   monkeypatch):
+    # this process's share (traces 0-1) and the child's (2-4) both fail: the own share's error is raised,
+    # once the child is reaped, and nothing is written again
+    cpus(2)
+    calls = count_own_writes(monkeypatch)
+    paths = [tmp_path / f"t{i}.csv" for i in range(5)]
+    paths[0], paths[3] = tmp_path / "missing" / "t0.csv", tmp_path / "missing" / "t3.csv"
+    with pytest.raises(FileNotFoundError) as info:
+        solvers._write_traces(zip(five_traces(), paths))
+    assert info.value.filename == str(paths[0])
+    assert calls == [paths[:2]] and len(forks) == 1
+    assert_no_child_left()
 
 
 def test_write_traces_writes_every_share_itself_when_it_cannot_fork(tmp_path, cpus, monkeypatch):
