@@ -35,9 +35,7 @@ from .operators import (
     Identity,
     LeastSquaresGradient,
     ProblemSpec,
-    RegisteredMapping,
     TrigContraction,
-    register_mapping,
 )
 from .schedules import (
     ConstantLambda,

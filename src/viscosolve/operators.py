@@ -1,20 +1,21 @@
 """Mapping layer: contractions, nonexpansive maps, cocoercive operators.
 
-A mapping is any callable on 1-D float64 arrays carrying two optional
-attributes:
+A mapping is any callable on 1-D float64 arrays with a ``dim`` (Q's when
+absent) and the modulus of its role in :class:`ProblemSpec`; the built-in
+maps carry both:
 
-* ``lipschitz``   -- a certified upper bound on its Lipschitz constant
-  (None when unknown);
+* ``lipschitz``   -- an upper bound on its Lipschitz constant (None when
+  unknown);
 * ``ism_modulus`` -- nu such that <Fx - Fy, x - y> >= nu * ||Fx - Fy||^2
-  (inverse strong monotonicity / cocoercivity; None when not certified).
+  (inverse strong monotonicity / cocoercivity; None when there is none).
 
-The maps of the theta sweep (:class:`Identity`, :class:`TrigContraction`
-and :class:`LeastSquaresGradient`) also evaluate a (C, d) array through
-``rows``, bit-identical to calling them on each row; :func:`rows_of` loops
-over the rows for every other callable, since no workload batches it.
+:class:`Identity`, :class:`TrigContraction` and :class:`LeastSquaresGradient`
+also evaluate a (C, d) array through ``rows``, bit-identical to calling them
+on each row; :func:`rows_of` loops over the rows for every other callable:
+:class:`ConstantAnchor`, :class:`AffineMap` and user maps.
 
 :class:`ProblemSpec` bundles a constraint set Q with a nonexpansive S, a
-cocoercive A and a contraction f, with their certified moduli. The
+cocoercive A and a contraction f, and checks each declared modulus on Q. The
 operators built from them, the step rules and the composite viscosity map
 T_t (the explicit rule's step at alpha = t), live in :mod:`viscosolve.solvers`.
 """
@@ -23,13 +24,13 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import field, fields, is_dataclass
+from dataclasses import fields, is_dataclass
 from typing import Callable, ClassVar
 
 import numpy as np
 
 from .projections import ConvexSet, contains, project, project_rows
-from .space import DimensionMismatchError, NonFiniteError, as_vector, record
+from .space import DimensionMismatchError, NonFiniteError, as_vector, record, row_inners, row_norms
 
 __all__ = [
     "Identity",
@@ -37,8 +38,6 @@ __all__ = [
     "ConstantAnchor",
     "LeastSquaresGradient",
     "AffineMap",
-    "RegisteredMapping",
-    "register_mapping",
     "ProblemSpec",
     "rows_of",
 ]
@@ -194,93 +193,10 @@ class AffineMap:
         return self.M @ x + self.c
 
 
-@record
-class RegisteredMapping:
-    """A user-supplied mapping with a declared role and modulus, passed to :class:`ProblemSpec`.
-
-    :func:`register_mapping` builds it after spot-checking the declared
-    modulus on random pairs, and refuses on violation, since every
-    convergence guarantee hinges on it. ``name`` labels it in those messages.
-    """
-
-    name: str
-    fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    dim: int
-    role: str
-    modulus: float
-
-    @property
-    def lipschitz(self):
-        if self.role == "contraction":
-            return self.modulus
-        if self.role == "nonexpansive":
-            return 1.0
-        return None
-
-    @property
-    def ism_modulus(self):
-        return self.modulus if self.role == "ism" else None
-
-    def __call__(self, x):
-        return self.fn(x)
-
-
-_SPOT_CHECK_PAIRS = 1000
-_SPOT_CHECK_TOL = 1e-10
-_SPOT_CHECK_SEED = 20220702
-
-
-def register_mapping(
-    name: str,
-    fn: Callable[[np.ndarray], np.ndarray],
-    *,
-    dim: int,
-    role: str,
-    modulus: float | None = None,
-) -> RegisteredMapping:
-    """``fn`` as a :class:`RegisteredMapping` named ``name``, after spot-checking its declared modulus.
-
-    role="contraction" requires modulus in [0, 1); role="nonexpansive"
-    defaults to modulus 1; role="ism" requires modulus > 0. The check draws
-    1000 Gaussian pairs and refuses the mapping on any violation beyond
-    1e-10.
-    """
-    if role not in ("contraction", "nonexpansive", "ism"):
-        raise ValueError(f"unknown role {role!r}")
-    if role == "nonexpansive" and modulus is None:
-        modulus = 1.0
-    if modulus is None:
-        raise ValueError(f"role {role!r} needs an explicit modulus")
-    modulus = float(modulus)
-    if role == "contraction" and not (0 <= modulus < 1):
-        raise ValueError(f"contraction modulus must be in [0, 1), got {modulus}")
-    if role == "ism" and not modulus > 0:
-        raise ValueError(f"ism modulus must be > 0, got {modulus}")
-
-    rng = np.random.default_rng(_SPOT_CHECK_SEED)
-    xs = rng.normal(scale=2.0, size=(_SPOT_CHECK_PAIRS, dim))
-    ys = rng.normal(scale=2.0, size=(_SPOT_CHECK_PAIRS, dim))
-    for x, y in zip(xs, ys):
-        fx, fy = np.asarray(fn(x), dtype=float), np.asarray(fn(y), dtype=float)
-        dxy = float(np.linalg.norm(x - y))
-        dfxy = float(np.linalg.norm(fx - fy))
-        if role in ("contraction", "nonexpansive"):
-            bound = modulus if role == "contraction" else 1.0
-            if dfxy > bound * dxy + _SPOT_CHECK_TOL:
-                raise ValueError(
-                    f"mapping {name!r} violates its declared {role} modulus "
-                    f"{bound} ({dfxy:.6g} > {bound * dxy:.6g})"
-                )
-        else:
-            lhs = float(np.dot(fx - fy, x - y))
-            if lhs < modulus * dfxy**2 - _SPOT_CHECK_TOL:
-                raise ValueError(
-                    f"mapping {name!r} violates its declared ism modulus {modulus}"
-                )
-    return RegisteredMapping(name=name, fn=fn, dim=dim, role=role, modulus=modulus)
-
-
 # --------------------------------------------------------------------------
+
+_SPOT_CHECK_SEED = 20220702
+_MODULUS_TOL = 1e-10
 
 
 @record(eq=False)
@@ -293,6 +209,15 @@ class ProblemSpec:
     solutions q of the variational inequality <Aq, x - q> >= 0 on Q;
     ``reference_set_omega`` names that intersection when it is known in
     closed form, enabling the independent reference solver.
+
+    Each map is evaluated once on the 32 spot points of Q (:func:`_spot_points`).
+    S and f must map them into Q (up to 1e-8), and on the 32 cyclic pairs
+    (x_i, x_{i+1 mod 32}) each map must keep its declared modulus:
+    ||Sx - Sy|| <= ``lipschitz`` ||x - y||, ||fx - fy|| <= rho ||x - y|| and
+    <Ax - Ay, x - y> >= nu ||Ax - Ay||^2. A pair may miss its inequality by
+    1e-10 times its magnitudes: ||Fx|| + ||Fy|| + L (||x|| + ||y||) for a
+    Lipschitz bound L, and (nu (||Ax|| + ||Ay||) + ||x|| + ||y||)^2 / nu for
+    the cocoercivity, the scales of their rounding.
     """
 
     set_Q: ConvexSet
@@ -320,12 +245,25 @@ class ProblemSpec:
         nu = getattr(self.map_A, "ism_modulus", None)
         if nu is None or not nu > 0:
             raise ValueError(f"map_A must carry a cocoercivity modulus > 0, got {nu}")
-        # spot-check that f and S map Q into Q
         pts = _spot_points(self.set_Q)
-        for label, m in (("S", self.map_S), ("f", self.map_f)):
-            for p in pts:
-                if not contains(self.set_Q, np.asarray(m(p), dtype=float), 1e-8):
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads inf or NaN, and a NaN fails its test
+            images = {label: rows_of(m)(pts) for label, m in (("S", self.map_S), ("f", self.map_f), ("A", self.map_A))}
+            for label in "Sf":
+                if not all(contains(self.set_Q, p, 1e-8) for p in images[label]):
                     raise ValueError(f"map {label} does not map Q into Q (sampled point left Q)")
+            nxt, nX = np.roll(np.arange(len(pts)), -1), row_norms(pts)  # the pairs (x_i, x_{i+1 mod 32})
+            dX, mX = pts - pts[nxt], nX + nX[nxt]
+            for label, name, modulus in (("S", "lipschitz", s_lip), ("f", "lipschitz", rho), ("A", "ism_modulus", nu)):
+                F, nF = images[label], row_norms(images[label])
+                dF, mF = F - F[nxt], nF + nF[nxt]
+                if label == "A":
+                    gap, scale = nu * row_inners(dF, dF) - row_inners(dF, dX), (nu * mF + mX) ** 2 / nu
+                else:
+                    gap, scale = row_norms(dF) - modulus * row_norms(dX), mF + modulus * mX
+                bad = ~(gap <= _MODULUS_TOL * scale)  # a NaN fails too
+                if bad.any():
+                    raise ValueError(f"map {label} breaks its declared {name} = {modulus:g} on Q: a pair of "
+                                     f"sampled points misses its inequality by {gap[bad].max():.3g}")
 
     @property
     def dim(self) -> int:
@@ -346,7 +284,7 @@ class ProblemSpec:
 
 
 def _spot_points(cset) -> np.ndarray:
-    """The 32 points of ``cset`` on which :class:`ProblemSpec` checks that f and S map Q into Q.
+    """The 32 points of ``cset`` on which :class:`ProblemSpec` checks each map.
 
     Sixteen are projections onto ``cset`` of a fixed spread around the point
     of ``cset`` nearest the origin: eight points 2u - 1 of [-1, 1)^d, u from a

@@ -295,3 +295,16 @@ def test_the_benchmark_has_one_definition():
     raw = configio.load_config(Path(__file__).resolve().parents[1] / "configs" / "benchmark.json")
     assert resolve_config(raw)[0] == resolve_config({})[0]
     assert _jsonable(build_benchmark_problem()) == _jsonable(configio.build_problem(DEFAULT_CONFIG))
+
+
+@pytest.mark.parametrize("cls, name, value, label", [
+    ("TrigContraction", "lipschitz", 0.1, "f"),  # sqrt(2)/2 holds, 0.1 does not
+    ("Identity", "lipschitz", 0.5, "S"),
+    ("LeastSquaresGradient", "ism_modulus", property(lambda self: 10.0 / self.lipschitz), "A"),  # 1/L holds
+])
+def test_a_false_declared_modulus_is_config_error(monkeypatch, cls, name, value, label):
+    from viscosolve import operators
+
+    monkeypatch.setattr(getattr(operators, cls), name, value)
+    with pytest.raises(ConfigurationError, match=f"^problem: map {label} breaks its declared {name} = "):
+        configio.build_problem(DEFAULT_CONFIG)

@@ -1,6 +1,6 @@
 """The property battery on row kernels gives the per-pair loop's results, bit for bit."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
@@ -206,12 +206,24 @@ def test_benchmark_battery_equals_per_pair_loop():
     assert all(r.passed for r in got)
 
 
+def unchecked(*maps) -> ProblemSpec:
+    """ProblemSpec(*maps) without the checks of its constructor, which refuses a map that breaks its declared modulus
+    on Q: the battery must still find what a problem it is handed breaks."""
+    problem = object.__new__(ProblemSpec)
+    for f, value in zip(fields(ProblemSpec), (*maps, None)):
+        object.__setattr__(problem, f.name, value)
+    return problem
+
+
 @pytest.mark.parametrize("battery", (run_property_checks, per_pair_battery), ids=("rows", "oracle"))
 def test_over_claimed_ism_modulus_fails_the_ism_check(battery):
     rng = np.random.default_rng(5)
     z = rng.normal(size=3)
     honest = ProblemSpec(NonnegOrthant(3), Identity(3), ScaledShift(2.0, z), ConstantAnchor([1.0, 2.0, 0.5]))
-    liar = ProblemSpec(NonnegOrthant(3), Identity(3), ScaledShift(2.0, z, claimed=1.0), ConstantAnchor([1.0, 2.0, 0.5]))
+    maps = NonnegOrthant(3), Identity(3), ScaledShift(2.0, z, claimed=1.0), ConstantAnchor([1.0, 2.0, 0.5])
+    with pytest.raises(ValueError, match="map A breaks its declared ism_modulus = 1 on Q"):
+        ProblemSpec(*maps)
+    liar = unchecked(*maps)
     assert {r.name: r.passed for r in battery(honest, n_pairs=200)}["ism_inequality"]
     results = battery(liar, n_pairs=200)
     ism = {r.name: r for r in results}["ism_inequality"]
@@ -236,7 +248,10 @@ class InfBeyondOne:
                  marks=pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")),
 ))
 def test_a_map_returning_inf_raises(battery):
-    problem = ProblemSpec(NonnegOrthant(2), Identity(2), InfBeyondOne(), ConstantAnchor([0.5, 0.5]))
+    maps = NonnegOrthant(2), Identity(2), InfBeyondOne(), ConstantAnchor([0.5, 0.5])
+    with pytest.raises(ValueError, match="map A breaks its declared ism_modulus = 1 on Q"):
+        ProblemSpec(*maps)  # a gap of inf - inf, NaN, fails
+    problem = unchecked(*maps)
     with pytest.raises(NonFiniteError):
         battery(problem, n_pairs=100)
 

@@ -17,12 +17,12 @@ EXPORTS = [
     "ExperimentConfig", "ExperimentReport", "HALPERN", "Halfspace", "Hyperplane", "HypothesisReport",
     "Identity", "ImplicitConfig", "InvalidDescriptorError", "LeastSquaresGradient", "NoPerturbation",
     "NonConvergenceError", "NonFiniteError", "NonnegOrthant", "PERTURBED", "PathPoint",
-    "PowerAlpha", "ProblemSpec", "RegisteredMapping", "RunTrace", "ScheduleSpec",
+    "PowerAlpha", "ProblemSpec", "RunTrace", "ScheduleSpec",
     "ScheduleViolationWarning", "Simplex", "SolverConfig", "TAKAHASHI_TOYODA", "TableAlpha", "TableLambda",
     "TrigContraction", "UniformSquarePerturbation", "YAO_INNER", "YAO_OUTER", "alpha_at", "as_vector",
     "benchmark_schedule", "build_benchmark_problem", "contains", "emit_report", "emit_tables", "emit_trace",
     "experiment", "hypothesis_report", "implicit_path", "lambda_at", "norm", "operators",
-    "perturbation_stream", "project", "project_rows", "projections", "reference_solution", "register_mapping",
+    "perturbation_stream", "project", "project_rows", "projections", "reference_solution",
     "run", "run_batch", "run_experiment", "sample", "schedules", "solvers", "space", "viscosity_map",
 ]
 
@@ -134,4 +134,4 @@ def test_every_package_dataclass_is_a_record_with_the_shared_methods():
         "             or list(inspect.signature(c).parameters) != [f.name for f in dataclasses.fields(c)]))\n"
     )
     count, strays = fresh(code).splitlines()
-    assert int(count) == 31 and strays == "[]"
+    assert int(count) == 30 and strays == "[]"

@@ -22,7 +22,6 @@ from viscosolve import (
     TrigContraction,
     norm,
     project,
-    register_mapping,
     contains,
     viscosity_map,
 )
@@ -87,8 +86,19 @@ def test_theta_map_examples(problem, qstar):
     assert norm(theta_map(qstar, problem, 0.1) - qstar) <= 1e-6
 
 
+class Scaled:
+    """x -> factor x, a plain class declaring ``modulus`` under ``name`` (lipschitz or ism_modulus)."""
+
+    def __init__(self, dim, factor, name, modulus):
+        self.dim, self.factor = dim, factor
+        setattr(self, name, modulus)
+
+    def __call__(self, x):
+        return self.factor * x
+
+
 def test_theta_map_with_zero_operator():
-    zero = register_mapping("zero_op_2d", lambda x: np.zeros(2), dim=2, role="ism", modulus=1.0)
+    zero = Scaled(2, 0.0, "ism_modulus", 1.0)  # A = 0: any modulus > 0 holds
     prob = ProblemSpec(
         set_Q=NonnegOrthant(2), map_S=Identity(2), map_A=zero, map_f=TrigContraction()
     )
@@ -204,23 +214,23 @@ def test_affine_map():
     assert m.lipschitz == pytest.approx(1.0, abs=1e-12)
 
 
-def test_register_mapping_rejects_false_modulus():
-    with pytest.raises(ValueError, match="violates"):
-        register_mapping("doubler", lambda x: 2.0 * x, dim=2, role="contraction", modulus=0.5)
+# each maps the orthant into itself and breaks its declared modulus there: a doubler declared a 0.5-contraction,
+# the identity declared 10-cocoercive (it is 1-cocoercive), and a doubler declared nonexpansive
+FALSE_MODULI = {
+    "f": ("map_f", Scaled(2, 2.0, "lipschitz", 0.5), "map f breaks its declared lipschitz = 0.5 on Q"),
+    "A": ("map_A", Scaled(2, 1.0, "ism_modulus", 10.0), "map A breaks its declared ism_modulus = 10 on Q"),
+    "S": ("map_S", Scaled(2, 2.0, "lipschitz", 1.0), "map S breaks its declared lipschitz = 1 on Q"),
+}
 
 
-def test_register_mapping_roles():
-    entry = register_mapping("halver", lambda x: 0.5 * x, dim=3, role="contraction", modulus=0.5)
-    assert entry.lipschitz == 0.5 and entry.ism_modulus is None
-    assert np.array_equal(entry(np.array([2.0, 4.0, 6.0])), [1.0, 2.0, 3.0])
-    # no name registry: a name may be checked again, and each call returns its own mapping
-    again = register_mapping("halver", lambda x: 0.25 * x, dim=3, role="contraction", modulus=0.5)
-    assert again is not entry and again.fn is not entry.fn
-    assert register_mapping("id", lambda x: x, dim=2, role="nonexpansive").lipschitz == 1.0
-    with pytest.raises(ValueError):
-        register_mapping("bad_role", lambda x: x, dim=2, role="wat", modulus=0.5)
-    with pytest.raises(ValueError):
-        register_mapping("bad_mod", lambda x: x, dim=2, role="contraction", modulus=1.0)
+@pytest.mark.parametrize("label", FALSE_MODULI)
+def test_problem_spec_refuses_a_false_modulus(label):
+    role, false_map, message = FALSE_MODULI[label]
+    maps = {"map_S": Identity(2), "map_A": LeastSquaresGradient(np.eye(2), np.zeros(2)), "map_f": ConstantAnchor([1.0, 1.0])}
+    ProblemSpec(set_Q=NonnegOrthant(2), **maps)  # the true maps pass
+    ProblemSpec(set_Q=NonnegOrthant(2), **{**maps, "map_A": Scaled(2, 1.0, "ism_modulus", 1.0)})  # and a tight one
+    with pytest.raises(ValueError, match=message):
+        ProblemSpec(set_Q=NonnegOrthant(2), **{**maps, role: false_map})
 
 
 def test_problem_spec_validation():
@@ -347,6 +357,22 @@ def test_problem_spec_takes_an_identity_s_on_a_large_simplex():
     problem = ProblemSpec(set_Q=Simplex(1e8, 64), map_S=Identity(64), map_A=LeastSquaresGradient(B, np.zeros(64)),
                           map_f=ConstantAnchor(np.full(64, 1e8 / 64)))
     assert problem.dim == 64
+
+
+@pytest.mark.parametrize("d", [2, 64])
+@pytest.mark.parametrize("kind", ["orthant", "box", "ball", "halfspace", "hyperplane", "simplex", "far_box", "far_ball",
+                                  "far_halfspace", "large_simplex"])
+def test_problem_spec_takes_each_built_in_map_on_each_set(kind, d):
+    # a large simplex is Simplex(1e8, d); the others are spot_check_set's
+    Q = Simplex(1e8, d) if kind == "large_simplex" else spot_check_set(kind, d)[0]
+    p = project(Q, np.zeros(d))
+    rng = np.random.default_rng([d, 36])
+    for B in (np.eye(d), rng.normal(size=(d, d)), rng.normal(size=(3, d))):  # nu = 1/L: tight on every pair for eye
+        A = LeastSquaresGradient(B, rng.normal(size=len(B)))
+        for f in (ConstantAnchor(p), AffineMap(0.5 * np.eye(d), 0.5 * p)):  # x -> (x + p) / 2 maps Q into Q
+            ProblemSpec(set_Q=Q, map_S=Identity(d), map_A=A, map_f=f)
+    if kind == "orthant" and d == 2:
+        ProblemSpec(set_Q=Q, map_S=Identity(d), map_A=A, map_f=TrigContraction())
 
 
 def test_problem_spec_derived_moduli(problem):

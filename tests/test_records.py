@@ -273,8 +273,7 @@ def _public_records():
         vs.NoPerturbation(), vs.UniformSquarePerturbation(3), vs.NonnegOrthant(2), vs.Box([0, 0], [1, 1]),
         vs.Ball([0, 0], 1.0), vs.Halfspace([1, 1], 1.0), vs.Hyperplane([1, 1], 1.0), vs.Simplex(1.0, 2),
         vs.Identity(2), vs.TrigContraction(), vs.ConstantAnchor([0.5, 0.5]), problem.map_A,
-        vs.AffineMap(np.eye(2) / 2, [0, 0]), vs.register_mapping("half", lambda x: x / 2, dim=2, role="contraction", modulus=0.5),
-        problem, cfg, vs.run(cfg), icfg, vs.implicit_path(icfg, problem)[0], report.config, report.cells[0], report,
+        vs.AffineMap(np.eye(2) / 2, [0, 0]), problem, cfg, vs.run(cfg), icfg, vs.implicit_path(icfg, problem)[0], report.config, report.cells[0], report,
         hypotheses, hypotheses.checks[0], diagnostics.run_property_checks(problem, n_pairs=4)[0],
     ]
 
@@ -283,7 +282,7 @@ def test_every_public_record_is_a_dataclass_that_replace_rebuilds():
     objs = _public_records()
     exported = {c for m in (vs, diagnostics, experiment) for c in vars(m).values()
                 if isinstance(c, type) and dataclasses.is_dataclass(c) and c.__module__.startswith("viscosolve")}
-    assert len(exported) == 30 and exported == {type(o) for o in objs}  # a new record needs an instance here
+    assert len(exported) == 29 and exported == {type(o) for o in objs}  # a new record needs an instance here
     for obj in objs:
         assert dataclasses.is_dataclass(obj) and type(obj).__init__ is Pickled.__init__
         twin = dataclasses.replace(obj)

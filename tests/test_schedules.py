@@ -251,3 +251,33 @@ def test_hypothesis_report_evidence_numbers():
     # harmonic partial sum over 1000 terms
     assert ev["alpha_partial_sum"] == pytest.approx(sum(1.0 / k for k in range(1, 1001)), rel=1e-12)
     assert check(rep, "v").evidence["e_norm_sum"] <= math.sqrt(2) * math.pi**2 / 6
+
+
+C = 1 / 64  # an increment; every lambda below is a multiple of it, so each |d lambda_k| is exact
+
+
+def lambdas_with_increments(incs):
+    """A lambda table from 0.125 whose |d lambda_k| are ``incs``, the steps alternating in sign."""
+    steps = [inc if i % 2 == 0 else -inc for i, inc in enumerate(incs)]
+    return TableLambda(np.cumsum([0.125, *steps]))
+
+
+# hypothesis (iv) over 9 steps, against a constant alpha table: the 8 increments split into a head and a tail of 4.
+# The tail passes when its median ratio to alpha is no more than the head's, or its sum no more than the head's.
+@pytest.mark.parametrize("head, tail, verdict", [
+    ((1, 1, 1, 1), (1, 1, 1, 5), CONSISTENT),  # medians equal, the tail's sum larger: passes on the ratio alone
+    ((1, 1, 1, 1), (65 / 64, 65 / 64, 65 / 64, 5), VIOLATED),  # the tail's median just above
+    ((1, 1, 1, 5), (2, 2, 2, 2), CONSISTENT),  # the tail's median larger, the sums equal: passes on the sums alone
+    ((1, 1, 1, 5), (2, 2, 2, 2 + 1 / 64), VIOLATED),  # the tail's sum just above
+], ids=["ratio_at", "ratio_above", "sums_at", "sums_above"])
+def test_hypothesis_report_grades_table_increments_at_their_thresholds(head, tail, verdict):
+    s = ScheduleSpec(alpha=TableAlpha(np.full(9, 0.5)), lam=lambdas_with_increments(C * np.array(head + tail)),
+                     bounds=(0.05, 0.25))
+    assert np.array_equal(np.abs(np.diff(s.lam.values)), C * np.array(head + tail))
+    assert check(hypothesis_report(s, NoPerturbation(), 9, nu=0.2), "iv").verdict == verdict
+
+
+@pytest.mark.parametrize("last, verdict", [(0.5, CONSISTENT), (0.5 + 2**-20, VIOLATED)])
+def test_hypothesis_report_grades_a_table_alpha_as_decaying_at_half_its_largest_value(last, verdict):
+    s = spec(TableAlpha([1.0, 0.75, 0.625, last]))
+    assert check(hypothesis_report(s, NoPerturbation(), 4, nu=0.1), "i").verdict == verdict

@@ -900,3 +900,12 @@ def test_a_sweep_whose_records_numpy_cannot_size_is_refused(problem):
         solvers._check_records(cfg, rows=2)
     with pytest.raises(ConfigurationError, match=f"2 run\\(s\\) of {2**58} records"):
         ExperimentConfig(thetas=(0.5, 0.9), seeds=(1,), n_max=2**58)
+
+
+def test_first_hit_is_the_first_k_with_rel_err_at_most_eps():
+    # reference (1, 0): the rel_err column is 2, 0.75, 0.5, 0.25 exactly, so eps = 0.5 is met with equality at k = 30
+    x = np.array([[3.0, 0.0], [1.75, 0.0], [1.5, 0.0], [1.25, 0.0]])
+    trace = RunTrace(k=np.array([10, 20, 30, 40]), x=x, alpha=np.full(4, 0.5), lam=np.full(4, 0.1),
+                     e_norm=np.zeros(4), reference=np.array([1.0, 0.0]), metadata={})
+    assert trace.rel_err.tolist() == [2.0, 0.75, 0.5, 0.25]
+    assert [trace.first_hit(eps) for eps in (0.5, np.nextafter(0.5, 0.0), 2.0, 0.2)] == [30, 40, 10, None]
